@@ -25,30 +25,17 @@
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // run (CPU over the whole run, live heap at exit) for digging into
-// where the harness and the kernels spend their time.
-//
-// With -benchjson FILE it instead runs the FS1 request-serving sweep
-// and the FS2 KV-serving goodput points and writes a machine-readable
-// summary (sustained throughput and p50/p99 per FS1 operating point;
-// goodput, victim p99 and cache hit ratio per FS2 point) for
-// trajectory tracking, plus BENCH_sim.json in the same directory — the
-// simulator's own wall time and kernel events/sec over fixed
-// representative legs:
-//
-//	experiments -quick -benchjson BENCH_rpc.json
-//
-// Regenerating either file replaces its current points but preserves
-// the committed history of past revisions' numbers.
+// where the harness and the kernels spend their time. The simulator's
+// own speed is measured by the benchmark under bench/ (bash
+// bench/run.sh).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -59,136 +46,6 @@ import (
 
 	"cni"
 )
-
-// writeBenchJSON runs the FS1 serving sweep and the FS2 KV goodput
-// points and writes them as a machine-readable summary for trajectory
-// tracking across revisions, preserving the file's committed history
-// the way BENCH_sim.json does. Alongside it (same directory) it writes
-// BENCH_sim.json: the simulator's own wall time and kernel events/sec
-// over fixed representative legs.
-func writeBenchJSON(path string, o cni.ExpOptions) error {
-	doc := rpcBenchDoc{Experiment: "FS1+FS2", Quick: o.Quick,
-		Points: cni.BenchRPC(o), KVPoints: cni.BenchKV(o)}
-	// A regeneration replaces the current points but preserves the
-	// committed history. A file from before the history format (FS1
-	// points only) becomes the trajectory's first era.
-	if old, err := os.ReadFile(path); err == nil {
-		var prev rpcBenchDoc
-		if json.Unmarshal(old, &prev) == nil && len(prev.Points) > 0 {
-			doc.History = prev.History
-			if len(prev.History) == 0 && len(prev.KVPoints) == 0 {
-				doc.History = []rpcBenchEra{{
-					Label:  "FS1-only baseline, before the KV serving study",
-					Quick:  prev.Quick,
-					Points: prev.Points,
-				}}
-			}
-		}
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-		return err
-	}
-	simPath := filepath.Join(filepath.Dir(path), "BENCH_sim.json")
-	simDoc := simBenchDoc{Experiment: "sim", Quick: o.Quick, Points: cni.BenchSim(o)}
-	// A regeneration replaces the current points but preserves the
-	// committed history: the trajectory of past revisions' numbers that
-	// the pre/post comparison below is anchored on.
-	if old, err := os.ReadFile(simPath); err == nil {
-		var prev simBenchDoc
-		if json.Unmarshal(old, &prev) == nil {
-			simDoc.History = prev.History
-		}
-	}
-	printSimSpeedup(simDoc)
-	b, err = json.MarshalIndent(simDoc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(simPath, append(b, '\n'), 0o644)
-}
-
-// rpcBenchDoc is the BENCH_rpc.json layout: the run's own FS1 and FS2
-// points plus the preserved history of earlier revisions' points.
-type rpcBenchDoc struct {
-	Experiment string              `json:"experiment"`
-	Quick      bool                `json:"quick"`
-	Points     []cni.RPCBenchPoint `json:"points"`
-	KVPoints   []cni.KVBenchPoint  `json:"kv_points,omitempty"`
-	History    []rpcBenchEra       `json:"history,omitempty"`
-}
-
-// rpcBenchEra is one committed trajectory entry of BENCH_rpc.json.
-type rpcBenchEra struct {
-	Label    string              `json:"label"`
-	Quick    bool                `json:"quick"`
-	Points   []cni.RPCBenchPoint `json:"points"`
-	KVPoints []cni.KVBenchPoint  `json:"kv_points,omitempty"`
-}
-
-// simBenchDoc is the BENCH_sim.json layout: the run's own points plus
-// the preserved history of earlier revisions' points.
-type simBenchDoc struct {
-	Experiment string              `json:"experiment"`
-	Quick      bool                `json:"quick"`
-	Points     []cni.SimBenchPoint `json:"points"`
-	History    []simBenchEra       `json:"history,omitempty"`
-}
-
-// simBenchEra is one committed trajectory entry: the points a past
-// revision measured, labeled with what that revision was.
-type simBenchEra struct {
-	Label  string              `json:"label"`
-	Quick  bool                `json:"quick"`
-	Points []cni.SimBenchPoint `json:"points"`
-}
-
-// printSimSpeedup emits the before/after kernel-throughput line for the
-// speedup-gate leg: the committed pre-calendar baseline (history entry
-// 0), the live reference-heap run, and the current calendar run.
-func printSimSpeedup(doc simBenchDoc) {
-	find := func(points []cni.SimBenchPoint, leg string) (cni.SimBenchPoint, bool) {
-		for _, p := range points {
-			if p.Leg == leg {
-				return p, true
-			}
-		}
-		return cni.SimBenchPoint{}, false
-	}
-	post, ok := find(doc.Points, cni.BenchLeg1024)
-	if !ok {
-		return
-	}
-	line := fmt.Sprintf("sim kernel %s: post=%.0f events/s (calendar)", cni.BenchLeg1024, post.EventsPerS)
-	if ref, ok := find(doc.Points, cni.BenchLeg1024+"-refheap"); ok && ref.EventsPerS > 0 {
-		line += fmt.Sprintf(", refheap=%.0f events/s (%.2fx)", ref.EventsPerS, post.EventsPerS/ref.EventsPerS)
-	}
-	if len(doc.History) > 0 {
-		if pre, ok := find(doc.History[0].Points, cni.BenchLeg1024); ok && pre.EventsPerS > 0 {
-			line += fmt.Sprintf(", pre=%.0f events/s (%s, %.2fx)",
-				pre.EventsPerS, doc.History[0].Label, post.EventsPerS/pre.EventsPerS)
-		}
-	}
-	fmt.Fprintln(os.Stderr, line)
-	// The sharded legs: the same sweep split across kernel shards,
-	// reported as speedup over the single kernel. On a one-core runner
-	// these measure the windowing overhead instead of parallelism.
-	shardLine := ""
-	for _, n := range []int{1, 2, 4, 8} {
-		if p, ok := find(doc.Points, fmt.Sprintf("%s-shards%d", cni.BenchLeg1024, n)); ok && p.EventsPerS > 0 {
-			if shardLine == "" {
-				shardLine = "sim kernel sharded:"
-			}
-			shardLine += fmt.Sprintf(" shards%d=%.0f events/s (%.2fx)", n, p.EventsPerS, p.EventsPerS/post.EventsPerS)
-		}
-	}
-	if shardLine != "" {
-		fmt.Fprintln(os.Stderr, shardLine)
-	}
-}
 
 // progressPrinter renders the live points-done line on stderr. It is
 // called from harness worker goroutines, so it locks.
@@ -224,7 +81,6 @@ func main() {
 	procs := flag.String("procs", "", "override processor counts for scaling figures (e.g. 1,2,4,8)")
 	jobs := flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS; results identical at any value)")
 	progress := flag.Bool("progress", true, "stream live point counts to stderr")
-	benchjson := flag.String("benchjson", "", "write the FS1 serving benchmark summary as JSON to this file (e.g. BENCH_rpc.json) and exit")
 	shards := flag.Int("shards", 0, "kernel shards per simulation point (0 = single kernel; results identical at any count)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -232,7 +88,7 @@ func main() {
 
 	// run returns an exit code instead of calling os.Exit so the
 	// profile writers below always get to flush.
-	code := run(*quick, *only, *procs, *jobs, *shards, *progress, *benchjson, *cpuprofile)
+	code := run(*quick, *only, *procs, *jobs, *shards, *progress, *cpuprofile)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -253,7 +109,7 @@ func main() {
 	os.Exit(code)
 }
 
-func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, benchjson, cpuprofile string) int {
+func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, cpuprofile string) int {
 	if cpuprofile != "" {
 		f, err := os.Create(cpuprofile)
 		if err != nil {
@@ -274,14 +130,6 @@ func run(quick bool, only, procsCSV string, jobs, shards int, progress bool, ben
 	o := cni.ExpOptions{Quick: quick, Jobs: jobs, Shards: shards, Progress: printer.update}
 	o, parallelism := o.EffectiveParallelism()
 	fmt.Fprintf(os.Stderr, "experiments: %s\n", parallelism)
-	if benchjson != "" {
-		if err := writeBenchJSON(benchjson, o); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: -benchjson: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", benchjson)
-		return 0
-	}
 	if procsCSV != "" {
 		for _, s := range strings.Split(procsCSV, ",") {
 			p, err := strconv.Atoi(strings.TrimSpace(s))

@@ -354,7 +354,7 @@ func NewFabric(cfg *Config, n int) (*Fabric, error) { return msgpass.NewFabric(c
 type (
 	ReduceOp  = collective.ReduceOp
 	CollStats = collective.Stats
-	CollHist  = collective.Hist
+	CollHist  = rpc.Hist
 )
 
 // The collective combining operators.
@@ -411,26 +411,6 @@ const (
 //	fmt.Println(rep.Sustained, rep.P99)
 func RunRPC(cfg *Config, s RPCSpec) *RPCReport { return workload.Run(cfg, s) }
 
-// RPCBenchPoint is one machine-readable point of the FS1 serving
-// sweep; BenchRPC runs the sweep under every interface and returns the
-// points in a fixed order (see cmd/experiments -benchjson).
-type RPCBenchPoint = experiments.BenchPoint
-
-func BenchRPC(o ExpOptions) []RPCBenchPoint { return experiments.BenchRPC(o) }
-
-// SimBenchPoint is one leg of the simulator's own performance
-// benchmark (kernel events/sec over representative workloads);
-// BenchSim runs the legs and returns them in a fixed order (see
-// cmd/experiments -benchjson, which writes BENCH_sim.json).
-type SimBenchPoint = experiments.SimBenchPoint
-
-func BenchSim(o ExpOptions) []SimBenchPoint { return experiments.BenchSim(o) }
-
-// BenchLeg1024 is the speedup-gate leg of the simulator benchmark: the
-// FT1-style 1024-node all-to-all run whose kernel events/sec the
-// BENCH_sim.json trajectory tracks across revisions.
-const BenchLeg1024 = experiments.BenchLeg1024
-
 // --- key-value serving ---
 
 // KVSpec describes one multi-tenant key-value serving run over the
@@ -478,11 +458,3 @@ const (
 //	})
 //	fmt.Println(rep.P99, rep.HitRatio)
 func RunKV(cfg *Config, s KVSpec) *KVReport { return workload.RunKV(cfg, s) }
-
-// KVBenchPoint is one machine-readable point of the FS2 serving study;
-// BenchKV runs the study's goodput points under every interface with
-// isolation off and on and returns them in a fixed order (see
-// cmd/experiments -benchjson).
-type KVBenchPoint = experiments.KVBenchPoint
-
-func BenchKV(o ExpOptions) []KVBenchPoint { return experiments.BenchKV(o) }

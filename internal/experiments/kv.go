@@ -219,40 +219,3 @@ func FigureKV(o Options) Figure {
 	}
 	return f
 }
-
-// KVBenchPoint is one machine-readable point of the FS2 serving study,
-// emitted by cmd/experiments -benchjson for trajectory tracking.
-type KVBenchPoint struct {
-	NIC       string  `json:"nic"`
-	Isolation bool    `json:"isolation"`
-	ZipfS     float64 `json:"zipf_s"`
-	Goodput   float64 `json:"goodput_req_per_s"`
-	VictimP99 int64   `json:"victim_p99_cycles"`
-	HitRatio  float64 `json:"hit_ratio"`
-}
-
-// BenchKV runs the FS2 goodput points at the middle skew and returns
-// them in a fixed order (interface major, isolation minor), bit
-// identical run to run.
-func BenchKV(o Options) []KVBenchPoint {
-	const s = 1.1
-	futs := make([][2]Future[fs2Run], len(sweepKinds))
-	for i, kind := range sweepKinds {
-		futs[i] = [2]Future[fs2Run]{o.fs2Point(kind, s, false), o.fs2Point(kind, s, true)}
-	}
-	var out []KVBenchPoint
-	for i, kind := range sweepKinds {
-		for j, iso := range []bool{false, true} {
-			r := futs[i][j].Wait()
-			out = append(out, KVBenchPoint{
-				NIC:       kind.String(),
-				Isolation: iso,
-				ZipfS:     s,
-				Goodput:   r.Goodput,
-				VictimP99: int64(r.VictimP99),
-				HitRatio:  r.HitRatio,
-			})
-		}
-	}
-	return out
-}

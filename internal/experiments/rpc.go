@@ -80,43 +80,6 @@ func (o Options) fs1Point(kind config.NICKind, rate float64) Future[fs1Run] {
 	})
 }
 
-// BenchPoint is one machine-readable point of the FS1 serving sweep,
-// emitted by cmd/experiments -benchjson for trajectory tracking.
-type BenchPoint struct {
-	NIC       string  `json:"nic"`
-	Offered   float64 `json:"offered_req_per_s"`
-	Sustained float64 `json:"sustained_req_per_s"`
-	P50       int64   `json:"p50_cycles"`
-	P99       int64   `json:"p99_cycles"`
-}
-
-// BenchRPC runs the FS1 sweep and returns its points in a fixed order
-// (interface major, rate minor), so the emitted JSON is bit-identical
-// run to run like every other artifact.
-func BenchRPC(o Options) []BenchPoint {
-	clients := fs1Spec(o, 0).Clients
-	futs := make([][]Future[fs1Run], len(sweepKinds))
-	for i, kind := range sweepKinds {
-		for _, rate := range FS1Rates {
-			futs[i] = append(futs[i], o.fs1Point(kind, rate))
-		}
-	}
-	var out []BenchPoint
-	for i, kind := range sweepKinds {
-		for j, rate := range FS1Rates {
-			r := futs[i][j].Wait()
-			out = append(out, BenchPoint{
-				NIC:       kind.String(),
-				Offered:   rate * float64(clients),
-				Sustained: r.Sustained,
-				P50:       int64(r.P50),
-				P99:       int64(r.P99),
-			})
-		}
-	}
-	return out
-}
-
 // FigureRPC produces FS1: sustained throughput, p50 and p99 latency
 // versus total offered load for every interface.
 func FigureRPC(o Options) Figure {

@@ -108,16 +108,15 @@ func (o Options) ft1Point(kind config.NICKind, topoName, pattern string, n int, 
 
 // ft1Run is the measurement proper: mean delivery latency in
 // microseconds over every message of the pattern, plus the kernel
-// event count (the sim-throughput denominator BenchSim reports).
+// event count.
 func ft1Run(cfg config.Config, n int, pattern string, rounds int) (float64, uint64) {
 	return ft1RunEngine(cfg, n, pattern, rounds, sim.EngineCalendar)
 }
 
-// ft1RunEngine is ft1Run on an explicit kernel engine. BenchSim uses it
-// to run the same leg on the calendar queue and on the reference heap,
-// which both isolates the engine's contribution to simulator throughput
-// and re-proves on every benchmark run that the simulated result does
-// not depend on the engine.
+// ft1RunEngine is ft1Run on an explicit kernel engine.
+// TestFT1EngineEquivalence runs the same leg on the calendar queue and
+// on the reference heap to re-prove that the simulated result does not
+// depend on the engine.
 func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine sim.Engine) (float64, uint64) {
 	net, ss, k := mustFt1Net(cfg, n, engine)
 	boards := make([]*nic.Board, n)

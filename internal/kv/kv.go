@@ -1,10 +1,11 @@
-// Package kv is a memcached-style key-value service built on the same
-// Application Device Channel transport as internal/rpc: GET/SET/DELETE
-// requests with a flat 40-byte wire encoding, per-node key-space
-// sharding (key mod servers, decided by the client), bounded server
-// work queues with admission control derived from free-queue depth,
-// and per-request latency measured at the client from the scheduled
-// issue time (coordination-omission-free under open loop).
+// Package kv is a memcached-style key-value service, a request handler
+// on the serving transport of internal/rpc: GET/SET/DELETE requests
+// with a flat 40-byte wire encoding, per-node key-space sharding (key
+// mod servers, decided by the client), and a versioned store. The
+// transport supplies the rest — bounded server work queues with
+// admission control derived from free-queue depth, and per-request
+// latency measured at the client from the scheduled issue time
+// (coordination-omission-free under open loop).
 //
 // Two things distinguish it from plain RPC serving:
 //
@@ -40,20 +41,11 @@ import (
 	"cni/internal/tenant"
 )
 
-// Protocol operations (the 0x700 block; rpc holds 0x600).
+// Protocol operations (the 0x700 block; rpc holds 0x600): request and
+// response; the transport sends the done marker as 0x702.
 const (
 	opRequest  uint32 = 0x700
 	opResponse uint32 = 0x701
-	opDone     uint32 = 0x702
-)
-
-// Response flags.
-const (
-	flagOK uint32 = iota
-	flagNotFound
-	flagRejected
-	flagThrottled
-	flagExpired
 )
 
 // HeapBase is the virtual base of each node's pinned KV heap,
@@ -64,23 +56,23 @@ const (
 const HeapBase uint64 = 1 << 31
 
 const (
-	rxPage      = 0
-	reqPage0    = 1
-	reqPages    = 63
 	scratchPage = 64
 	slotPage0   = 65
 )
 
-// Outcome is the terminal state of one call.
+// Outcome is the terminal state of one call, and the flag a response
+// carries.
 type Outcome int
 
-// The call outcomes.
+// The call outcomes. The first four are the transport's own and share
+// its values; NotFound answers a GET on a key with no live value, and
+// the transport counts it as OK.
 const (
-	OK Outcome = iota
-	NotFound
-	Rejected
-	Throttled
-	Expired
+	OK        = Outcome(rpc.OK)
+	Rejected  = Outcome(rpc.Rejected)
+	Expired   = Outcome(rpc.Expired)
+	Throttled = Outcome(rpc.Throttled)
+	NotFound  = Throttled + 1
 )
 
 // String implements fmt.Stringer.
@@ -104,22 +96,11 @@ func (o Outcome) String() string {
 // Stats counts one node's KV activity (client and server roles). It is
 // comparable, like rpc.Stats, so determinism tests can use ==.
 type Stats struct {
-	// Client side.
-	Issued       uint64
-	Completed    uint64 // OK + NotFound responses received
-	Rejected     uint64
-	Throttled    uint64
-	Expired      uint64
-	DeadlineMiss uint64
+	// The transport's counters. Completed counts OK and NotFound
+	// responses, and Lat is their latency histogram.
+	rpc.Stats
 
-	// Server side.
-	Served     uint64
-	FreeDry    uint64
-	QueueFull  uint64
-	Delayed    uint64
-	Malformed  uint64 // arrivals whose request failed to decode
-	QueuePeak  int
-	ParkedPeak int
+	Malformed uint64 // arrivals whose request failed to decode
 
 	// NIC-resident response cache (serving CNI boards only).
 	BoardServed  uint64 // GETs answered by the board filter
@@ -130,32 +111,15 @@ type Stats struct {
 	InsertVetoes uint64 // inserts refused during a write window
 	PinFails     uint64 // inserts refused for want of an MC frame
 
-	// Lat is the all-tenants OK/NotFound latency histogram; HitLat and
-	// HostLat split GET latency by who served it.
-	Lat     rpc.Hist
+	// HitLat and HostLat split GET latency by who served it.
 	HitLat  rpc.Hist
 	HostLat rpc.Hist
 }
 
 // Merge folds o into s (cluster-level aggregation).
 func (s *Stats) Merge(o Stats) {
-	s.Issued += o.Issued
-	s.Completed += o.Completed
-	s.Rejected += o.Rejected
-	s.Throttled += o.Throttled
-	s.Expired += o.Expired
-	s.DeadlineMiss += o.DeadlineMiss
-	s.Served += o.Served
-	s.FreeDry += o.FreeDry
-	s.QueueFull += o.QueueFull
-	s.Delayed += o.Delayed
+	s.Stats.Merge(o.Stats)
 	s.Malformed += o.Malformed
-	if o.QueuePeak > s.QueuePeak {
-		s.QueuePeak = o.QueuePeak
-	}
-	if o.ParkedPeak > s.ParkedPeak {
-		s.ParkedPeak = o.ParkedPeak
-	}
 	s.BoardServed += o.BoardServed
 	s.BoardMissed += o.BoardMissed
 	s.Inserts += o.Inserts
@@ -163,7 +127,6 @@ func (s *Stats) Merge(o Stats) {
 	s.WriteInvals += o.WriteInvals
 	s.InsertVetoes += o.InsertVetoes
 	s.PinFails += o.PinFails
-	s.Lat.Merge(o.Lat)
 	s.HitLat.Merge(o.HitLat)
 	s.HostLat.Merge(o.HostLat)
 }
@@ -178,31 +141,10 @@ type reqPDU struct {
 
 // respMsg is the wire payload of a response.
 type respMsg struct {
-	conn    uint32
 	id      uint64
 	version uint64
-	tenant  uint16
-	flag    uint32
+	out     Outcome
 	board   bool // served by the NIC-resident cache
-}
-
-// call is one outstanding client request.
-type call struct {
-	issued   sim.Time
-	deadline sim.Time
-	kind     Kind
-	tenant   int
-	waiter   *sim.Proc
-	outcome  uint32
-	version  uint64
-	done     bool
-}
-
-// parkedReq is one request held back by the Delay policy.
-type parkedReq struct {
-	req   *Request
-	class int
-	holds bool
 }
 
 // storeVal is one key's state at its home server.
@@ -228,19 +170,14 @@ func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
 func (e *Engine) Node(i int) *Node { return e.nodes[i] }
 
 // Attach registers the KV protocol handlers on b and returns the
-// node's endpoint. Registration costs nothing at run time; heap
-// mapping, channel setup and cache state appear only when a role is
-// configured.
+// node's endpoint. Heap mapping, channel setup and cache state appear
+// only when a role is configured.
 func (e *Engine) Attach(b *nic.Board) *Node {
-	n := &Node{
-		e:       e,
-		b:       b,
-		node:    b.Node(),
-		pending: make(map[uint64]*call),
-	}
-	b.Register(opRequest, false, n.onRequest)
-	b.Register(opResponse, false, n.onResponse)
-	b.Register(opDone, false, n.onDone)
+	n := &Node{e: e, b: b, node: b.Node()}
+	n.Transport.Attach(e.cfg, b, rpc.Service{
+		Name: "kv", Op: opRequest, Heap: HeapBase, Rx: HeapBase,
+		Stats: &n.Stats.Stats, Lat: &n.Lat,
+	}, (*handler)(n))
 	e.nodes = append(e.nodes, n)
 	return n
 }
@@ -272,34 +209,20 @@ type ServerConfig struct {
 	Isolation bool
 }
 
-// Node is one machine's KV endpoint.
+// Node is one machine's KV endpoint: the serving transport with the KV
+// request handler.
 type Node struct {
+	rpc.Transport[*Request]
 	e    *Engine
 	node int
 	b    *nic.Board
 
-	mappedPages int
-
 	// Server state.
-	serving  bool
-	sc       ServerConfig
-	classes  []tenant.Class
-	store    map[uint64]storeVal
-	sched    *tenant.Sched[*Request]
-	buckets  []tenant.Bucket
-	credits  []int          // per scheduling class (per tenant when isolated)
-	chans    []*adc.Channel // per-tenant device channels (nil slots off-ADC)
-	parkedq  []parkedReq
-	proc     *sim.Proc
-	doneSeen int
-	bcache   *boardCache
-
-	// Client state.
-	conns    []*Conn
-	nextConn uint32
-	nextID   uint64
-	pending  map[uint64]*call
-	waiter   *sim.Proc
+	sc      ServerConfig
+	classes []tenant.Class
+	store   map[uint64]storeVal
+	buckets []tenant.Bucket
+	bcache  *boardCache
 
 	Stats Stats
 	// Lat/HitLat/HostLat hold the exact samples behind the Stats
@@ -315,22 +238,7 @@ type Node struct {
 // pageBytes is the node's page size.
 func (n *Node) pageBytes() uint64 { return uint64(n.e.cfg.PageBytes) }
 
-// mapHeap pins the first `pages` pages of the node's KV heap (device
-// channel region + TLB entries where the board has them).
-func (n *Node) mapHeap(pages int) {
-	if pages <= n.mappedPages {
-		return
-	}
-	n.b.MapPages(HeapBase+uint64(n.mappedPages)*n.pageBytes(),
-		(pages-n.mappedPages)*int(n.pageBytes()))
-	n.mappedPages = pages
-}
-
-func (n *Node) rxSlot() uint64      { return HeapBase + rxPage*n.pageBytes() }
 func (n *Node) scratchSlot() uint64 { return HeapBase + scratchPage*n.pageBytes() }
-func (n *Node) reqSlot(c *Conn) uint64 {
-	return HeapBase + (reqPage0+uint64(c.id)%reqPages)*n.pageBytes()
-}
 
 // tenantAt clamps a wire tenant id to the configured classes.
 func (n *Node) tenantAt(t uint16) int {
@@ -338,15 +246,6 @@ func (n *Node) tenantAt(t uint16) int {
 		return int(t)
 	}
 	return -1
-}
-
-// class maps a tenant to its scheduling class: itself under isolation,
-// the one shared class otherwise.
-func (n *Node) class(t int) int {
-	if n.sc.Isolation {
-		return t
-	}
-	return 0
 }
 
 // growTenant ensures the per-tenant ledgers cover tenant t.
@@ -361,10 +260,6 @@ func (n *Node) growTenant(t int) {
 // simulation runs; channels and free buffers are set up outside
 // simulated time, the OSIRIS setup discipline.
 func (n *Node) StartServer(sc ServerConfig) {
-	if sc.WorkQueue <= 0 || sc.FreeBufs <= 0 {
-		panic(fmt.Sprintf("kv: node %d server with work queue %d, free bufs %d",
-			n.node, sc.WorkQueue, sc.FreeBufs))
-	}
 	if sc.ServiceGet <= 0 {
 		sc.ServiceGet = 1
 	}
@@ -375,7 +270,6 @@ func (n *Node) StartServer(sc ServerConfig) {
 		sc.Tenants = []tenant.Class{{ID: 0}}
 	}
 	n.sc = sc
-	n.serving = true
 	n.store = make(map[uint64]storeVal)
 	n.classes = make([]tenant.Class, len(sc.Tenants))
 	for i, c := range sc.Tenants {
@@ -383,26 +277,19 @@ func (n *Node) StartServer(sc ServerConfig) {
 	}
 	n.growTenant(len(n.classes) - 1)
 
-	cps := float64(n.e.cfg.CPUFreqMHz) * 1e6
+	// The credit classes: one per tenant under isolation, each with its
+	// share of the buffers and its token bucket; otherwise one shared
+	// class, one FIFO, no buckets.
+	classes := []rpc.Class{{Bufs: sc.FreeBufs}}
 	if sc.Isolation {
-		n.sched = tenant.NewSched[*Request](n.classes, sc.WorkQueue)
+		cps := float64(n.e.cfg.CPUFreqMHz) * 1e6
+		per := max(sc.FreeBufs/len(n.classes), 1)
 		n.buckets = make([]tenant.Bucket, len(n.classes))
+		classes = make([]rpc.Class, len(n.classes))
 		for i, c := range n.classes {
 			n.buckets[i] = tenant.NewBucket(c, cps)
+			classes[i] = rpc.Class{Class: c, Bufs: per}
 		}
-		n.credits = make([]int, len(n.classes))
-		per := sc.FreeBufs / len(n.classes)
-		if per < 1 {
-			per = 1
-		}
-		for i := range n.credits {
-			n.credits[i] = per
-		}
-	} else {
-		// One shared class: no buckets, one FIFO, one pool.
-		n.sched = tenant.NewSched[*Request]([]tenant.Class{{ID: 0}}, sc.WorkQueue)
-		n.buckets = nil
-		n.credits = []int{sc.FreeBufs}
 	}
 
 	// The response cache and its slots, where the board can run it.
@@ -426,134 +313,68 @@ func (n *Node) StartServer(sc ServerConfig) {
 			n.b.RegisterFilter(opRequest, n.boardFilter)
 		}
 	}
-	n.mapHeap(slotPage0 + nslots)
+	heapBytes := (slotPage0 + nslots) * int(n.pageBytes())
+	n.MapHeap(heapBytes)
 
-	// Per-tenant device channels: the enqueue-time protection point,
-	// one per tenant, each with its own preposted free descriptors.
-	n.chans = make([]*adc.Channel, len(n.credits))
+	// Per-class device channels: the enqueue-time protection point, one
+	// per tenant, each with its own preposted free descriptors. The
+	// board never pops these rings; the transport keeps them equal to
+	// the credits.
 	if n.b.ADC != nil {
-		region := adc.Region{Base: HeapBase, Len: uint64(slotPage0+nslots) * n.pageBytes()}
-		for i := range n.chans {
+		region := adc.Region{Base: HeapBase, Len: uint64(heapBytes)}
+		for i := range classes {
 			ch, err := n.b.ADC.Open(n.node, uint32(0x4B000000)|uint32(i), region)
 			if err != nil {
 				panic(fmt.Sprintf("kv: node %d opening tenant channel %d: %v", n.node, i, err))
 			}
-			n.chans[i] = ch
+			classes[i].Ring = ch
 		}
 	}
-	for i, c := range n.credits {
-		n.reconcileFree(i, c)
-	}
+	n.Listen(rpc.ServerConfig{WorkQueue: sc.WorkQueue, FreeBufs: sc.FreeBufs,
+		Policy: sc.Policy, Clients: sc.Clients}, classes)
 }
 
 // Preload installs key at version 1 in the serving node's store before
 // the simulation runs (a pre-populated dataset, so workload GETs hit
 // live keys instead of measuring a miss storm).
 func (n *Node) Preload(key uint64) {
-	if !n.serving {
+	if n.store == nil {
 		panic(fmt.Sprintf("kv: node %d Preload before StartServer", n.node))
 	}
 	n.store[key] = storeVal{version: 1, live: true}
 }
 
-// reconcileFree settles scheduling class i's free ring to depth d (the
-// credits counter is the authority, exactly as in internal/rpc).
-func (n *Node) reconcileFree(i, d int) {
-	ch := n.chans[i]
-	if ch == nil {
-		return
-	}
-	for ch.Free.Len() > d {
-		ch.Free.Pop()
-	}
-	for ch.Free.Len() < d {
-		if err := ch.PostFree(adc.Descriptor{VAddr: n.rxSlot(), Len: int(n.pageBytes())}); err != nil {
-			panic(fmt.Sprintf("kv: node %d preposting tenant %d free buffer: %v", n.node, i, err))
-		}
-	}
-}
-
-// takeCredit claims a receive buffer from class i's free queue.
-func (n *Node) takeCredit(i int) bool {
-	if n.credits[i] <= 0 {
-		return false
-	}
-	n.credits[i]--
-	n.reconcileFree(i, n.credits[i])
-	return true
-}
-
-// releaseCredit returns class i's receive buffer.
-func (n *Node) releaseCredit(i int) {
-	n.credits[i]++
-	n.reconcileFree(i, n.credits[i])
-}
-
 // Conn is one logical client connection to a server node.
 type Conn struct {
+	rpc.Link[*Request]
 	n        *Node
-	id       uint32
-	server   int
 	setBytes int
-	deadline sim.Time // relative; 0 = none
 }
 
 // Dial opens a logical connection from this node to server. setBytes
 // is the SET value payload size; deadline (cycles, 0 = none) bounds
 // each request issued on the connection.
 func (n *Node) Dial(server int, setBytes int, deadline sim.Time) *Conn {
-	if server == n.node {
-		panic(fmt.Sprintf("kv: node %d dialing itself", n.node))
-	}
-	n.mapHeap(scratchPage + 1)
-	// Node-local ids, same scheme as rpc: cross-node Dial interleaving
-	// must not influence the id (sharded runs dial concurrently).
-	c := &Conn{n: n, id: uint32(n.node)<<16 | n.nextConn, server: server, setBytes: setBytes, deadline: deadline}
-	n.nextConn++
-	n.conns = append(n.conns, c)
-	return c
+	n.MapHeap((scratchPage + 1) * int(n.pageBytes()))
+	return &Conn{Link: n.Connect(server, deadline), n: n, setBytes: setBytes}
 }
 
-// Server reports the node the connection is dialed to.
-func (c *Conn) Server() int { return c.server }
-
 // issue builds, encodes and transmits one request from p's context,
-// measuring latency from issuedAt (the scheduled arrival under open
-// loop — send-path backup is part of the measured latency, no
-// coordinated omission).
-func (c *Conn) issue(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint64) *call {
+// measuring latency from issuedAt.
+func (c *Conn) issue(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint64) *rpc.Call[*Request] {
 	n := c.n
-	id := n.nextID
-	n.nextID++
-	var deadline sim.Time
-	if c.deadline > 0 {
-		deadline = issuedAt + c.deadline
-	}
-	ca := &call{issued: issuedAt, deadline: deadline, kind: kind, tenant: tn}
-	n.pending[id] = ca
-	n.Stats.Issued++
+	ca := c.Open(issuedAt)
 	n.growTenant(tn)
 	n.TStats[tn].Issued++
 	req := &Request{
 		Kind: kind, Tenant: uint16(tn), Key: key,
-		Conn: c.id, ID: id, From: uint32(n.node), Deadline: deadline,
+		Conn: c.ID(), ID: ca.ID, From: uint32(n.node), Deadline: ca.Deadline,
 	}
 	if kind == Set {
 		req.ValBytes = uint32(c.setBytes)
 	}
-	raw := EncodeRequest(nil, req)
-	m := &nic.Message{
-		From: n.node, To: c.server, Op: opRequest, Aux: c.id,
-		Size:    nic.HeaderBytes + ReqBytes + int(req.ValBytes),
-		VAddr:   n.reqSlot(c),
-		CacheTx: true,
-		Payload: &reqPDU{raw: raw},
-	}
-	if req.ValBytes > 0 {
-		m.DeliverVAddr = n.e.Node(c.server).rxSlot()
-		m.DeliverBytes = int(req.ValBytes)
-	}
-	n.b.Send(p, m)
+	ca.Req = req
+	c.Send(p, &reqPDU{raw: EncodeRequest(nil, req)}, ReqBytes, int(req.ValBytes))
 	return ca
 }
 
@@ -567,52 +388,9 @@ func (c *Conn) Fire(p *sim.Proc, issuedAt sim.Time, kind Kind, tn int, key uint6
 func (c *Conn) Call(p *sim.Proc, kind Kind, tn int, key uint64) (Outcome, uint64) {
 	p.Sync()
 	ca := c.issue(p, p.Local(), kind, tn, key)
-	ca.waiter = p
-	for !ca.done {
-		p.Block()
-	}
-	ca.waiter = nil
-	switch ca.outcome {
-	case flagNotFound:
-		return NotFound, ca.version
-	case flagRejected:
-		return Rejected, ca.version
-	case flagThrottled:
-		return Throttled, ca.version
-	case flagExpired:
-		return Expired, ca.version
-	default:
-		return OK, ca.version
-	}
-}
-
-// Outstanding reports the number of requests awaiting responses.
-func (n *Node) Outstanding() int { return len(n.pending) }
-
-// WaitIdle blocks p until every issued request has a terminal outcome.
-func (n *Node) WaitIdle(p *sim.Proc) {
-	p.Sync()
-	for len(n.pending) > 0 {
-		n.waiter = p
-		p.Block()
-		n.waiter = nil
-	}
-}
-
-// Done tells every dialed server this client is finished.
-func (n *Node) Done(p *sim.Proc) {
-	sent := map[int]bool{}
-	for _, c := range n.conns {
-		if sent[c.server] {
-			continue
-		}
-		sent[c.server] = true
-		n.b.Send(p, &nic.Message{
-			From: n.node, To: c.server, Op: opDone,
-			Size:    nic.HeaderBytes + 8,
-			Payload: &reqPDU{},
-		})
-	}
+	ca.Wait(p)
+	rm := ca.Reply.(*respMsg)
+	return rm.out, rm.version
 }
 
 // boardFilter is the CNI response-cache screening handler, running on
@@ -626,9 +404,6 @@ func (n *Node) Done(p *sim.Proc) {
 // window that closes when the host resolves the write.
 func (n *Node) boardFilter(at sim.Time, m *nic.Message) bool {
 	pd := m.Payload.(*reqPDU)
-	if pd.raw == nil {
-		return false // done marker
-	}
 	req, err := DecodeRequest(pd.raw)
 	if err != nil {
 		return false // let the host count it
@@ -645,28 +420,21 @@ func (n *Node) boardFilter(at sim.Time, m *nic.Message) bool {
 			return false
 		}
 		n.Stats.BoardServed++
-		flag := flagOK
-		size := nic.HeaderBytes + 24 + n.sc.ValueBytes
-		resp := &nic.Message{
+		n.b.SendAt(at, &nic.Message{
 			From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-			Size:    size,
-			VAddr:   n.bcache.SlotAddr(req.Key),
-			CacheTx: true,
-			NoFlush: true, // board memory: there are no host cache lines to flush
-			Payload: &respMsg{
-				conn: req.Conn, id: req.ID, version: e.version,
-				tenant: req.Tenant, flag: flag, board: true,
-			},
-			DeliverVAddr: n.e.Node(int(req.From)).rxSlot(),
+			Size:         nic.HeaderBytes + 24 + n.sc.ValueBytes,
+			VAddr:        n.bcache.SlotAddr(req.Key),
+			CacheTx:      true,
+			NoFlush:      true, // board memory: there are no host cache lines to flush
+			Payload:      &respMsg{id: req.ID, version: e.version, out: OK, board: true},
+			DeliverVAddr: HeapBase,
 			DeliverBytes: n.sc.ValueBytes,
-		}
-		n.b.SendAt(at, resp)
+		})
 		return true
 	case Set, Del:
 		if n.bcache.writeArrived(req.Key) {
 			n.Stats.WriteInvals++
 		}
-		return false
 	}
 	return false
 }
@@ -679,187 +447,37 @@ func (n *Node) writeResolved(req *Request) {
 	}
 }
 
-// onRequest is the server-side arrival handler, running at host-notify
-// time for requests the board filter did not consume. QoS and
-// admission run here, in order: the tenant's token bucket, then a
-// receive buffer from the tenant's channel, then a work-queue slot.
-func (n *Node) onRequest(at sim.Time, m *nic.Message) {
-	if !n.serving {
-		panic(fmt.Sprintf("kv: node %d received a request but is not serving", n.node))
-	}
-	pd := m.Payload.(*reqPDU)
-	if pd.req == nil {
-		req, err := DecodeRequest(pd.raw)
-		if err != nil {
-			n.Stats.Malformed++
-			return
-		}
-		pd.req = &req
-	}
-	req := pd.req
-	tn := n.tenantAt(req.Tenant)
-	if tn < 0 {
-		n.Stats.Malformed++
-		return
-	}
-	if n.sc.Isolation && !n.buckets[tn].Take(at) {
-		n.reject(at, req, flagThrottled)
-		n.writeResolved(req)
-		return
-	}
-	cl := n.class(tn)
-	switch {
-	case !n.takeCredit(cl):
-		n.Stats.FreeDry++
-		if n.sc.Policy == rpc.Shed {
-			n.reject(at, req, flagRejected)
-			n.writeResolved(req)
-		} else {
-			n.park(req, cl, false)
-		}
-	case !n.sched.Push(n.schedClass(cl), req):
-		n.Stats.QueueFull++
-		if n.sc.Policy == rpc.Shed {
-			n.reject(at, req, flagRejected)
-			n.writeResolved(req)
-			n.releaseCredit(cl)
-		} else {
-			n.park(req, cl, true)
-		}
-	default:
-		if n.proc != nil {
-			n.proc.WakeAt(at)
-		}
-	}
-}
-
-// schedClass maps a credit class to its scheduler queue (identity; the
-// scheduler is built over the same classes as the credit pools).
-func (n *Node) schedClass(cl int) int { return cl }
-
-// park holds req back under the Delay policy.
-func (n *Node) park(req *Request, cl int, holds bool) {
-	n.parkedq = append(n.parkedq, parkedReq{req: req, class: cl, holds: holds})
-	n.Stats.Delayed++
-	if len(n.parkedq) > n.Stats.ParkedPeak {
-		n.Stats.ParkedPeak = len(n.parkedq)
-	}
-}
-
-// reject sends an immediate control response from board/handler
-// context (no buffer, no DMA).
-func (n *Node) reject(at sim.Time, req *Request, flag uint32) {
-	n.b.SendAt(at, &nic.Message{
-		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size: nic.HeaderBytes + 24,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, tenant: req.Tenant, flag: flag,
-		},
-	})
-}
-
-// complete returns a served request's receive buffer to class cl and
-// admits parked requests while room exists.
-func (n *Node) complete(cl int) {
-	n.releaseCredit(cl)
-	for len(n.parkedq) > 0 {
-		pe := n.parkedq[0]
-		if n.sched.QueueLen(n.schedClass(pe.class)) >= n.sc.WorkQueue {
-			break
-		}
-		if !pe.holds {
-			if n.credits[pe.class] <= 0 {
-				break
-			}
-			n.takeCredit(pe.class)
-		}
-		n.parkedq = n.parkedq[1:]
-		if !n.sched.Push(n.schedClass(pe.class), pe.req) {
-			panic(fmt.Sprintf("kv: node %d parked admit with a full queue", n.node))
-		}
-	}
-}
-
-// apply runs req against the store, returning the response flag and
+// apply runs req against the store, returning the response outcome and
 // the key's (possibly new) version.
-func (n *Node) apply(req *Request) (uint32, uint64) {
+func (n *Node) apply(req *Request) (Outcome, uint64) {
 	v := n.store[req.Key]
 	switch req.Kind {
 	case Set:
 		v.version++
 		v.live = true
 		n.store[req.Key] = v
-		return flagOK, v.version
+		return OK, v.version
 	case Del:
 		v.version++
 		v.live = false
 		n.store[req.Key] = v
-		return flagOK, v.version
+		return OK, v.version
 	default:
 		if !v.live {
-			return flagNotFound, v.version
+			return NotFound, v.version
 		}
-		return flagOK, v.version
+		return OK, v.version
 	}
 }
 
-// Serve runs the server loop on p: pop the scheduler's pick, charge
-// dequeue and service, apply the store operation, respond — from the
-// key's cache slot page when the response should be retained on the
-// board — and return the receive buffer. Returns once every client
-// has sent its done marker and the queues are empty.
-func (n *Node) Serve(p *sim.Proc) {
-	if !n.serving {
-		panic(fmt.Sprintf("kv: node %d Serve without StartServer", n.node))
-	}
-	n.proc = p
-	dequeue := n.b.RecvDequeueCost()
-	for {
-		for n.sched.Len() > 0 {
-			req, cl, _ := n.sched.Pop()
-			p.Advance(dequeue)
-			p.Sync()
-			if req.Deadline > 0 && p.Local() > req.Deadline {
-				n.Stats.Served++
-				n.respondControl(p, req, flagExpired, 0)
-				n.writeResolved(req)
-				n.complete(cl)
-				continue
-			}
-			service := n.sc.ServiceGet
-			if req.Kind != Get {
-				service = n.sc.ServiceSet
-			}
-			p.Advance(service)
-			p.Sync()
-			flag, version := n.apply(req)
-			n.Stats.Served++
-			if req.Kind == Get && flag == flagOK {
-				n.respondValue(p, req, version)
-			} else {
-				n.respondControl(p, req, flag, version)
-			}
-			n.writeResolved(req)
-			n.complete(cl)
-		}
-		if n.doneSeen >= n.sc.Clients && n.sched.Len() == 0 && len(n.parkedq) == 0 {
-			return
-		}
-		p.Block()
-	}
-}
-
-// respondControl sends a small ack/miss/expired response (no value
-// payload, no buffer).
-func (n *Node) respondControl(p *sim.Proc, req *Request, flag uint32, version uint64) {
-	n.b.Send(p, &nic.Message{
+// control builds a small ack/miss/refusal response (no value payload,
+// no buffer).
+func (n *Node) control(req *Request, out Outcome, version uint64) *nic.Message {
+	return &nic.Message{
 		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size: nic.HeaderBytes + 24,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, version: version,
-			tenant: req.Tenant, flag: flag,
-		},
-	})
+		Size:    nic.HeaderBytes + 24,
+		Payload: &respMsg{id: req.ID, version: version, out: out},
+	}
 }
 
 // respondValue sends a GET's value response. The host composes the
@@ -882,19 +500,15 @@ func (n *Node) respondValue(p *sim.Proc, req *Request, version uint64) {
 	}
 	p.Advance(n.b.WriteBuffer(vaddr, n.sc.ValueBytes))
 	p.Sync()
-	m := &nic.Message{
+	n.b.Send(p, &nic.Message{
 		From: n.node, To: int(req.From), Op: opResponse, Aux: req.Conn,
-		Size:    nic.HeaderBytes + 24 + n.sc.ValueBytes,
-		VAddr:   vaddr,
-		CacheTx: true,
-		Payload: &respMsg{
-			conn: req.Conn, id: req.ID, version: version,
-			tenant: req.Tenant, flag: flagOK,
-		},
-		DeliverVAddr: n.e.Node(int(req.From)).rxSlot(),
+		Size:         nic.HeaderBytes + 24 + n.sc.ValueBytes,
+		VAddr:        vaddr,
+		CacheTx:      true,
+		Payload:      &respMsg{id: req.ID, version: version, out: OK},
+		DeliverVAddr: HeapBase,
 		DeliverBytes: n.sc.ValueBytes,
-	}
-	n.b.Send(p, m)
+	})
 	if retain {
 		evictsBefore := n.bcache.valid
 		if n.bcache.insert(req.Key, version, p.Local()) {
@@ -912,40 +526,99 @@ func (n *Node) respondValue(p *sim.Proc, req *Request, version uint64) {
 	}
 }
 
-// onResponse is the client-side arrival handler: match the request id,
-// record outcome and latency (split board-served vs host-served for
-// GETs), and wake whoever waits.
-func (n *Node) onResponse(at sim.Time, m *nic.Message) {
-	rm := m.Payload.(*respMsg)
-	ca, ok := n.pending[rm.id]
-	if !ok {
-		panic(fmt.Sprintf("kv: node %d response for unknown request %d", n.node, rm.id))
+// handler is the Node as the transport's Handler, kept off Node's own
+// method set.
+type handler Node
+
+// Decode reads an arriving request the board filter did not consume
+// (reusing the filter's decode when it ran) and maps its tenant to a
+// credit class: itself under isolation, the one shared class
+// otherwise.
+func (h *handler) Decode(m *nic.Message) (*Request, int, bool) {
+	pd := m.Payload.(*reqPDU)
+	if pd.req == nil {
+		req, err := DecodeRequest(pd.raw)
+		if err != nil {
+			h.Stats.Malformed++
+			return nil, 0, false
+		}
+		pd.req = &req
 	}
-	delete(n.pending, rm.id)
-	ca.done = true
-	ca.outcome = rm.flag
-	ca.version = rm.version
-	n.b.PenalizeHost(n.b.RecvDequeueCost())
-	tn := ca.tenant
+	tn := (*Node)(h).tenantAt(pd.req.Tenant)
+	if tn < 0 {
+		h.Stats.Malformed++
+		return nil, 0, false
+	}
+	if !h.sc.Isolation {
+		tn = 0
+	}
+	return pd.req, tn, true
+}
+
+// Throttle is the tenant's token bucket, checked before the request
+// claims a receive buffer.
+func (h *handler) Throttle(at sim.Time, req *Request) bool {
+	return h.sc.Isolation && !h.buckets[req.Tenant].Take(at)
+}
+
+func (h *handler) Deadline(req *Request) sim.Time { return req.Deadline }
+
+func (h *handler) Service(req *Request) sim.Time {
+	if req.Kind == Get {
+		return h.sc.ServiceGet
+	}
+	return h.sc.ServiceSet
+}
+
+// Respond applies a served request to the store and answers it: a
+// GET's value from the board-cache slot or scratch page, anything else
+// with a small control response.
+func (h *handler) Respond(p *sim.Proc, req *Request) {
+	n := (*Node)(h)
+	out, version := n.apply(req)
+	if req.Kind == Get && out == OK {
+		n.respondValue(p, req, version)
+	} else {
+		n.b.Send(p, n.control(req, out, version))
+	}
+	n.writeResolved(req)
+}
+
+// Refuse ends a request the host did not serve (throttled, shed or
+// expired), closing its write window.
+func (h *handler) Refuse(req *Request, out rpc.Outcome) *nic.Message {
+	n := (*Node)(h)
+	n.writeResolved(req)
+	return n.control(req, Outcome(out), 0)
+}
+
+// Reply reads a response for the transport: NotFound completes the
+// call like OK.
+func (h *handler) Reply(m *nic.Message) (uint64, rpc.Outcome) {
+	rm := m.Payload.(*respMsg)
+	if rm.out == NotFound {
+		return rm.id, rpc.OK
+	}
+	return rm.id, rpc.Outcome(rm.out)
+}
+
+// Record is the client-side KV bookkeeping of a finished call: the
+// tenant's ledger, and GET latency split board-served vs host-served.
+func (h *handler) Record(at sim.Time, ca *rpc.Call[*Request]) {
+	n := (*Node)(h)
+	tn := int(ca.Req.Tenant)
 	n.growTenant(tn)
 	ts := &n.TStats[tn]
-	switch rm.flag {
-	case flagOK, flagNotFound:
-		n.Stats.Completed++
+	switch ca.Out {
+	case rpc.OK:
+		lat := at - ca.Issued
 		ts.Completed++
-		lat := at - ca.issued
-		n.Lat.Add(lat)
-		n.Stats.Lat = n.Lat.Hist
 		n.TLat[tn].Add(lat)
-		ts.Lat = n.TLat[tn].Hist
-		onTime := ca.deadline == 0 || at <= ca.deadline
-		if onTime {
+		if ca.Deadline == 0 || at <= ca.Deadline {
 			ts.OnTime++
-		} else {
-			n.Stats.DeadlineMiss++
 		}
-		if ca.kind == Get {
-			if rm.board {
+		if ca.Req.Kind == Get {
+			if ca.Reply.(*respMsg).board {
 				n.HitLat.Add(lat)
 				n.Stats.HitLat = n.HitLat.Hist
 			} else {
@@ -953,27 +626,11 @@ func (n *Node) onResponse(at sim.Time, m *nic.Message) {
 				n.Stats.HostLat = n.HostLat.Hist
 			}
 		}
-	case flagRejected:
-		n.Stats.Rejected++
+	case rpc.Rejected:
 		ts.Rejected++
-	case flagThrottled:
-		n.Stats.Throttled++
+	case rpc.Throttled:
 		ts.Throttled++
-	case flagExpired:
-		n.Stats.Expired++
+	case rpc.Expired:
 		ts.Expired++
-	}
-	if ca.waiter != nil {
-		ca.waiter.WakeAt(at)
-	} else if n.waiter != nil && len(n.pending) == 0 {
-		n.waiter.WakeAt(at)
-	}
-}
-
-// onDone is the server-side client-finished marker.
-func (n *Node) onDone(at sim.Time, m *nic.Message) {
-	n.doneSeen++
-	if n.proc != nil {
-		n.proc.WakeAt(at)
 	}
 }

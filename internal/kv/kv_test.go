@@ -334,6 +334,18 @@ func TestTenantIsolationBoundsVictimTail(t *testing.T) {
 	if 4*onP99 >= offP99 {
 		t.Fatalf("victim p99 %d with isolation not well below %d without", onP99, offP99)
 	}
+	// The overload queues work, and the queue never holds more than one
+	// work queue (64) per scheduling class: two tenants isolated, one
+	// shared class otherwise.
+	for _, c := range []struct {
+		name    string
+		res     *cluster.Result
+		classes int
+	}{{"on", on, 2}, {"off", off, 1}} {
+		if peak := c.res.KV.QueuePeak; peak <= 0 || peak > 64*c.classes {
+			t.Fatalf("isolation %s: queue peak %d, want in (0, %d]", c.name, peak, 64*c.classes)
+		}
+	}
 }
 
 // TestDeterministicReplay runs the contended multi-tenant scenario

@@ -253,8 +253,8 @@ func (r *reliability) onNak(peer int, expect uint32, at sim.Time) {
 // walk is synchronous — the firmware sweeps the retained window inside
 // the timeout/NAK activation itself, so the whole go-back-N train is
 // relaunched before any other same-cycle event gets to run. (Deferring
-// the relaunches to same-timestamp events via AtBatch would reorder
-// them after already-queued same-cycle work and perturb the goldens.)
+// the relaunches to scheduled same-timestamp events would order them
+// after already-queued same-cycle work and perturb the goldens.)
 func (r *reliability) retransmitFrom(at sim.Time, s *vcTx, from uint32) {
 	n := 0
 	var flight sim.Time

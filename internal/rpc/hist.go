@@ -9,11 +9,12 @@ import (
 	"cni/internal/sim"
 )
 
-// Hist is a log2 latency histogram. Like collective.Hist it is a plain
-// comparable value (fixed-size bucket array, no pointers) so whole
-// histograms can be compared with == in determinism tests; 26 buckets
-// cover per-request latencies up to 2^25 cycles (~200 ms at 166 MHz),
-// far beyond anything a loaded server produces.
+// Hist is the repository's log2 latency histogram: request latency
+// here and in kv, and collective episode latency.
+// It is a plain comparable value (fixed-size bucket array, no pointers)
+// so whole Stats structs can be compared with == in determinism tests;
+// 26 buckets cover latencies up to 2^25 cycles (~200 ms at 166 MHz), far
+// beyond anything a loaded server produces.
 type Hist struct {
 	Count   uint64
 	Sum     uint64 // total cycles, for the mean

@@ -17,6 +17,10 @@
 // only in their per-request notification and data-path costs, exactly
 // the comparison the paper's evaluation makes.
 //
+// The transport itself — connections, admission, the server loop —
+// lives in transport.go and is shared with the KV service (internal/kv);
+// this file is the fixed-cost request handler on top of it.
+//
 // Per-request latency lands in a log2 histogram plus the exact sample
 // set (hist.go), so p50/p99/p999 extraction is exact; cluster.Result
 // aggregates the Stats across nodes.
@@ -31,24 +35,18 @@ import (
 )
 
 // Protocol operations (the 0x600 block; DSM uses 0x1xx/0x2xx, message
-// passing 0x3xx/0x4xx, collectives 0x5xx).
+// passing 0x3xx/0x4xx, collectives 0x5xx, kv 0x7xx): request and
+// response; the transport sends the done marker as 0x602.
 const (
 	opRequest  uint32 = 0x600
 	opResponse uint32 = 0x601
-	opDone     uint32 = 0x602
-)
-
-// Response flags.
-const (
-	flagOK uint32 = iota
-	flagRejected
-	flagExpired
 )
 
 // HeapBase is the virtual base of each node's pinned RPC heap: the hot
-// response buffer, per-connection request buffers and the receive
-// window live here, registered with the device channel at attach time
-// so the enqueue-time protection check passes.
+// response buffer (page 0), the per-connection request buffers (pages
+// 1..63) and the receive window (the upper half) live here, registered
+// with the device channel when a role is configured so the
+// enqueue-time protection check passes.
 const HeapBase uint64 = 1 << 30
 
 // HeapBytes is the pinned RPC heap per node.
@@ -80,12 +78,14 @@ func (p Policy) String() string {
 	}
 }
 
-// Stats counts one node's RPC activity (client and server roles).
+// Stats counts one node's serving-transport activity (client and
+// server roles). kv.Stats embeds it.
 type Stats struct {
 	// Client side.
 	Issued       uint64 // requests sent
 	Completed    uint64 // OK responses received
 	Rejected     uint64 // requests shed by a server
+	Throttled    uint64 // requests refused by the pre-admission check
 	Expired      uint64 // requests whose deadline passed before service
 	DeadlineMiss uint64 // OK responses that arrived after the deadline
 
@@ -94,7 +94,7 @@ type Stats struct {
 	FreeDry    uint64 // arrivals that found the free queue dry
 	QueueFull  uint64 // arrivals that found the work queue full
 	Delayed    uint64 // arrivals parked under the Delay policy
-	QueuePeak  int    // work-queue high-water mark
+	QueuePeak  int    // work-queue high-water mark (all classes)
 	ParkedPeak int    // parked-request high-water mark
 
 	// Lat is the log2 histogram of request latency (issue to response
@@ -110,6 +110,7 @@ func (s *Stats) Merge(o Stats) {
 	s.Issued += o.Issued
 	s.Completed += o.Completed
 	s.Rejected += o.Rejected
+	s.Throttled += o.Throttled
 	s.Expired += o.Expired
 	s.DeadlineMiss += o.DeadlineMiss
 	s.Served += o.Served
@@ -125,6 +126,20 @@ func (s *Stats) Merge(o Stats) {
 	s.Lat.Merge(o.Lat)
 }
 
+// Outcome is the terminal state of one call, and the flag a response
+// carries.
+type Outcome int
+
+// The call outcomes. Throttled belongs to services with a
+// pre-admission check (kv's tenant token buckets); plain RPC never
+// throttles.
+const (
+	OK Outcome = iota
+	Rejected
+	Expired
+	Throttled
+)
+
 // reqMsg is the wire payload of a request.
 type reqMsg struct {
 	conn     uint32
@@ -135,27 +150,8 @@ type reqMsg struct {
 
 // respMsg is the wire payload of a response.
 type respMsg struct {
-	conn uint32
-	id   uint64
-	flag uint32
-}
-
-// parked is one request held back by the Delay policy. holds records
-// whether the arrival got a receive buffer (and so owns a free-queue
-// credit) before the work queue turned it away; a dry-queue arrival
-// waits for a credit as well as a work-queue slot.
-type parked struct {
-	rm    *reqMsg
-	holds bool
-}
-
-// call is one outstanding client request.
-type call struct {
-	issued   sim.Time
-	deadline sim.Time
-	waiter   *sim.Proc // closed-loop caller blocked on this request
-	outcome  uint32
-	done     bool
+	id  uint64
+	out Outcome
 }
 
 // Engine is the cluster-wide RPC fabric state: one per simulation,
@@ -175,20 +171,13 @@ func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
 func (e *Engine) Node(i int) *Node { return e.nodes[i] }
 
 // Attach registers the RPC protocol handlers on b and returns the
-// node's endpoint. Registration alone costs nothing at run time; the
-// heap mapping and free-buffer preposting happen only when a role is
-// configured (StartServer / Dial), so clusters that never speak RPC
-// are untouched.
+// node's endpoint.
 func (e *Engine) Attach(b *nic.Board) *Node {
-	n := &Node{
-		e:       e,
-		b:       b,
-		node:    b.Node(),
-		pending: make(map[uint64]*call),
-	}
-	b.Register(opRequest, false, n.onRequest)
-	b.Register(opResponse, false, n.onResponse)
-	b.Register(opDone, false, n.onDone)
+	n := &Node{}
+	n.Transport.Attach(e.cfg, b, Service{
+		Name: "rpc", Op: opRequest, Heap: HeapBase, Rx: rxSlot,
+		Stats: &n.Stats, Lat: &n.Lat,
+	}, (*handler)(n))
 	e.nodes = append(e.nodes, n)
 	return n
 }
@@ -213,31 +202,11 @@ type ServerConfig struct {
 	Clients int
 }
 
-// Node is one machine's RPC endpoint.
+// Node is one machine's RPC endpoint: the serving transport with the
+// fixed-cost handler.
 type Node struct {
-	e    *Engine
-	node int
-	b    *nic.Board
-
-	mapped bool
-
-	// Server state. credits mirrors the ADC free-queue depth on the
-	// CNI (asserted in assertFreeMirror) and models the same-size
-	// kernel buffer pool on the standard interface.
-	serving  bool
-	sc       ServerConfig
-	credits  int
-	workq    []*reqMsg
-	parkedq  []parked
-	proc     *sim.Proc
-	doneSeen int
-
-	// Client state.
-	conns    []*Conn
-	nextConn uint32
-	nextID   uint64
-	pending  map[uint64]*call
-	waiter   *sim.Proc // client blocked in WaitIdle
+	Transport[*reqMsg]
+	sc ServerConfig
 
 	Stats Stats
 	// Lat holds the exact latency samples behind Stats.Lat, for exact
@@ -245,116 +214,90 @@ type Node struct {
 	Lat Latencies
 }
 
-// mapHeap pins the node's RPC heap on first use (device-channel region
-// registration plus TLB entries on the CNI; no-op on the standard
-// board).
-func (n *Node) mapHeap() {
-	if n.mapped {
-		return
-	}
-	n.mapped = true
-	n.b.MapPages(HeapBase, HeapBytes)
-}
-
-// respSlot returns the hot response buffer of a serving node: every OK
-// response transmits from the same page, so on the CNI the Message
-// Cache binds it once and later responses are transmit hits with no
-// DMA — the hot-buffer serving benefit of transmit caching.
-func (n *Node) respSlot() uint64 { return HeapBase }
-
-// reqSlot returns the request buffer of connection c on the client:
-// one page per connection (reused across the connection's requests, so
-// it too caches hot), after the response page.
-func (n *Node) reqSlot(c *Conn) uint64 {
-	pb := uint64(n.e.cfg.PageBytes)
-	return HeapBase + pb + uint64(c.id%63)*pb
-}
-
-// rxSlot returns the receive window where arriving payloads land (a
-// fixed window keeps the model simple; arrival buffers are not
+// rxSlot is the receive window where arriving payloads land (a fixed
+// window keeps the model simple; arrival buffers are not
 // receive-cached).
-func (n *Node) rxSlot() uint64 { return HeapBase + HeapBytes/2 }
+const rxSlot = HeapBase + HeapBytes/2
 
-// StartServer configures the node to serve requests. Call before the
-// simulation runs; the free buffers are preposted outside simulated
-// time, the OSIRIS setup discipline.
+// StartServer configures the node to serve requests with one credit
+// class: the board's own device channel, whose free queue the board
+// pops on every host-path arrival. Call before the simulation runs.
 func (n *Node) StartServer(sc ServerConfig) {
-	if sc.WorkQueue <= 0 || sc.FreeBufs <= 0 {
-		panic(fmt.Sprintf("rpc: node %d server with work queue %d, free bufs %d",
-			n.node, sc.WorkQueue, sc.FreeBufs))
-	}
-	n.mapHeap()
-	n.serving = true
 	n.sc = sc
-	n.credits = sc.FreeBufs
-	for i := 0; i < sc.FreeBufs; i++ {
-		if err := n.b.TryPostFree(n.rxSlot(), n.e.cfg.PageBytes); err != nil {
-			panic(fmt.Sprintf("rpc: node %d preposting free buffer %d: %v", n.node, i, err))
-		}
+	n.MapHeap(HeapBytes)
+	n.Listen(sc, []Class{{Bufs: sc.FreeBufs, Ring: n.b.Channel()}})
+}
+
+// handler is the Node as the transport's Handler, kept off Node's own
+// method set.
+type handler Node
+
+func (h *handler) Decode(m *nic.Message) (*reqMsg, int, bool) {
+	return m.Payload.(*reqMsg), 0, true
+}
+
+// Throttle admits everything: plain RPC has no pre-admission check.
+func (h *handler) Throttle(sim.Time, *reqMsg) bool { return false }
+
+func (h *handler) Deadline(rm *reqMsg) sim.Time { return rm.deadline }
+
+func (h *handler) Service(*reqMsg) sim.Time { return h.sc.Service }
+
+// Respond sends an OK response from the hot response buffer (page 0):
+// every OK response transmits from the same page, so on the CNI the
+// Message Cache binds it once and later responses are transmit hits
+// with no DMA — the hot-buffer serving benefit of transmit caching.
+func (h *handler) Respond(p *sim.Proc, rm *reqMsg) {
+	m := &nic.Message{
+		From: h.node, To: rm.from, Op: opResponse, Aux: rm.conn,
+		Size:    nic.HeaderBytes + 16 + h.sc.RespBytes,
+		VAddr:   HeapBase,
+		CacheTx: true,
+		Payload: &respMsg{id: rm.id, out: OK},
+	}
+	if h.sc.RespBytes > 0 {
+		m.DeliverVAddr = rxSlot
+		m.DeliverBytes = h.sc.RespBytes
+	}
+	h.b.Send(p, m)
+}
+
+// Refuse builds the small reject/expired marker: no buffer, no DMA.
+func (h *handler) Refuse(rm *reqMsg, out Outcome) *nic.Message {
+	return &nic.Message{
+		From: h.node, To: rm.from, Op: opResponse, Aux: rm.conn,
+		Size:    nic.HeaderBytes + 16,
+		Payload: &respMsg{id: rm.id, out: out},
 	}
 }
 
-// Conn is one logical client connection to a server node. Many
-// connections multiplex over the node's single device channel; the
-// connection id rides in the header's Aux word, so PATHFINDER could
-// demultiplex per connection if a handler asked it to.
+func (h *handler) Reply(m *nic.Message) (uint64, Outcome) {
+	rm := m.Payload.(*respMsg)
+	return rm.id, rm.out
+}
+
+// Record has nothing to add to the transport's client counters.
+func (h *handler) Record(sim.Time, *Call[*reqMsg]) {}
+
+// Conn is one logical client connection to a server node.
 type Conn struct {
-	n        *Node
-	id       uint32
-	server   int
+	Link[*reqMsg]
 	reqBytes int
-	deadline sim.Time // relative; 0 = none
 }
 
 // Dial opens a logical connection from this node to server. reqBytes
 // is the request payload size; deadline (cycles, 0 = none) bounds each
 // request issued on the connection.
 func (n *Node) Dial(server int, reqBytes int, deadline sim.Time) *Conn {
-	if server == n.node {
-		panic(fmt.Sprintf("rpc: node %d dialing itself", n.node))
-	}
-	n.mapHeap()
-	// Connection ids are node-local (dialing node in the high half, the
-	// node's dial sequence in the low): a cluster-global counter would
-	// make ids depend on the cross-node interleaving of Dial calls,
-	// which sharded runs execute concurrently.
-	c := &Conn{n: n, id: uint32(n.node)<<16 | n.nextConn, server: server, reqBytes: reqBytes, deadline: deadline}
-	n.nextConn++
-	n.conns = append(n.conns, c)
-	return c
+	n.MapHeap(HeapBytes)
+	return &Conn{Link: n.Connect(server, deadline), reqBytes: reqBytes}
 }
 
-// Server reports the node the connection is dialed to.
-func (c *Conn) Server() int { return c.server }
-
 // issue builds and transmits one request from p's context, measuring
-// latency from issuedAt. For open-loop clients issuedAt is the
-// scheduled arrival, which may be earlier than the proc's clock when
-// the send path itself is backed up — that backup is part of the
-// measured latency (no coordinated omission).
-func (c *Conn) issue(p *sim.Proc, issuedAt sim.Time) *call {
-	n := c.n
-	id := n.nextID
-	n.nextID++
-	var deadline sim.Time
-	if c.deadline > 0 {
-		deadline = issuedAt + c.deadline
-	}
-	ca := &call{issued: issuedAt, deadline: deadline}
-	n.pending[id] = ca
-	n.Stats.Issued++
-	m := &nic.Message{
-		From: n.node, To: c.server, Op: opRequest, Aux: c.id,
-		Size:    nic.HeaderBytes + 16 + c.reqBytes,
-		VAddr:   n.reqSlot(c),
-		CacheTx: true,
-		Payload: &reqMsg{conn: c.id, id: id, from: n.node, deadline: deadline},
-	}
-	if c.reqBytes > 0 {
-		m.DeliverVAddr = n.e.Node(c.server).rxSlot()
-		m.DeliverBytes = c.reqBytes
-	}
-	n.b.Send(p, m)
+// latency from issuedAt.
+func (c *Conn) issue(p *sim.Proc, issuedAt sim.Time) *Call[*reqMsg] {
+	ca := c.Open(issuedAt)
+	c.Send(p, &reqMsg{conn: c.id, id: ca.ID, from: c.t.node, deadline: ca.Deadline}, 16, c.reqBytes)
 	return ca
 }
 
@@ -364,284 +307,12 @@ func (c *Conn) Fire(p *sim.Proc, issuedAt sim.Time) {
 	c.issue(p, issuedAt)
 }
 
-// Outcome is the terminal state of one call.
-type Outcome int
-
-// The call outcomes.
-const (
-	OK Outcome = iota
-	Rejected
-	Expired
-)
-
 // Call issues one request and blocks until its response arrives
 // (closed loop). It reports the outcome; the latency sample is
 // recorded by the response handler.
 func (c *Conn) Call(p *sim.Proc) Outcome {
 	p.Sync()
 	ca := c.issue(p, p.Local())
-	ca.waiter = p
-	for !ca.done {
-		p.Block()
-	}
-	ca.waiter = nil
-	switch ca.outcome {
-	case flagRejected:
-		return Rejected
-	case flagExpired:
-		return Expired
-	default:
-		return OK
-	}
-}
-
-// Outstanding reports the number of requests awaiting responses.
-func (n *Node) Outstanding() int { return len(n.pending) }
-
-// WaitIdle blocks p until every issued request has a terminal outcome.
-func (n *Node) WaitIdle(p *sim.Proc) {
-	p.Sync()
-	for len(n.pending) > 0 {
-		n.waiter = p
-		p.Block()
-		n.waiter = nil
-	}
-}
-
-// Done tells every dialed server this client is finished; servers
-// exit once all clients are done and their queues drain. Call after
-// WaitIdle.
-func (n *Node) Done(p *sim.Proc) {
-	sent := map[int]bool{}
-	for _, c := range n.conns {
-		if sent[c.server] {
-			continue
-		}
-		sent[c.server] = true
-		n.b.Send(p, &nic.Message{
-			From: n.node, To: c.server, Op: opDone,
-			Size:    nic.HeaderBytes + 8,
-			Payload: &reqMsg{from: n.node},
-		})
-	}
-}
-
-// reconcileFreeQueue settles the ADC free queue against the credits
-// counter on a serving CNI node. The board pops one descriptor per
-// host-path arrival at arrival time while the protocol's accounting
-// runs at handler-notify time, so the two views diverge transiently
-// (back-to-back arrivals, control messages consuming a descriptor);
-// the credits counter is the authority — it is what admission control
-// reads — and after every handler the ring is brought back to exactly
-// that depth, so free-queue exhaustion on the wire and in the
-// accounting coincide.
-func (n *Node) reconcileFreeQueue() {
-	ch := n.b.Channel()
-	if ch == nil || !n.serving {
-		return
-	}
-	for ch.Free.Len() > n.credits {
-		ch.Free.Pop()
-	}
-	for ch.Free.Len() < n.credits {
-		if err := n.b.TryPostFree(n.rxSlot(), n.e.cfg.PageBytes); err != nil {
-			panic(fmt.Sprintf("rpc: node %d replenishing free queue: %v", n.node, err))
-		}
-	}
-}
-
-// onRequest is the server-side arrival handler, running at host-notify
-// time. Admission control happens here: a request is admitted only if
-// a receive buffer was available for it (the ADC free queue was not
-// dry) and the bounded work queue has room; otherwise it is shed or
-// parked by policy.
-func (n *Node) onRequest(at sim.Time, m *nic.Message) {
-	if !n.serving {
-		panic(fmt.Sprintf("rpc: node %d received a request but is not serving", n.node))
-	}
-	rm := m.Payload.(*reqMsg)
-	// A receive buffer is consumed if one is available; the free queue
-	// itself is settled against the counter below.
-	consumed := n.credits > 0
-	if consumed {
-		n.credits--
-	}
-	switch {
-	case !consumed:
-		// Free queue dry: the request data has no receive buffer.
-		n.Stats.FreeDry++
-		if n.sc.Policy == Shed {
-			n.reject(at, rm)
-		} else {
-			n.park(rm, false)
-		}
-	case len(n.workq) >= n.sc.WorkQueue:
-		n.Stats.QueueFull++
-		if n.sc.Policy == Shed {
-			n.reject(at, rm)
-			n.releaseCredit()
-		} else {
-			// The parked request keeps its receive buffer.
-			n.park(rm, true)
-		}
-	default:
-		n.enqueueWork(rm)
-		if n.proc != nil {
-			n.proc.WakeAt(at)
-		}
-	}
-	n.reconcileFreeQueue()
-}
-
-// park holds rm back under the Delay policy.
-func (n *Node) park(rm *reqMsg, holds bool) {
-	n.parkedq = append(n.parkedq, parked{rm: rm, holds: holds})
-	n.Stats.Delayed++
-	if len(n.parkedq) > n.Stats.ParkedPeak {
-		n.Stats.ParkedPeak = len(n.parkedq)
-	}
-}
-
-// enqueueWork queues rm for the server loop.
-func (n *Node) enqueueWork(rm *reqMsg) {
-	n.workq = append(n.workq, rm)
-	if len(n.workq) > n.Stats.QueuePeak {
-		n.Stats.QueuePeak = len(n.workq)
-	}
-}
-
-// releaseCredit returns one receive buffer: the credit comes back and
-// the ADC free queue is replenished.
-func (n *Node) releaseCredit() {
-	n.credits++
-	n.reconcileFreeQueue()
-}
-
-// reject sends an immediate shed response from board/handler context:
-// a small inline control message (no buffer, no DMA). On the standard
-// interface SendAt charges the kernel send path to the host CPU, as a
-// kernel-issued reject would.
-func (n *Node) reject(at sim.Time, rm *reqMsg) {
-	n.b.SendAt(at, &nic.Message{
-		From: n.node, To: rm.from, Op: opResponse, Aux: rm.conn,
-		Size:    nic.HeaderBytes + 16,
-		Payload: &respMsg{conn: rm.conn, id: rm.id, flag: flagRejected},
-	})
-}
-
-// complete returns the served request's receive buffer and admits
-// parked requests while a work-queue slot (and, for buffer-less parks,
-// a credit) is available.
-func (n *Node) complete() {
-	n.releaseCredit()
-	for len(n.parkedq) > 0 && len(n.workq) < n.sc.WorkQueue {
-		pe := n.parkedq[0]
-		if !pe.holds {
-			if n.credits <= 0 {
-				break
-			}
-			// The parked request finally gets its receive buffer; the
-			// free queue is settled to the new depth below.
-			n.credits--
-			n.reconcileFreeQueue()
-		}
-		n.parkedq = n.parkedq[1:]
-		n.enqueueWork(pe.rm)
-	}
-}
-
-// Serve runs the server loop on p: pop one admitted request, charge
-// the dequeue and service costs, respond from the hot response buffer,
-// and return the receive buffer. It returns once every client has sent
-// its done marker and the queues are empty.
-func (n *Node) Serve(p *sim.Proc) {
-	if !n.serving {
-		panic(fmt.Sprintf("rpc: node %d Serve without StartServer", n.node))
-	}
-	n.proc = p
-	dequeue := n.b.RecvDequeueCost()
-	for {
-		for len(n.workq) > 0 {
-			rm := n.workq[0]
-			n.workq = n.workq[1:]
-			p.Advance(dequeue)
-			p.Sync()
-			flag := flagOK
-			size := nic.HeaderBytes + 16 + n.sc.RespBytes
-			var vaddr uint64
-			if rm.deadline > 0 && p.Local() > rm.deadline {
-				// The deadline passed while the request sat queued: skip
-				// the service work, answer with a small expired marker.
-				flag = flagExpired
-				size = nic.HeaderBytes + 16
-			} else {
-				p.Advance(n.sc.Service)
-				p.Sync()
-				vaddr = n.respSlot()
-			}
-			n.Stats.Served++
-			m := &nic.Message{
-				From: n.node, To: rm.from, Op: opResponse, Aux: rm.conn,
-				Size:    size,
-				VAddr:   vaddr,
-				CacheTx: vaddr != 0,
-				Payload: &respMsg{conn: rm.conn, id: rm.id, flag: flag},
-			}
-			if flag == flagOK && n.sc.RespBytes > 0 {
-				m.DeliverVAddr = n.e.Node(rm.from).rxSlot()
-				m.DeliverBytes = n.sc.RespBytes
-			}
-			n.b.Send(p, m)
-			n.complete()
-		}
-		if n.doneSeen >= n.sc.Clients && len(n.workq) == 0 && len(n.parkedq) == 0 {
-			return
-		}
-		p.Block()
-	}
-}
-
-// onResponse is the client-side arrival handler: match the request id,
-// record the outcome and the latency sample, and wake whoever waits.
-func (n *Node) onResponse(at sim.Time, m *nic.Message) {
-	n.reconcileFreeQueue()
-	rm := m.Payload.(*respMsg)
-	ca, ok := n.pending[rm.id]
-	if !ok {
-		panic(fmt.Sprintf("rpc: node %d response for unknown request %d", n.node, rm.id))
-	}
-	delete(n.pending, rm.id)
-	ca.done = true
-	ca.outcome = rm.flag
-	// The application-side dequeue (ADC receive-queue pop) costs the
-	// host CPU if it is busy; a blocked (waiting) client absorbs it in
-	// its wake-up latency like the notify costs.
-	n.b.PenalizeHost(n.b.RecvDequeueCost())
-	switch rm.flag {
-	case flagOK:
-		n.Stats.Completed++
-		n.Lat.Add(at - ca.issued)
-		n.Stats.Lat = n.Lat.Hist
-		if ca.deadline > 0 && at > ca.deadline {
-			n.Stats.DeadlineMiss++
-		}
-	case flagRejected:
-		n.Stats.Rejected++
-	case flagExpired:
-		n.Stats.Expired++
-	}
-	if ca.waiter != nil {
-		ca.waiter.WakeAt(at)
-	} else if n.waiter != nil && len(n.pending) == 0 {
-		n.waiter.WakeAt(at)
-	}
-}
-
-// onDone is the server-side client-finished marker.
-func (n *Node) onDone(at sim.Time, m *nic.Message) {
-	n.reconcileFreeQueue()
-	n.doneSeen++
-	if n.proc != nil {
-		n.proc.WakeAt(at)
-	}
+	ca.Wait(p)
+	return ca.Out
 }

@@ -51,40 +51,21 @@ func (p *diffProgram) delta() sim.Time {
 }
 
 // scheduleOne schedules a single future event via a randomly chosen API
-// form (At, AtCall, AtBatch) and returns how many events it enqueued.
+// form (At or AtCall) and returns how many events it enqueued.
 func (p *diffProgram) scheduleOne() int {
 	if p.budget <= 0 {
 		return 0
 	}
 	at := p.k.Now() + p.delta()
-	switch p.rng.Intn(4) {
-	case 0: // plain closure
-		id := p.nextID
-		p.nextID++
-		p.budget--
-		p.k.At(at, func() { p.onEvent(id) })
-		return 1
-	case 1: // pre-bound call form
-		id := p.nextID
-		p.nextID++
-		p.budget--
-		p.k.AtCall(at, p.onEventAny, id)
-		return 1
-	default: // batch of 1..6 same-timestamp events
-		n := 1 + p.rng.Intn(6)
-		if n > p.budget {
-			n = p.budget
-		}
-		fns := make([]func(), n)
-		for i := range fns {
-			id := p.nextID
-			p.nextID++
-			fns[i] = func() { p.onEvent(id) }
-		}
-		p.budget -= n
-		p.k.AtBatch(at, fns)
-		return n
+	id := p.nextID
+	p.nextID++
+	p.budget--
+	if p.rng.Intn(2) == 0 {
+		p.k.At(at, func() { p.onEvent(id) }) // plain closure
+	} else {
+		p.k.AtCall(at, p.onEventAny, id) // pre-bound call form
 	}
+	return 1
 }
 
 func (p *diffProgram) onEventAny(arg any) { p.onEvent(arg.(uint64)) }

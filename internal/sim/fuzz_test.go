@@ -75,8 +75,8 @@ func (m *fuzzMachine) eventBody(arg any) {
 	}
 }
 
-// run interprets the top-level stream. Ops: schedule (At / AtCall /
-// AtBatch), RunUntil a horizon, Run to empty, and Stop-then-resume.
+// run interprets the top-level stream. Ops: schedule (At / AtCall),
+// RunUntil a horizon, Run to empty, and Stop-then-resume.
 func (m *fuzzMachine) run() {
 	for {
 		op, ok := m.next()
@@ -88,24 +88,14 @@ func (m *fuzzMachine) run() {
 			break
 		}
 		at := m.k.Now() + m.delta(d)
-		switch op % 6 {
+		switch op % 5 {
 		case 0, 1:
 			m.schedule(at, false)
 		case 2:
 			m.schedule(at, true)
-		case 3: // batch of 1..4 same-timestamp events
-			n := int(d>>4)%4 + 1
-			fns := make([]func(), 0, n)
-			for i := 0; i < n && m.events < fuzzMaxEvents; i++ {
-				id := m.nextID
-				m.nextID++
-				m.events++
-				fns = append(fns, func() { m.eventBody(id) })
-			}
-			m.k.AtBatch(at, fns)
-		case 4:
+		case 3:
 			m.k.RunUntil(at)
-		case 5: // stop mid-run, then resume
+		case 4: // stop mid-run, then resume
 			if m.events < fuzzMaxEvents {
 				m.k.At(at, m.k.Stop)
 			}

@@ -1,7 +1,8 @@
 // Package tenant is the multi-tenant QoS layer of the serving stack:
 // token-bucket rate limits, strict and weighted-fair priorities, and
-// per-tenant latency accounting. It deliberately knows nothing about
-// boards or wire formats — the KV service applies these policies at
+// per-tenant outcome accounting. It deliberately knows nothing about
+// boards or wire formats — the serving transport (internal/rpc) queues
+// admitted work in a Sched, and the KV service applies the buckets at
 // the existing enqueue-time protection point, where an arrival tries
 // to claim a descriptor from its tenant's device-channel free queue,
 // so protection and QoS are enforced at the same place and the same
@@ -11,7 +12,6 @@ package tenant
 import (
 	"fmt"
 
-	"cni/internal/rpc"
 	"cni/internal/sim"
 )
 
@@ -51,7 +51,8 @@ func (c Class) WithDefaults() Class {
 }
 
 // Stats is one tenant's serving ledger. It is comparable and merges
-// across nodes, like rpc.Stats.
+// across nodes, like rpc.Stats. The tenant's exact latency samples live
+// beside it (kv.Node.TLat, cluster.Result.TenantLat).
 type Stats struct {
 	Issued    uint64 // requests the workload offered
 	Completed uint64 // OK responses received by clients
@@ -59,7 +60,6 @@ type Stats struct {
 	Rejected  uint64 // shed by server admission (queue or buffers)
 	Throttled uint64 // shed by the tenant's token bucket
 	Expired   uint64 // dropped server-side past their deadline
-	Lat       rpc.Hist
 }
 
 // Merge folds o into s.
@@ -70,7 +70,6 @@ func (s *Stats) Merge(o Stats) {
 	s.Rejected += o.Rejected
 	s.Throttled += o.Throttled
 	s.Expired += o.Expired
-	s.Lat.Merge(o.Lat)
 }
 
 // MergeSlices folds per-tenant stats b into a, growing a as needed.
