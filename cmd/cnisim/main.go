@@ -32,21 +32,12 @@
 // whose model needs zero-lookahead cross-node access (DSM page copies)
 // clamp back to the single kernel and say so on stderr; -trace also
 // forces the single kernel, since the protocol trace is one globally
-// ordered stream. In -experiment mode the point workers and the kernel
-// shards share the machine: jobs x shards is capped at GOMAXPROCS by
-// reducing jobs, never shards:
+// ordered stream:
 //
 //	cnisim -rpc -nic cni -shards 4
-//	cnisim -experiment FT1 -quick -shards 2
 //
-// With -experiment it instead regenerates one or more of the paper's
-// evaluation artifacts on the parallel harness:
-//
-//	cnisim -experiment F14 -quick -j 4
-//
-// fanning the artifact's independent simulation points across -j
-// workers with live progress on stderr; output is bit-identical to a
-// sequential run.
+// To regenerate the paper's evaluation artifacts, use cmd/experiments
+// (e.g. experiments -quick -only F14).
 //
 // With -rpc it runs the synthetic request-serving workload instead:
 // open-loop Poisson clients (or closed-loop with -closed) drive server
@@ -71,47 +62,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
 	"cni"
 )
-
-// runExperiments is the -experiment mode: regenerate the named
-// artifacts with the parallel harness and live progress.
-func runExperiments(ids string, quick bool, jobs, shards int) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var specs []cni.ExpSpec
-	for _, id := range strings.Split(ids, ",") {
-		id = strings.TrimSpace(id)
-		spec, ok := cni.FindExperiment(id)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cnisim: unknown experiment %q (T1-T5, F2-F14, FB1, FC1, FR1, FS1, FT1, FD1)\n", id)
-			os.Exit(2)
-		}
-		specs = append(specs, spec)
-	}
-	o := cni.ExpOptions{Quick: quick, Jobs: jobs, Shards: shards, Progress: func(ev cni.ExpProgress) {
-		fmt.Fprintf(os.Stderr, "\r  %d/%d points [%s] ", ev.Done, ev.Total, ev.Spec)
-	}}
-	o, parallelism := o.EffectiveParallelism()
-	fmt.Fprintf(os.Stderr, "cnisim: %s\n", parallelism)
-	outs, err := cni.RunExperimentSuite(ctx, specs, o)
-	fmt.Fprintf(os.Stderr, "\r%*s\r", 40, "")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cnisim: %v\n", err)
-		os.Exit(1)
-	}
-	for _, out := range outs {
-		fmt.Println(out)
-	}
-}
 
 // shardNote annotates a report header with the requested shard count.
 // The default single-kernel output stays byte-for-byte what it always
@@ -146,9 +103,6 @@ func main() {
 	dup := flag.Float64("dup", 0, "cell duplication probability per link")
 	reorder := flag.Int("reorder", 0, "max cells a delivery may slip behind later traffic")
 	faultSeed := flag.Uint64("faultseed", 1, "seed of the deterministic fault injector")
-	experiment := flag.String("experiment", "", "regenerate evaluation artifacts instead (e.g. F14 or T2,FC1)")
-	quick := flag.Bool("quick", false, "scaled-down experiment inputs (-experiment mode)")
-	jobs := flag.Int("j", 0, "experiment workers, 0 = GOMAXPROCS (-experiment mode)")
 	rpcMode := flag.Bool("rpc", false, "run the synthetic request-serving workload instead")
 	rate := flag.Float64("rate", 10000, "per-client offered load in req/s (-rpc open loop)")
 	clients := flag.Int("clients", 4, "client nodes (-rpc mode)")
@@ -171,11 +125,6 @@ func main() {
 	isolation := flag.Bool("isolation", false, "per-tenant channels, token buckets and priority scheduling (-kv mode)")
 	contract := flag.Float64("contract", 0, "token-bucket rate contract in req/s for tenants above tenant 0, 0 = none (-kv mode)")
 	flag.Parse()
-
-	if *experiment != "" {
-		runExperiments(*experiment, *quick, *jobs, *shards)
-		return
-	}
 
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "cnisim: -shards must be >= 0\n")
@@ -388,7 +337,7 @@ func main() {
 			res.Coll.Episodes, res.Coll.BoardCombined, res.Coll.HostHandled, res.Coll.Latency.Mean())
 	}
 	ownWhere := "host interrupt path"
-	if c.Nodes[0].Board.ProtocolStateOnBoard() {
+	if c.Nodes[0].Board.HandlersOnBoard() {
 		ownWhere = "board-resident AIHs"
 	}
 	fmt.Printf("  dsm %-11s    %12d faults   %d invalidations   manager msgs %d (hottest node %d: %d)   %s\n",

@@ -55,7 +55,7 @@ type Config = config.Config
 // NICKind selects the network interface model.
 type NICKind = config.NICKind
 
-// The registered interface models: the two the paper compares plus the
+// The interface models: the two the paper compares plus the
 // OSIRIS-class baseline the CNI derives from.
 const (
 	NICStandard = config.NICStandard
@@ -63,21 +63,21 @@ const (
 	NICOsiris   = config.NICOsiris
 )
 
-// NICKinds lists every registered interface model in registration
-// order; NICKindNames lists their command-line names ("standard",
-// "cni", "osiris"); NICKindByName resolves such a name back to its
-// kind.
+// NICKinds lists every interface model in NICKind order; NICKindNames
+// lists their command-line names ("standard", "cni", "osiris");
+// NICKindByName resolves such a name back to its kind.
 func NICKinds() []NICKind                       { return config.Kinds() }
 func NICKindNames() []string                    { return config.KindNames() }
 func NICKindByName(name string) (NICKind, bool) { return config.KindByName(name) }
 
 // ConfigFor returns the default configuration for the given interface.
 // It is the single source of truth for configuration defaults: every
-// registered interface shares every Table 1 parameter and calibration
-// constant and differs only in the NIC selector and the four
-// board-feature knobs only the CNI has — ReceiveCaching,
-// TransmitCaching, ConsistencySnooping (the Message Cache and its bus
-// snooper) and NICCollectives (the board-resident collective engine).
+// interface shares every Table 1 parameter and calibration constant
+// and differs only in the NIC selector and the five board-feature
+// knobs only the CNI has — ReceiveCaching, TransmitCaching,
+// ConsistencySnooping (the Message Cache and its bus snooper),
+// NICResponseCache (the board-served KV responses) and NICCollectives
+// (the board-resident collective engine).
 func ConfigFor(kind NICKind) Config { return config.ForNIC(kind) }
 
 // DefaultConfig returns the Table 1 machine with the CNI board:
@@ -205,7 +205,7 @@ type (
 func Experiments() []ExpSpec { return experiments.All() }
 
 // FindExperiment returns the artifact with the given id ("T1".."T5",
-// "F2".."F14", "FB1", "FC1", "FR1", "FS1", "FT1", "FD1").
+// "F2".."F14", "FB1", "FC1", "FR1", "FS1", "FS2", "FT1", "FD1").
 func FindExperiment(id string) (ExpSpec, bool) { return experiments.Find(id) }
 
 // RunExperimentCtx executes one artifact with context cancellation and
@@ -304,24 +304,6 @@ type (
 // maxOpen channels with queueCap-entry queues.
 func NewChannelManager(maxOpen, queueCap int) *adc.Manager {
 	return adc.NewManager(maxOpen, queueCap)
-}
-
-// ChannelManagerOptions sizes a board-side channel table, the
-// options-struct form of NewChannelManager's positional arguments.
-type ChannelManagerOptions struct {
-	// MaxOpen caps concurrently open channels (the board's channel
-	// table size).
-	MaxOpen int
-	// QueueCap is the per-queue descriptor capacity, rounded up to a
-	// power of two.
-	QueueCap int
-}
-
-// NewChannelManagerOpts is NewChannelManager with an options struct,
-// consistent with the rest of the public surface (ExpOptions, Probe,
-// RPCSpec).
-func NewChannelManagerOpts(o ChannelManagerOptions) *adc.Manager {
-	return adc.NewManager(o.MaxOpen, o.QueueCap)
 }
 
 // --- message passing ---

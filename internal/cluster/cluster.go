@@ -55,8 +55,8 @@ type Cluster struct {
 	G          *dsm.Globals
 	Coll       *collective.Engine
 	RPC        *rpc.Engine
-	KV        *kv.Engine
-	Nodes     []*Node
+	KV         *kv.Engine
+	Nodes      []*Node
 }
 
 // Setup allocates the shared region (identically on every run).

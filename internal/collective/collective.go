@@ -329,7 +329,7 @@ func (n *Node) onMessage(at sim.Time, m *nic.Message) {
 		n.Stats.BoardCombined++
 	} else {
 		n.Stats.HostHandled++
-		if !n.board.ProtocolCharged() {
+		if n.board.HandlersOnBoard() {
 			// On a CNI with collectives left on the host, the protocol
 			// code itself still runs on the host CPU (the other boards'
 			// receive paths charge this inside nic).

@@ -68,81 +68,29 @@ const (
 	NICOsiris
 )
 
-// KindSpec describes one registered interface model: the selector, its
-// flag-style and display names, and the tune hook that turns the shared
-// Table 1 base configuration into that model's defaults. Models are
-// registered at init time; ForNIC, Validate and the NICKind string
-// methods all consult the registry, so adding a model is one
-// RegisterKind call plus a datapath implementation in internal/nic.
-type KindSpec struct {
-	Kind    NICKind
-	Name    string        // flag-style name, e.g. "osiris" (NICKind.String)
-	Display string        // series-label capitalization, e.g. "Osiris"
-	Tune    func(*Config) // mutates the base Config into this model's defaults (nil = base)
+// kindNames holds each interface model's flag-style name and
+// series-label capitalization, in NICKind order.
+var kindNames = [...]struct{ name, display string }{
+	NICStandard: {"standard", "Standard"},
+	NICCNI:      {"cni", "CNI"},
+	NICOsiris:   {"osiris", "Osiris"},
 }
 
-// kindRegistry holds the registered models in registration order.
-var kindRegistry []KindSpec
-
-// RegisterKind adds an interface model to the registry. Duplicate
-// selectors or names are programming errors.
-func RegisterKind(s KindSpec) {
-	if s.Name == "" {
-		panic("config: RegisterKind with empty name")
-	}
-	for _, have := range kindRegistry {
-		if have.Kind == s.Kind || have.Name == s.Name {
-			panic(fmt.Sprintf("config: NIC kind %d (%q) registered twice", int(s.Kind), s.Name))
-		}
-	}
-	kindRegistry = append(kindRegistry, s)
-}
-
-func init() {
-	RegisterKind(KindSpec{Kind: NICStandard, Name: "standard", Display: "Standard",
-		Tune: func(c *Config) {
-			c.ReceiveCaching = false
-			c.TransmitCaching = false
-			c.ConsistencySnooping = false
-			c.NICResponseCache = false
-			c.NICCollectives = false
-		}})
-	RegisterKind(KindSpec{Kind: NICCNI, Name: "cni", Display: "CNI"})
-	RegisterKind(KindSpec{Kind: NICOsiris, Name: "osiris", Display: "Osiris",
-		Tune: func(c *Config) {
-			c.ReceiveCaching = false
-			c.TransmitCaching = false
-			c.ConsistencySnooping = false
-			c.NICResponseCache = false
-			c.NICCollectives = false
-		}})
-}
-
-// kindSpec looks a registered model up by selector.
-func kindSpec(k NICKind) (KindSpec, bool) {
-	for _, s := range kindRegistry {
-		if s.Kind == k {
-			return s, true
-		}
-	}
-	return KindSpec{}, false
-}
-
-// Kinds returns the registered model selectors in registration order.
+// Kinds returns every interface model in NICKind order.
 func Kinds() []NICKind {
-	out := make([]NICKind, len(kindRegistry))
-	for i, s := range kindRegistry {
-		out[i] = s.Kind
+	out := make([]NICKind, len(kindNames))
+	for i := range out {
+		out[i] = NICKind(i)
 	}
 	return out
 }
 
-// KindNames returns the registered flag-style names in registration
-// order (for command-line usage strings).
+// KindNames returns the flag-style names in NICKind order (for
+// command-line usage strings).
 func KindNames() []string {
-	out := make([]string, len(kindRegistry))
-	for i, s := range kindRegistry {
-		out[i] = s.Name
+	out := make([]string, len(kindNames))
+	for i, n := range kindNames {
+		out[i] = n.name
 	}
 	return out
 }
@@ -150,24 +98,21 @@ func KindNames() []string {
 // KindByName resolves a flag-style name ("cni", "standard", "osiris")
 // to its selector.
 func KindByName(name string) (NICKind, bool) {
-	for _, s := range kindRegistry {
-		if s.Name == name {
-			return s.Kind, true
+	for i, n := range kindNames {
+		if n.name == name {
+			return NICKind(i), true
 		}
 	}
 	return 0, false
 }
 
-// Registered reports whether k names a registered interface model.
-func Registered(k NICKind) bool {
-	_, ok := kindSpec(k)
-	return ok
-}
+// Registered reports whether k names one of the interface models.
+func Registered(k NICKind) bool { return k >= 0 && int(k) < len(kindNames) }
 
 // String implements fmt.Stringer.
 func (k NICKind) String() string {
-	if s, ok := kindSpec(k); ok {
-		return s.Name
+	if Registered(k) {
+		return kindNames[k].name
 	}
 	return fmt.Sprintf("NICKind(%d)", int(k))
 }
@@ -175,8 +120,8 @@ func (k NICKind) String() string {
 // Display returns the model's series-label capitalization ("CNI",
 // "Osiris", "Standard") for figures and tables.
 func (k NICKind) Display() string {
-	if s, ok := kindSpec(k); ok {
-		return s.Display
+	if Registered(k) {
+		return kindNames[k].display
 	}
 	return fmt.Sprintf("NICKind(%d)", int(k))
 }
@@ -382,14 +327,14 @@ func Default() Config { return ForNIC(NICCNI) }
 // ForNIC(NICStandard).
 func Standard() Config { return ForNIC(NICStandard) }
 
-// ForNIC returns the default configuration for the given registered
-// interface — the single source of truth Default and Standard wrap.
-// All models share every Table 1 parameter and calibration constant;
-// they differ only in the NIC selector and the board-feature knobs
-// their KindSpec.Tune hook turns off relative to the CNI-flavored
-// base: ReceiveCaching, TransmitCaching, ConsistencySnooping (the
-// Message Cache and its bus snooper) and NICCollectives (the
-// board-resident collective engine).
+// ForNIC returns the default configuration for the given interface —
+// the single source of truth Default and Standard wrap. All models
+// share every Table 1 parameter and calibration constant; they differ
+// only in the NIC selector and the five board features only the CNI
+// has, which every other model turns off: ReceiveCaching,
+// TransmitCaching, ConsistencySnooping (the Message Cache and its bus
+// snooper), NICResponseCache (the board-served KV responses) and
+// NICCollectives (the board-resident collective engine).
 func ForNIC(kind NICKind) Config {
 	c := Config{
 		CPUFreqMHz:          166,
@@ -461,13 +406,16 @@ func ForNIC(kind NICKind) Config {
 		NIC:  NICCNI,
 		Seed: 1,
 	}
-	spec, ok := kindSpec(kind)
-	if !ok {
-		panic(fmt.Sprintf("config: ForNIC(%v): unregistered NIC kind", kind))
+	if !Registered(kind) {
+		panic(fmt.Sprintf("config: ForNIC(%v): unknown NIC kind", kind))
 	}
 	c.NIC = kind
-	if spec.Tune != nil {
-		spec.Tune(&c)
+	if kind != NICCNI {
+		c.ReceiveCaching = false
+		c.TransmitCaching = false
+		c.ConsistencySnooping = false
+		c.NICResponseCache = false
+		c.NICCollectives = false
 	}
 	return c
 }
@@ -543,7 +491,7 @@ func ValidateNodes(n int) error {
 func (c *Config) Validate() error {
 	switch {
 	case !Registered(c.NIC):
-		return fmt.Errorf("config: unregistered NIC kind %d", int(c.NIC))
+		return fmt.Errorf("config: unknown NIC kind %d", int(c.NIC))
 	case c.CPUFreqMHz <= 0:
 		return fmt.Errorf("config: CPU frequency %d MHz", c.CPUFreqMHz)
 	case c.BusFreqMHz <= 0 || c.BusFreqMHz > c.CPUFreqMHz:

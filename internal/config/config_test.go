@@ -27,6 +27,39 @@ func TestStandardDisablesCNIFeatures(t *testing.T) {
 	}
 }
 
+func TestOsirisDisablesCNIFeatures(t *testing.T) {
+	c := ForNIC(NICOsiris)
+	if c.NIC != NICOsiris {
+		t.Fatalf("NIC = %v", c.NIC)
+	}
+	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping || c.NICCollectives {
+		t.Fatal("OSIRIS baseline must not have Message Cache or collective features")
+	}
+}
+
+// TestOnlyCNIHasCNIFeatures: ForNIC turns the five board features only
+// the CNI has on for the CNI and off for every other model.
+func TestOnlyCNIHasCNIFeatures(t *testing.T) {
+	for _, kind := range Kinds() {
+		c := ForNIC(kind)
+		if c.NIC != kind {
+			t.Errorf("ForNIC(%v).NIC = %v", kind, c.NIC)
+		}
+		want := kind == NICCNI
+		for name, on := range map[string]bool{
+			"ReceiveCaching":      c.ReceiveCaching,
+			"TransmitCaching":     c.TransmitCaching,
+			"ConsistencySnooping": c.ConsistencySnooping,
+			"NICResponseCache":    c.NICResponseCache,
+			"NICCollectives":      c.NICCollectives,
+		} {
+			if on != want {
+				t.Errorf("%v: %s = %v, want %v", kind, name, on, want)
+			}
+		}
+	}
+}
+
 func TestValidateCatchesBrokenConfigs(t *testing.T) {
 	break1 := func(f func(*Config)) error {
 		c := Default()
@@ -269,6 +302,9 @@ func TestKindRegistry(t *testing.T) {
 		t.Fatalf("%d registered kinds, want 3", len(kinds))
 	}
 	names := KindNames()
+	if got := strings.Join(names, " "); got != "standard cni osiris" {
+		t.Errorf("KindNames() = %q, want NICKind order", got)
+	}
 	want := map[string]NICKind{"standard": NICStandard, "cni": NICCNI, "osiris": NICOsiris}
 	for _, name := range names {
 		kind, ok := KindByName(name)
@@ -291,13 +327,13 @@ func TestKindRegistry(t *testing.T) {
 			t.Errorf("ForNIC(%v) invalid: %v", kind, err)
 		}
 	}
-	if Registered(NICKind(9)) {
-		t.Fatal("NICKind(9) reported as registered")
+	if Registered(NICKind(9)) || Registered(NICKind(-1)) {
+		t.Fatal("an unknown NICKind reported as registered")
 	}
 	c := Default()
 	c.NIC = NICKind(9)
 	if err := c.Validate(); err == nil {
-		t.Fatal("Validate accepted an unregistered NIC kind")
+		t.Fatal("Validate accepted an unknown NIC kind")
 	}
 }
 
@@ -310,16 +346,6 @@ func TestKindDisplay(t *testing.T) {
 	}
 	if NICKind(9).Display() == "" {
 		t.Fatal("unknown NICKind should still render a display name")
-	}
-}
-
-func TestOsirisDisablesCNIFeatures(t *testing.T) {
-	c := ForNIC(NICOsiris)
-	if c.NIC != NICOsiris {
-		t.Fatalf("NIC = %v", c.NIC)
-	}
-	if c.TransmitCaching || c.ReceiveCaching || c.ConsistencySnooping || c.NICCollectives {
-		t.Fatal("OSIRIS baseline must not have Message Cache or collective features")
 	}
 }
 

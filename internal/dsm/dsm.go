@@ -35,7 +35,7 @@
 // synchronization metadata either. The forwarding handlers are the
 // same AIHs: on the CNI a forward is issued by the board's receive
 // processor with the owner table pinned in board memory
-// (Board.ProtocolStateOnBoard), while OSIRIS and the standard
+// (Board.HandlersOnBoard), while OSIRIS and the standard
 // interface pay the host path on every hop.
 package dsm
 

@@ -64,7 +64,7 @@ func (r *Runtime) send(at sim.Time, m *nic.Message) {
 // here until the fetch resolves; otherwise it is forwarded one hop
 // down the probable-owner chain. Forwards are issued by the protocol
 // handler — on the CNI that is the board's receive processor and the
-// re-send is free to the host (HandlerSendCycles is zero); on
+// re-send is free to the host (SendAt costs it nothing); on
 // OSIRIS/standard each hop pays the host interrupt + kernel/ADC path
 // the arrival already charged plus the host send.
 func (r *Runtime) parkOrForward(at sim.Time, m *nic.Message, page int32) {

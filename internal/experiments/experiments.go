@@ -32,9 +32,9 @@ import (
 // (latency, bandwidth, faults, serving) render, in the evaluation's
 // comparison order: the CNI first, then the OSIRIS-class ADC baseline
 // it derives from, then the standard kernel-mediated interface last.
-// Series labels come from the config registry (NICKind.Display), and
-// all kind-specific behavior is asked of the board's datapath — the
-// sweep only enumerates which registered models to run.
+// Series labels come from NICKind.Display, and all kind-specific
+// behavior is asked of the board — the sweep only enumerates which
+// models to run.
 var sweepKinds = []config.NICKind{config.NICCNI, config.NICOsiris, config.NICStandard}
 
 // Series is one labeled curve of a figure.

@@ -25,7 +25,7 @@
 // answered entirely by the receive processor — no DMA, no interrupt,
 // no host cycles, the serving-era analogue of the paper's
 // protocol-processing-on-the-board claim. The capability is gated on
-// the datapath predicates (HandlersOnBoard) plus the
+// the board's HandlersOnBoard predicate plus the
 // config.NICResponseCache knob, so OSIRIS and the standard interface
 // always pay the host path.
 package kv

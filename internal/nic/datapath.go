@@ -1,34 +1,26 @@
 package nic
 
-// This file is the strategy layer the Board delegates every
-// kind-specific decision to. Board stays the kind-independent shell —
-// queues, AIH dispatch, ATM framing, reliability windows, stats — and a
-// Datapath supplies the per-model policy: how a send is launched, how
-// an arrival reaches the host, where retransmits come from, and what
-// each of those costs the host CPU. One implementation exists per
-// registered config.NICKind:
+// This file is the kind-specific half of a Board. The paper's baseline
+// is the CNI "minus ADC, Message Cache and AIH", and OSIRIS the ADC
+// board the CNI derives from, so the three interface models differ in
+// exactly two properties:
 //
-//   - cniPath: ADC user-level queues, Message Cache with snooping,
-//     PATHFINDER, Application Interrupt Handlers, poll/interrupt hybrid
-//     notification. Retransmits relaunch from the board-resident PDU.
-//   - osirisPath: the ADC baseline the CNI derives from. User-level
-//     queues (sends and dequeues cost the ADC enqueue/dequeue), but no
-//     Message Cache, no snooping, no AIHs: every transmit DMAs, every
-//     arrival interrupts the host, protocol code runs on the host, and
-//     a retransmit re-DMAs the buffer after a host resend.
-//   - standardPath: the kernel-mediated interface. Sends pay the kernel
-//     send path, arrivals pay an interrupt plus the kernel receive
-//     path, and the retransmit machinery is kernel code.
+//   - a device channel (CNI, OSIRIS): the host reaches the board through
+//     ADC queues mapped into user space, so a send costs the ADC enqueue
+//     and a completion the ADC dequeue. Without one (standard) both go
+//     through the kernel's send and receive paths.
+//   - handlers on the board (CNI): protocol code runs as Application
+//     Interrupt Handlers on the receive processor, beside the Message
+//     Cache and PATHFINDER. Replies, retransmits and ACK/NAK control
+//     cells then leave from the board without the host, and the host
+//     polls its receive queue while arrivals are frequent. Elsewhere the
+//     protocol is host code: every arrival, retransmit timeout and
+//     control cell interrupts the host, every reply or control cell is a
+//     host send, and a retransmit re-DMAs the buffer after a host resend.
 //
-// Constructors are looked up in a registry keyed by config.NICKind
-// (RegisterDatapath), mirroring the model registry in internal/config;
-// a constructor also provisions the board components its model owns
-// (Message Cache, PATHFINDER, device channel).
-//
-// Cost hooks that model an interrupt (Notify, TimeoutHostCycles,
-// ControlRxHostCycles) account it in the board's Stats as a side
-// effect, so the shell never needs to know which notification policy
-// ran.
+// provision fixes a board's components and costs from those two
+// properties once, in NewBoard; the poll/interrupt hybrid is the only
+// per-board notification state.
 
 import (
 	"fmt"
@@ -40,295 +32,98 @@ import (
 	"cni/internal/sim"
 )
 
-// Datapath is the kind-specific half of a Board.
-type Datapath interface {
-	// Kind identifies the model this datapath implements.
-	Kind() config.NICKind
-
-	// --- capabilities: upper layers (dsm, collective, rpc,
-	// experiments) ask these instead of switching on the kind ---
-
-	// HandlersOnBoard reports whether registered protocol handlers may
-	// run as Application Interrupt Handlers on the receive processor.
-	HandlersOnBoard() bool
-	// UserLevelQueues reports whether the host reaches the board
-	// through ADC queues mapped into user space, so a send costs the
-	// ADC enqueue rather than a kernel path.
-	UserLevelQueues() bool
-	// ProtocolCharged reports whether the receive path already charges
-	// the host its protocol-processing cost for host-handled arrivals;
-	// when false the protocol layer must account that cost itself.
-	ProtocolCharged() bool
-	// ProtocolStateOnBoard reports whether per-connection protocol
-	// state (the DSM's probable-owner table, parked requests, applied
-	// vectors) lives in board memory where the AIHs run, so a handler
-	// that forwards or replies never touches host memory. False means
-	// the state is host-resident and every handler invocation already
-	// paid the host path to reach it.
-	ProtocolStateOnBoard() bool
-
-	// --- send launch ---
-
-	// SendCycles is the host cost of Board.Send beyond the cache flush:
-	// the ADC enqueue or the kernel send path.
-	SendCycles() sim.Time
-	// HandlerSendCycles is the host cost of Board.SendAt (the handler
-	// reply path). Zero means the reply is issued from the board itself
-	// and the host — including the pre-send flush — is never involved.
-	HandlerSendCycles() sim.Time
-
-	// --- receive delivery and host notification ---
-
-	// RecvHostCycles is the host-path cost appended to both the notify
-	// latency and the host penalty of a host-handled arrival (kernel
-	// receive path and/or host protocol processing).
-	RecvHostCycles() sim.Time
-	// RecvDequeueCycles is the application's cost to pop one completion
-	// from its receive queue (zero when the kernel hands the data over
-	// inside RecvHostCycles).
-	RecvDequeueCycles() sim.Time
-	// WakeDelayCycles is the extra latency before a blocked application
-	// thread notices a completion (the CNI's poll of the receive queue).
-	WakeDelayCycles() sim.Time
-	// Notify models how the board gets the host's attention at time at,
-	// returning when the host notices and the CPU cycles stolen from
-	// it. Implementations account interrupts/polls in Stats.
-	Notify(at sim.Time) (notice, penalty sim.Time)
-
-	// --- reliability (go-back-N) hooks ---
-
-	// TimeoutHostCycles is the host cost of a retransmit-timer expiry
-	// (a kernel timer interrupt when the protocol runs on the host).
-	TimeoutHostCycles() sim.Time
-	// RetransmitBoardCycles is the transmit-processor bookkeeping added
-	// per PDU relaunched from a board-resident copy.
-	RetransmitBoardCycles() sim.Time
-	// RelaunchFromHost reports whether a retransmit must re-DMA the
-	// buffer from host memory, and the host cycles of the resend path
-	// that precedes it. (false, 0) means the board retained the PDU.
-	RelaunchFromHost() (redma bool, host sim.Time)
-	// ControlRxHostCycles is the host cost of receiving one ACK/NAK
-	// control cell.
-	ControlRxHostCycles() sim.Time
-	// ControlTxHostCycles is the host cost of emitting one ACK/NAK
-	// control cell.
-	ControlTxHostCycles() sim.Time
-}
-
-// datapaths maps each registered model to its constructor. The
-// constructor provisions the board components the model owns and
-// returns the policy object; it runs once per Board, from NewBoard.
-var datapaths = map[config.NICKind]func(*Board) Datapath{}
-
-// RegisterDatapath installs the Datapath constructor for kind.
-// Registering a kind twice is a programming error.
-func RegisterDatapath(kind config.NICKind, ctor func(*Board) Datapath) {
-	if _, dup := datapaths[kind]; dup {
-		panic(fmt.Sprintf("nic: datapath for %v registered twice", kind))
+// provision gives b the components and the fixed costs of its model.
+func (b *Board) provision() {
+	cfg := b.cfg
+	var channel bool
+	switch cfg.NIC {
+	case config.NICCNI:
+		channel, b.onBoard = true, true
+	case config.NICOsiris:
+		channel = true
+	case config.NICStandard:
+	default:
+		panic(fmt.Sprintf("nic: unknown NIC kind %d", int(cfg.NIC)))
 	}
-	datapaths[kind] = ctor
-}
 
-func init() {
-	RegisterDatapath(config.NICCNI, newCNIPath)
-	RegisterDatapath(config.NICStandard, newStandardPath)
-	RegisterDatapath(config.NICOsiris, newOsirisPath)
-}
-
-// newDatapath builds the datapath for b's configured kind.
-func newDatapath(b *Board) Datapath {
-	ctor, ok := datapaths[b.cfg.NIC]
-	if !ok {
-		panic(fmt.Sprintf("nic: no datapath registered for NIC kind %d", int(b.cfg.NIC)))
+	b.sendCost = cfg.NSToCycles(cfg.KernelSendNS)
+	b.recvHostCost = cfg.NSToCycles(cfg.KernelRecvNS + cfg.HostProtocolNS)
+	if channel {
+		b.ADC = adc.NewManager(64, 256)
+		ch, err := b.ADC.Open(b.node, uint32(b.node))
+		if err != nil {
+			panic(fmt.Sprintf("nic: opening device channel: %v", err))
+		}
+		b.channel = ch
+		b.sendCost = cfg.NSToCycles(cfg.ADCSendNS)
+		b.dequeueCost = cfg.NSToCycles(cfg.ADCRecvNS)
+		// The ADC hands the completion to user space without a kernel
+		// receive path; the protocol handler still runs on the host.
+		b.recvHostCost = cfg.NSToCycles(cfg.HostProtocolNS)
 	}
-	return ctor(b)
-}
 
-// openChannel provisions the node's ADC manager and device channel
-// (the models with user-level queues share this).
-func openChannel(b *Board) {
-	b.ADC = adc.NewManager(64, 256)
-	ch, err := b.ADC.Open(b.node, uint32(b.node))
-	if err != nil {
-		panic(fmt.Sprintf("nic: opening device channel: %v", err))
+	b.handlerSendCost = b.sendCost
+	if b.onBoard {
+		b.MC = msgcache.New(cfg.MessageCacheByte, cfg.PageBytes, cfg.ConsistencySnooping)
+		b.PF = pathfinder.New()
+		b.handlerSendCost = 0
+		b.recvHostCost = 0
+		b.pollCost = cfg.NSToCycles(cfg.PollNS)
+		b.retxBoardCost = cfg.NICToCPU(cfg.NICRetransmitCycles)
+		if cfg.PollSwitchRate > 0 {
+			cyclesPerSecond := float64(cfg.CPUFreqMHz) * 1e6
+			b.pollWindow = sim.Time(cyclesPerSecond / cfg.PollSwitchRate)
+		}
 	}
-	b.channel = ch
 }
 
-// interruptNotify is the notification policy shared by every
-// non-polling path: deliver a host interrupt at time at.
-func interruptNotify(b *Board, at sim.Time) (notice, penalty sim.Time) {
+// interrupt accounts one host interrupt and returns its cost.
+func (b *Board) interrupt() sim.Time {
 	b.Stats.Interrupts++
-	c := b.cfg.InterruptCycles()
+	return b.cfg.InterruptCycles()
+}
+
+// notify models how the board gets the host's attention at time at,
+// returning when the host notices and the CPU cycles stolen from it.
+// The CNI prefers polling when arrivals are frequent and falls back to
+// interrupts when the channel has gone quiet (Section 2.1); with
+// PureInterrupt, and on the other models, every arrival interrupts.
+func (b *Board) notify(at sim.Time) (notice, penalty sim.Time) {
+	if b.onBoard && !b.cfg.PureInterrupt {
+		polling := b.haveNotified && at-b.lastHostNotify <= b.pollWindow
+		b.haveNotified = true
+		b.lastHostNotify = at
+		if polling {
+			b.Stats.Polls++
+			return at + b.pollCost, b.pollCost
+		}
+	}
+	c := b.interrupt()
 	return at + c, c
 }
 
-// --- CNI ---
-
-// cniPath implements the paper's cluster network interface. It owns
-// the poll/interrupt hybrid's state: whether the channel has notified
-// before, when, and how close together arrivals must land for the host
-// to stay in polling mode.
-type cniPath struct {
-	b              *Board
-	lastHostNotify sim.Time
-	haveNotified   bool
-	pollWindow     sim.Time
-}
-
-func newCNIPath(b *Board) Datapath {
-	cfg := b.cfg
-	b.MC = msgcache.New(cfg.MessageCacheByte, cfg.PageBytes, cfg.ConsistencySnooping)
-	b.PF = pathfinder.New()
-	openChannel(b)
-	p := &cniPath{b: b}
-	if cfg.PollSwitchRate > 0 {
-		cyclesPerSecond := float64(cfg.CPUFreqMHz) * 1e6
-		p.pollWindow = sim.Time(cyclesPerSecond / cfg.PollSwitchRate)
+// timeoutCost is the host cost of a retransmit-timer expiry. On the CNI
+// the timer is board firmware and costs the host nothing; elsewhere it
+// is a host kernel timer, so the host takes an interrupt before the
+// kernel can resend anything.
+func (b *Board) timeoutCost() sim.Time {
+	if b.onBoard {
+		return 0
 	}
-	return p
+	return b.interrupt()
 }
 
-func (p *cniPath) Kind() config.NICKind       { return config.NICCNI }
-func (p *cniPath) HandlersOnBoard() bool      { return true }
-func (p *cniPath) UserLevelQueues() bool      { return true }
-func (p *cniPath) ProtocolCharged() bool      { return false }
-func (p *cniPath) ProtocolStateOnBoard() bool { return true }
-
-func (p *cniPath) SendCycles() sim.Time        { return p.b.cfg.NSToCycles(p.b.cfg.ADCSendNS) }
-func (p *cniPath) HandlerSendCycles() sim.Time { return 0 }
-
-func (p *cniPath) RecvHostCycles() sim.Time    { return 0 }
-func (p *cniPath) RecvDequeueCycles() sim.Time { return p.b.cfg.NSToCycles(p.b.cfg.ADCRecvNS) }
-func (p *cniPath) WakeDelayCycles() sim.Time   { return p.b.cfg.NSToCycles(p.b.cfg.PollNS) }
-
-// Notify prefers polling when arrivals are frequent and falls back to
-// interrupts when the channel has gone quiet (Section 2.1).
-func (p *cniPath) Notify(at sim.Time) (notice, penalty sim.Time) {
-	if p.b.cfg.PureInterrupt {
-		return interruptNotify(p.b, at)
+// controlRxCost is the host cost of receiving one ACK/NAK control cell:
+// nothing on the CNI, which turns control cells around on the board;
+// elsewhere an interrupt plus the receive path (the ADC dequeue, or the
+// kernel's without a device channel).
+func (b *Board) controlRxCost() sim.Time {
+	switch {
+	case b.onBoard:
+		return 0
+	case b.channel != nil:
+		return b.interrupt() + b.dequeueCost
+	default:
+		return b.interrupt() + b.cfg.NSToCycles(b.cfg.KernelRecvNS)
 	}
-	polling := p.haveNotified && at-p.lastHostNotify <= p.pollWindow
-	p.haveNotified = true
-	p.lastHostNotify = at
-	if polling {
-		p.b.Stats.Polls++
-		c := p.b.cfg.NSToCycles(p.b.cfg.PollNS)
-		return at + c, c
-	}
-	return interruptNotify(p.b, at)
-}
-
-func (p *cniPath) TimeoutHostCycles() sim.Time { return 0 }
-func (p *cniPath) RetransmitBoardCycles() sim.Time {
-	return p.b.cfg.NICToCPU(p.b.cfg.NICRetransmitCycles)
-}
-func (p *cniPath) RelaunchFromHost() (bool, sim.Time) { return false, 0 }
-func (p *cniPath) ControlRxHostCycles() sim.Time      { return 0 }
-func (p *cniPath) ControlTxHostCycles() sim.Time      { return 0 }
-
-// --- standard ---
-
-// standardPath implements the kernel-mediated baseline.
-type standardPath struct {
-	b *Board
-}
-
-func newStandardPath(b *Board) Datapath { return &standardPath{b: b} }
-
-func (p *standardPath) Kind() config.NICKind       { return config.NICStandard }
-func (p *standardPath) HandlersOnBoard() bool      { return false }
-func (p *standardPath) UserLevelQueues() bool      { return false }
-func (p *standardPath) ProtocolCharged() bool      { return true }
-func (p *standardPath) ProtocolStateOnBoard() bool { return false }
-
-func (p *standardPath) SendCycles() sim.Time        { return p.b.cfg.NSToCycles(p.b.cfg.KernelSendNS) }
-func (p *standardPath) HandlerSendCycles() sim.Time { return p.b.cfg.NSToCycles(p.b.cfg.KernelSendNS) }
-
-// RecvHostCycles is the kernel receive path plus protocol processing
-// on the host CPU.
-func (p *standardPath) RecvHostCycles() sim.Time {
-	return p.b.cfg.NSToCycles(p.b.cfg.KernelRecvNS + p.b.cfg.HostProtocolNS)
-}
-func (p *standardPath) RecvDequeueCycles() sim.Time { return 0 }
-func (p *standardPath) WakeDelayCycles() sim.Time   { return 0 }
-
-func (p *standardPath) Notify(at sim.Time) (notice, penalty sim.Time) {
-	return interruptNotify(p.b, at)
-}
-
-// TimeoutHostCycles: the retransmit timer is a host kernel timer, so
-// the host takes an interrupt before the kernel can resend anything.
-func (p *standardPath) TimeoutHostCycles() sim.Time {
-	p.b.Stats.Interrupts++
-	return p.b.cfg.InterruptCycles()
-}
-func (p *standardPath) RetransmitBoardCycles() sim.Time { return 0 }
-func (p *standardPath) RelaunchFromHost() (bool, sim.Time) {
-	return true, p.b.cfg.NSToCycles(p.b.cfg.KernelSendNS)
-}
-
-// ControlRxHostCycles: every control cell interrupts the host and runs
-// the kernel receive path.
-func (p *standardPath) ControlRxHostCycles() sim.Time {
-	p.b.Stats.Interrupts++
-	return p.b.cfg.InterruptCycles() + p.b.cfg.NSToCycles(p.b.cfg.KernelRecvNS)
-}
-func (p *standardPath) ControlTxHostCycles() sim.Time {
-	return p.b.cfg.NSToCycles(p.b.cfg.KernelSendNS)
-}
-
-// --- OSIRIS ---
-
-// osirisPath implements the ADC baseline: user-level queues without a
-// Message Cache, interrupt-driven receive, protocol on the host.
-type osirisPath struct {
-	b *Board
-}
-
-func newOsirisPath(b *Board) Datapath {
-	openChannel(b)
-	return &osirisPath{b: b}
-}
-
-func (p *osirisPath) Kind() config.NICKind       { return config.NICOsiris }
-func (p *osirisPath) HandlersOnBoard() bool      { return false }
-func (p *osirisPath) UserLevelQueues() bool      { return true }
-func (p *osirisPath) ProtocolCharged() bool      { return true }
-func (p *osirisPath) ProtocolStateOnBoard() bool { return false }
-
-func (p *osirisPath) SendCycles() sim.Time        { return p.b.cfg.NSToCycles(p.b.cfg.ADCSendNS) }
-func (p *osirisPath) HandlerSendCycles() sim.Time { return p.b.cfg.NSToCycles(p.b.cfg.ADCSendNS) }
-
-// RecvHostCycles: the ADC hands the completion to user space without a
-// kernel receive path, but the protocol handler still runs on the host.
-func (p *osirisPath) RecvHostCycles() sim.Time {
-	return p.b.cfg.NSToCycles(p.b.cfg.HostProtocolNS)
-}
-func (p *osirisPath) RecvDequeueCycles() sim.Time { return p.b.cfg.NSToCycles(p.b.cfg.ADCRecvNS) }
-func (p *osirisPath) WakeDelayCycles() sim.Time   { return 0 }
-
-func (p *osirisPath) Notify(at sim.Time) (notice, penalty sim.Time) {
-	return interruptNotify(p.b, at)
-}
-
-// TimeoutHostCycles: the retransmit timer lives on the host, so an
-// expiry interrupts it (the board retains nothing to resend from).
-func (p *osirisPath) TimeoutHostCycles() sim.Time {
-	p.b.Stats.Interrupts++
-	return p.b.cfg.InterruptCycles()
-}
-func (p *osirisPath) RetransmitBoardCycles() sim.Time { return 0 }
-func (p *osirisPath) RelaunchFromHost() (bool, sim.Time) {
-	return true, p.b.cfg.NSToCycles(p.b.cfg.ADCSendNS)
-}
-
-// ControlRxHostCycles: a control cell interrupts the host, which pops
-// it from the user-level receive queue.
-func (p *osirisPath) ControlRxHostCycles() sim.Time {
-	p.b.Stats.Interrupts++
-	return p.b.cfg.InterruptCycles() + p.b.cfg.NSToCycles(p.b.cfg.ADCRecvNS)
-}
-func (p *osirisPath) ControlTxHostCycles() sim.Time {
-	return p.b.cfg.NSToCycles(p.b.cfg.ADCSendNS)
 }

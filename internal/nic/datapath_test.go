@@ -7,26 +7,11 @@ import (
 	"cni/internal/sim"
 )
 
-// TestDatapathRegistryCoversEveryKind: every kind the config registry
-// knows must have a datapath constructor, and building a board for it
-// must yield a datapath reporting that same kind.
-func TestDatapathRegistryCoversEveryKind(t *testing.T) {
-	for _, kind := range config.Kinds() {
-		if _, ok := datapaths[kind]; !ok {
-			t.Errorf("no datapath registered for %v", kind)
-			continue
-		}
-		r := newRig(t, kind, nil)
-		dp := r.boards[0].Datapath()
-		if dp.Kind() != kind {
-			t.Errorf("datapath for %v reports kind %v", kind, dp.Kind())
-		}
-	}
-}
-
-// TestDatapathCostsMatchModelConstants pins each cost hook to the
-// configuration constant it stood for before the strategy refactor, so
-// the refactor is provably behavior-preserving at the cost level.
+// TestDatapathCostsMatchModelConstants pins each kind-specific cost a
+// board fixes from its two properties (device channel, handlers on
+// board) to the configuration constants it stands for. A retransmit
+// timeout and a received control cell also cost the host one interrupt
+// wherever the protocol runs on the host, and none on the CNI.
 func TestDatapathCostsMatchModelConstants(t *testing.T) {
 	cfg := config.Default()
 	ns := cfg.NSToCycles
@@ -74,26 +59,42 @@ func TestDatapathCostsMatchModelConstants(t *testing.T) {
 	}
 	for _, tc := range cases {
 		r := newRig(t, tc.kind, nil)
-		dp := r.boards[0].Datapath()
+		b := r.boards[0]
 		check := func(name string, got, want sim.Time) {
 			if got != want {
 				t.Errorf("%v: %s = %d cycles, want %d", tc.kind, name, got, want)
 			}
 		}
-		check("SendCycles", dp.SendCycles(), tc.send)
-		check("HandlerSendCycles", dp.HandlerSendCycles(), tc.handlerSend)
-		check("RecvHostCycles", dp.RecvHostCycles(), tc.recvHost)
-		check("RecvDequeueCycles", dp.RecvDequeueCycles(), tc.recvDequeue)
-		check("WakeDelayCycles", dp.WakeDelayCycles(), tc.wake)
-		check("TimeoutHostCycles", dp.TimeoutHostCycles(), tc.timeout)
-		check("RetransmitBoardCycles", dp.RetransmitBoardCycles(), tc.retxBoard)
-		redma, host := dp.RelaunchFromHost()
-		if redma != tc.redma {
-			t.Errorf("%v: RelaunchFromHost redma = %v, want %v", tc.kind, redma, tc.redma)
+		check("send", b.sendCost, tc.send)
+		check("handler send", b.handlerSendCost, tc.handlerSend)
+		check("host receive", b.recvHostCost, tc.recvHost)
+		check("RecvDequeueCost", b.RecvDequeueCost(), tc.recvDequeue)
+		check("WakeDelay", b.WakeDelay(), tc.wake)
+		check("retransmit board", b.retxBoardCost, tc.retxBoard)
+		// relaunch re-DMAs, after charging the host a handler send,
+		// exactly when the board does not run the protocol.
+		if redma := !b.onBoard; redma != tc.redma {
+			t.Errorf("%v: retransmit re-DMAs = %v, want %v", tc.kind, redma, tc.redma)
 		}
-		check("RelaunchFromHost host", host, tc.relaunchHost)
-		check("ControlRxHostCycles", dp.ControlRxHostCycles(), tc.ctrlRx)
-		check("ControlTxHostCycles", dp.ControlTxHostCycles(), tc.ctrlTx)
+		if tc.redma {
+			check("relaunch host", b.handlerSendCost, tc.relaunchHost)
+		}
+		check("control transmit", b.handlerSendCost, tc.ctrlTx)
+
+		var wantIntr uint64 // the host runs the protocol off the CNI
+		if tc.kind != config.NICCNI {
+			wantIntr = 1
+		}
+		before := b.Stats.Interrupts
+		check("timeout", b.timeoutCost(), tc.timeout)
+		if got := b.Stats.Interrupts - before; got != wantIntr {
+			t.Errorf("%v: a timeout added %d interrupts, want %d", tc.kind, got, wantIntr)
+		}
+		before = b.Stats.Interrupts
+		check("control receive", b.controlRxCost(), tc.ctrlRx)
+		if got := b.Stats.Interrupts - before; got != wantIntr {
+			t.Errorf("%v: a control cell added %d interrupts, want %d", tc.kind, got, wantIntr)
+		}
 	}
 }
 
@@ -101,12 +102,12 @@ func TestDatapathCostsMatchModelConstants(t *testing.T) {
 // branch on.
 func TestDatapathCapabilities(t *testing.T) {
 	cases := []struct {
-		kind                    config.NICKind
-		onBoard, userQ, charged bool
+		kind           config.NICKind
+		onBoard, userQ bool
 	}{
-		{config.NICCNI, true, true, false},
-		{config.NICOsiris, false, true, true},
-		{config.NICStandard, false, false, true},
+		{config.NICCNI, true, true},
+		{config.NICOsiris, false, true},
+		{config.NICStandard, false, false},
 	}
 	for _, tc := range cases {
 		r := newRig(t, tc.kind, nil)
@@ -116,9 +117,6 @@ func TestDatapathCapabilities(t *testing.T) {
 		}
 		if b.UserLevelQueues() != tc.userQ {
 			t.Errorf("%v: UserLevelQueues = %v", tc.kind, b.UserLevelQueues())
-		}
-		if b.ProtocolCharged() != tc.charged {
-			t.Errorf("%v: ProtocolCharged = %v", tc.kind, b.ProtocolCharged())
 		}
 	}
 }
@@ -211,13 +209,38 @@ func TestOsirisReceiveInterrupts(t *testing.T) {
 	}
 }
 
-// TestRegisterDatapathRejectsDuplicates mirrors the config registry's
-// duplicate guard.
-func TestRegisterDatapathRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
+// TestHostRunReliabilityInterrupts: on a corrupting fabric a pure sender
+// takes exactly one interrupt per retransmit timeout and per intact
+// ACK/NAK cell it receives when the protocol runs on the host, and none
+// on the CNI, whose firmware handles both on the board.
+func TestHostRunReliabilityInterrupts(t *testing.T) {
+	for _, kind := range config.Kinds() {
+		// Corruption, unlike loss, delivers every cell train, so each
+		// control cell either reaches the sender intact or is counted
+		// as a drop.
+		r := newRig(t, kind, func(c *config.Config) { c.CellCorruptRate = 0.01 })
+		r.boards[1].Register(opData, true, func(sim.Time, *Message) {})
+		r.k.Spawn("app", func(p *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				r.boards[0].Send(p, &Message{From: 0, To: 1, Op: opData, Size: 1024, VAddr: 0x10000})
+				p.Advance(2_000)
+				p.Sync()
+			}
+		})
+		r.k.Run()
+		tx, rx := r.boards[0].Stats, r.boards[1].Stats
+		if tx.Rel.Timeouts == 0 || rx.Rel.NaksSent == 0 {
+			t.Fatalf("%v: %d timeouts, %d NAKs: the corruption rate no longer exercises recovery",
+				kind, tx.Rel.Timeouts, rx.Rel.NaksSent)
 		}
-	}()
-	RegisterDatapath(config.NICCNI, newCNIPath)
+		// The sender receives only control cells; damaged ones are
+		// dropped before they reach the host.
+		want := tx.Rel.Timeouts + rx.Rel.AcksSent + rx.Rel.NaksSent - tx.Rel.DropsSeen
+		if kind == config.NICCNI {
+			want = 0
+		}
+		if tx.Interrupts != want {
+			t.Errorf("%v: sender took %d interrupts, want %d", kind, tx.Interrupts, want)
+		}
+	}
 }

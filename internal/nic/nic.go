@@ -1,14 +1,14 @@
-// Package nic models the network adaptor boards of the CNI paper. A
-// Board is the kind-independent shell — queues, AIH dispatch, ATM
-// framing, go-back-N reliability, stats — and delegates every
-// kind-specific decision (send launch, receive delivery, host
-// notification, retransmit source, host-penalty accounting) to a
-// Datapath strategy looked up by config.NICKind: the CNI board itself
-// (Application Device Channels, Message Cache, PATHFINDER
-// demultiplexing, Application Interrupt Handlers), the OSIRIS-class
-// ADC baseline it derives from (user-level queues, interrupt-driven
-// receive, no Message Cache), and the standard kernel-mediated
-// interface the evaluation compares against. See datapath.go.
+// Package nic models the network adaptor boards of the CNI paper: the
+// CNI board itself (Application Device Channels, Message Cache,
+// PATHFINDER demultiplexing, Application Interrupt Handlers), the
+// OSIRIS-class ADC baseline it derives from (user-level queues,
+// interrupt-driven receive, no Message Cache), and the standard
+// kernel-mediated interface the evaluation compares against. One Board
+// type models all three: queues, AIH dispatch, ATM framing, go-back-N
+// reliability and stats are shared, and the models differ only in
+// whether the board has a device channel and whether protocol handlers
+// run on it. NewBoard fixes the kind-specific costs from those two
+// properties (datapath.go).
 //
 // A Board sits between the host (simulated processors, package sim;
 // caches, package memsys) and the fabric (package atm). Timing flows
@@ -161,8 +161,7 @@ type Stats struct {
 	Rel          RelStats
 }
 
-// Board is one node's network interface: the kind-independent shell
-// around a Datapath strategy.
+// Board is one node's network interface.
 type Board struct {
 	kind config.NICKind
 	k    *sim.Kernel
@@ -171,17 +170,13 @@ type Board struct {
 	net  *atm.Network
 	mem  *memsys.Hierarchy
 
-	// dp supplies every kind-specific policy and cost; its constructor
-	// provisioned whichever of the components below the model owns.
-	dp Datapath
-
 	bus    *sim.Resource // host memory bus (DMA engine side)
 	txProc *sim.Resource
 	rxProc *sim.Resource
 
-	// Model-owned components, provisioned by the datapath constructor.
-	// MC is exported for experiment harnesses that read hit ratios; it
-	// is nil on boards without a Message Cache.
+	// Model-owned components, provisioned by NewBoard. MC is exported
+	// for experiment harnesses that read hit ratios; it is nil on
+	// boards without a Message Cache.
 	MC  *msgcache.Cache
 	PF  *pathfinder.Classifier
 	ADC *adc.Manager
@@ -191,6 +186,25 @@ type Board struct {
 	// there), and host-path arrivals enqueue completions on its
 	// receive queue for the poller. Nil on the standard board.
 	channel *adc.Channel
+
+	// onBoard says protocol handlers run on the board (the CNI); the
+	// device channel above is the model's other property.
+	onBoard bool
+
+	// Kind-specific costs in CPU cycles, fixed by provision.
+	sendCost        sim.Time // Send: the ADC enqueue or the kernel send path
+	handlerSendCost sim.Time // SendAt, control cells and retransmits: 0 on the CNI, sendCost elsewhere
+	recvHostCost    sim.Time // host receive path and protocol of a host-handled arrival
+	dequeueCost     sim.Time // popping one completion off the receive queue
+	pollCost        sim.Time // the CNI's receive-queue poll
+	retxBoardCost   sim.Time // firmware bookkeeping per PDU relaunched from the board
+
+	// The CNI's poll/interrupt hybrid: whether the host has been
+	// notified before, when, and how close together arrivals must land
+	// for it to stay in polling mode.
+	pollWindow     sim.Time
+	lastHostNotify sim.Time
+	haveNotified   bool
 
 	// rel is the per-VC go-back-N reliability layer; nil on the
 	// default lossless fabric, so the fault-free paths are untouched.
@@ -205,7 +219,6 @@ type Board struct {
 }
 
 // NewBoard builds the board for node and attaches it to the fabric.
-// The configured NIC kind must have a registered datapath.
 func NewBoard(k *sim.Kernel, cfg *config.Config, node int, net *atm.Network, mem *memsys.Hierarchy) *Board {
 	b := &Board{
 		kind:     cfg.NIC,
@@ -219,7 +232,7 @@ func NewBoard(k *sim.Kernel, cfg *config.Config, node int, net *atm.Network, mem
 		rxProc:   sim.NewResource("rxproc" + strconv.Itoa(node)),
 		handlers: make(map[uint32]handlerEntry),
 	}
-	b.dp = newDatapath(b)
+	b.provision()
 	if cfg.FaultsEnabled() {
 		b.rel = newReliability(b)
 	}
@@ -233,38 +246,28 @@ func (b *Board) Node() int { return b.node }
 // Kind reports the board variant.
 func (b *Board) Kind() config.NICKind { return b.kind }
 
-// Datapath exposes the board's kind-specific policy object (tests and
-// cost audits).
-func (b *Board) Datapath() Datapath { return b.dp }
-
 // --- capability accessors: the upper layers (dsm, collective, rpc,
-// experiments) ask the datapath through these instead of switching on
-// the NIC kind ---
+// experiments) ask the board these instead of switching on the NIC
+// kind ---
 
 // HandlersOnBoard reports whether registered handlers may run as
-// Application Interrupt Handlers on the board.
-func (b *Board) HandlersOnBoard() bool { return b.dp.HandlersOnBoard() }
+// Application Interrupt Handlers on the board. Protocol state the
+// handlers keep (the DSM's probable-owner table, parked requests) then
+// lives in board memory too; otherwise the handlers are host code and
+// the host pays its protocol processing on every arrival.
+func (b *Board) HandlersOnBoard() bool { return b.onBoard }
 
 // UserLevelQueues reports whether the host reaches this board through
 // user-space ADC queues.
-func (b *Board) UserLevelQueues() bool { return b.dp.UserLevelQueues() }
-
-// ProtocolCharged reports whether the receive path already charged the
-// host its protocol-processing cost for host-handled arrivals.
-func (b *Board) ProtocolCharged() bool { return b.dp.ProtocolCharged() }
-
-// ProtocolStateOnBoard reports whether per-connection protocol state
-// (probable-owner tables, parked requests) is pinned in board memory
-// next to the AIHs, so forwarding decisions never touch host memory.
-func (b *Board) ProtocolStateOnBoard() bool { return b.dp.ProtocolStateOnBoard() }
+func (b *Board) UserLevelQueues() bool { return b.channel != nil }
 
 // RecvDequeueCost is the application's cost to pop one completion from
 // its receive queue (zero when the kernel hands the data over).
-func (b *Board) RecvDequeueCost() sim.Time { return b.dp.RecvDequeueCycles() }
+func (b *Board) RecvDequeueCost() sim.Time { return b.dequeueCost }
 
 // WakeDelay is the extra latency before a blocked application thread
 // notices a completion (the CNI's receive-queue poll; zero elsewhere).
-func (b *Board) WakeDelay() sim.Time { return b.dp.WakeDelayCycles() }
+func (b *Board) WakeDelay() sim.Time { return b.pollCost }
 
 // SetHostProc names the host CPU thread charged for interrupt service
 // on this node.
@@ -316,7 +319,7 @@ func (b *Board) RegisterPattern(op uint32, extra []pathfinder.Field, onNIC bool,
 // install records the handler entry for op; re-installing the same op
 // is allowed only for multi-pattern registration of one protocol.
 func (b *Board) install(op uint32, onNIC bool, h Handler) {
-	if !b.dp.HandlersOnBoard() {
+	if !b.onBoard {
 		onNIC = false
 	}
 	b.handlers[op] = handlerEntry{fn: h, onNIC: onNIC}
@@ -327,13 +330,13 @@ func (b *Board) install(op uint32, onNIC bool, h Handler) {
 // to answer repeat GETs from responses pinned in the Message Cache.
 // The filter runs on the receive processor at AIHHandlerCycles per
 // arrival; when it consumes a message the host never learns the
-// message existed. On a board whose datapath cannot run handlers
+// message existed. On a board that cannot run handlers
 // (OSIRIS, standard) the call is a no-op, so callers gate features on
 // HandlersOnBoard rather than on board internals. op must already have
 // a host handler registered — a filter screens a protocol, it does not
 // define one.
 func (b *Board) RegisterFilter(op uint32, f BoardFilter) {
-	if !b.dp.HandlersOnBoard() {
+	if !b.onBoard {
 		return
 	}
 	e, ok := b.handlers[op]
@@ -458,7 +461,7 @@ func (b *Board) Send(p *sim.Proc, m *Message) sim.Time {
 		}
 		m.viaChannel = true
 	}
-	overhead += b.dp.SendCycles()
+	overhead += b.sendCost
 	p.Advance(overhead)
 	p.Sync()
 	b.transmit(p.Local(), m)
@@ -471,12 +474,11 @@ func (b *Board) Send(p *sim.Proc, m *Message) sim.Time {
 // path (kernel or ADC enqueue) and the flush run on — and are charged
 // to — the host CPU before the board sees the message.
 func (b *Board) SendAt(at sim.Time, m *Message) {
-	send := b.dp.HandlerSendCycles()
-	if send == 0 {
+	if b.onBoard {
 		b.transmit(at, m)
 		return
 	}
-	cost := b.flushForSend(m) + send
+	cost := b.flushForSend(m) + b.handlerSendCost
 	b.penalizeHost(cost)
 	b.transmit(at+cost, m)
 }
@@ -627,12 +629,10 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 			panic(fmt.Sprintf("nic: node %d receive queue overflow", b.node))
 		}
 	}
-	notify, penalty := b.dp.Notify(end)
-	if extra := b.dp.RecvHostCycles(); extra > 0 {
-		// Host receive path and/or protocol processing on the host CPU.
-		notify += extra
-		penalty += extra
-	}
+	notify, penalty := b.notify(end)
+	// Host receive path and/or protocol processing on the host CPU.
+	notify += b.recvHostCost
+	penalty += b.recvHostCost
 	b.penalizeHost(penalty)
 	b.Stats.HostHandlers++
 	// The application drains its receive queue in FIFO order, so a

@@ -14,10 +14,10 @@ package nic
 //     retransmit re-launches from the board copy with no DMA and no
 //     host involvement, and control cells are turned around entirely on
 //     the board;
-//   - on the standard interface the protocol is kernel code: every
-//     control cell interrupts the host, the retransmit timer is a host
-//     kernel timer, and a retransmit re-DMAs the buffer from host
-//     memory after the kernel re-send path.
+//   - on OSIRIS and the standard interface the protocol is host code:
+//     every control cell interrupts the host, the retransmit timer is a
+//     host kernel timer, and a retransmit re-DMAs the buffer from host
+//     memory after the host's send path.
 //
 // That asymmetry — not any difference in the protocol itself — is what
 // experiment FR1 measures.
@@ -192,9 +192,7 @@ func (r *reliability) rearm(at sim.Time, s *vcTx) {
 }
 
 // onTimeout fires when the oldest unacked PDU's timer expires: go back
-// and resend the whole window, then back off exponentially. On the
-// standard interface the timer is a host kernel timer, so the host
-// takes an interrupt before the kernel can resend anything.
+// and resend the whole window, then back off exponentially.
 func (r *reliability) onTimeout(s *vcTx, gen uint64) {
 	if gen != s.timerGen || len(s.window) == 0 {
 		return
@@ -202,10 +200,9 @@ func (r *reliability) onTimeout(s *vcTx, gen uint64) {
 	b := r.b
 	now := b.k.Now()
 	b.Stats.Rel.Timeouts++
-	if c := b.dp.TimeoutHostCycles(); c > 0 {
-		b.penalizeHost(c)
-		now += c
-	}
+	c := b.timeoutCost()
+	b.penalizeHost(c)
+	now += c
 	r.retransmitFrom(now, s, s.window[0].relSeq)
 	if s.backoff < b.cfg.RetransmitBackoff {
 		s.backoff *= 2
@@ -281,12 +278,12 @@ func (r *reliability) relaunch(at sim.Time, m *Message) {
 	b := r.b
 	cells := int64(b.cfg.Cells(m.Size))
 	work := b.cfg.NICToCPU(b.cfg.NICPacketTxCycles + b.cfg.NICCellTxCycles*cells)
-	work += b.dp.RetransmitBoardCycles()
+	work += b.retxBoardCost
 	b.Stats.Rel.RetxCycles += work
 	_, end := b.txProc.Use(at, work)
 	launch := end
-	if redma, host := b.dp.RelaunchFromHost(); redma {
-		b.penalizeHost(host)
+	if !b.onBoard {
+		b.penalizeHost(b.handlerSendCost)
 		if m.VAddr != 0 && m.Size > 0 {
 			_, dmaEnd := b.bus.Use(end, b.cfg.DMACycles(m.Size))
 			b.Stats.TxDMAs++
@@ -323,11 +320,9 @@ func (r *reliability) admit(pkt *atm.Packet, m *Message, at sim.Time) bool {
 			b.Stats.Rel.DropsSeen++
 			return false
 		}
-		if c := b.dp.ControlRxHostCycles(); c > 0 {
-			// Host-run protocol: every control cell interrupts the host.
-			b.penalizeHost(c)
-			end += c
-		}
+		c := b.controlRxCost()
+		b.penalizeHost(c)
+		end += c
 		if m.Op == opRelAck {
 			r.onAck(m.From, m.Aux, end)
 		} else {
@@ -387,9 +382,7 @@ func (r *reliability) sendControl(at sim.Time, peer int, op, seq uint32) {
 	} else {
 		b.Stats.Rel.NaksSent++
 	}
-	if kc := b.dp.ControlTxHostCycles(); kc > 0 {
-		b.penalizeHost(kc)
-		at += kc
-	}
+	b.penalizeHost(b.handlerSendCost)
+	at += b.handlerSendCost
 	b.launch(at, &Message{From: b.node, To: peer, Op: op, Aux: seq, Size: HeaderBytes})
 }
