@@ -341,11 +341,11 @@ func main() {
 		ownWhere = "board-resident AIHs"
 	}
 	fmt.Printf("  dsm %-11s    %12d faults   %d invalidations   manager msgs %d (hottest node %d: %d)   %s\n",
-		cfg.DSMOwnershipOrDefault(), res.DSM.Faults, res.DSM.Invalidations,
-		res.DSM.ManagerMsgs, res.DSM.MaxManagerNode, res.DSM.MaxManagerMsgs, ownWhere)
+		cfg.DSMOwnershipOrDefault(), res.DSM.PageFaults, res.DSM.Invalidates,
+		res.DSM.OwnerMsgs, res.MaxManagerNode, res.MaxManagerMsgs, ownWhere)
 	if cfg.DSMOwnershipOrDefault() == cni.DSMDistributed {
 		fmt.Printf("  ownership chains   %12d forwards   %d migrations   mean chain %.2f hops\n",
-			res.DSM.Forwards, res.DSM.Migrations, res.DSM.MeanChain())
+			res.DSM.Forwards, res.DSM.Migrations, res.DSM.Chain.Mean())
 	}
 	if cfg.FaultsEnabled() {
 		ft := res.Net.Faults

@@ -116,14 +116,8 @@ const (
 // ownership organizations ("central", "distributed").
 func DSMOwnershipNames() []string { return config.DSMOwnershipNames() }
 
-// DSMStats is the cluster-level aggregation of the DSM protocol's
-// activity on Result.DSM: fault/fetch/invalidation totals, the
-// manager-role message load and its per-node hotspot, and the
-// distributed organization's forwarding and migration counters.
-type DSMStats = cluster.DSMStats
-
-// ChainHist is the probable-owner forwarding-chain length histogram
-// inside DSMStats: bucket i counts fetches forwarded i times.
+// ChainHist is the probable-owner forwarding-chain length histogram in
+// Result.DSM: bucket i counts fetches forwarded i times.
 type ChainHist = dsm.ChainHist
 
 // Cluster is a simulated workstation cluster; Result is the outcome of

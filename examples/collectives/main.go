@@ -35,7 +35,7 @@ func main() {
 		}
 		ep.BroadcastF64(0, m)
 
-		ep.Barrier(0)
+		ep.Barrier()
 		if ep.Node() == 0 {
 			stats = ep.CollStats()
 		}

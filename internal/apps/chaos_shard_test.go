@@ -8,6 +8,7 @@ import (
 	"cni/internal/atm"
 	"cni/internal/config"
 	"cni/internal/memsys"
+	"cni/internal/metrics"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -86,7 +87,7 @@ func chaosShardRun(t *testing.T, topo string, shards int) ([][]sim.Time, atm.Sta
 	net.Finish()
 	var rel nic.RelStats
 	for i := 0; i < n; i++ {
-		rel.Merge(boards[i].Stats.Rel)
+		metrics.Fold(&rel, boards[i].Stats.Rel)
 	}
 	return got, net.Stats, rel
 }

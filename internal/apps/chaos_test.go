@@ -153,7 +153,7 @@ func TestChaosCollectivesSurviveCellLoss(t *testing.T) {
 					if math.Abs(got-want) > 1e-12 {
 						bad = true
 					}
-					ep.Barrier(i)
+					ep.Barrier()
 				}
 			})
 			if bad {

@@ -27,6 +27,7 @@ import (
 	"sort"
 
 	"cni/internal/config"
+	"cni/internal/metrics"
 	"cni/internal/sim"
 	"cni/internal/topo"
 )
@@ -115,11 +116,8 @@ type walkItem struct {
 // window without synchronization: its own ledger and its nodes'
 // send-phase counters (pure sums, folded into Stats by Finish).
 type netShard struct {
-	ledger    []walkItem
-	messages  uint64
-	dataBytes uint64
-	wireBytes uint64
-	cells     uint64
+	ledger []walkItem
+	sent   Stats
 }
 
 // New builds the fabric selected by cfg.Topology for n nodes. The node
@@ -264,12 +262,7 @@ func (nw *Network) Send(at sim.Time, pkt *Packet) sim.Time {
 	if nw.ss != nil {
 		return nw.sendSharded(at, pkt)
 	}
-	b := pkt.Bytes()
-
-	nw.Stats.Messages++
-	nw.Stats.DataBytes += uint64(b)
-	nw.Stats.WireBytes += uint64(nw.cfg.WireBytes(b))
-	nw.Stats.Cells += uint64(nw.cfg.Cells(b))
+	nw.count(&nw.Stats, pkt)
 
 	if pkt.Dst == pkt.Src {
 		// Loopback inside the board: no fabric involvement.
@@ -361,17 +354,22 @@ func (nw *Network) walk(at sim.Time, pkt *Packet) (deliver, redeliver sim.Time, 
 	return deliver, redeliver, false
 }
 
+// count charges pkt's send-phase counters to st.
+func (nw *Network) count(st *Stats, pkt *Packet) {
+	b := pkt.Bytes()
+	st.Messages++
+	st.DataBytes += uint64(b)
+	st.WireBytes += uint64(nw.cfg.WireBytes(b))
+	st.Cells += uint64(nw.cfg.Cells(b))
+}
+
 // sendSharded is Send during a window: charge the sending shard's
 // counters, deliver loopbacks on the node's own kernel, and defer
 // everything that touches shared fabric state into the shard's ledger.
 func (nw *Network) sendSharded(at sim.Time, pkt *Packet) sim.Time {
 	shard := nw.shardOf[pkt.Src]
 	s := nw.perShard[shard]
-	b := pkt.Bytes()
-	s.messages++
-	s.dataBytes += uint64(b)
-	s.wireBytes += uint64(nw.cfg.WireBytes(b))
-	s.cells += uint64(nw.cfg.Cells(b))
+	nw.count(&s.sent, pkt)
 
 	k := nw.ss.Kernel(shard)
 	if pkt.Dst == pkt.Src {
@@ -456,11 +454,8 @@ func (nw *Network) Finish() {
 		return
 	}
 	for _, s := range nw.perShard {
-		nw.Stats.Messages += s.messages
-		nw.Stats.DataBytes += s.dataBytes
-		nw.Stats.WireBytes += s.wireBytes
-		nw.Stats.Cells += s.cells
-		s.messages, s.dataBytes, s.wireBytes, s.cells = 0, 0, 0, 0
+		metrics.Fold(&nw.Stats, s.sent)
+		s.sent = Stats{}
 	}
 }
 

@@ -20,6 +20,8 @@ import (
 	"cni/internal/dsm"
 	"cni/internal/kv"
 	"cni/internal/memsys"
+	"cni/internal/metrics"
+	"cni/internal/msgcache"
 	"cni/internal/nic"
 	"cni/internal/rpc"
 	"cni/internal/sim"
@@ -39,13 +41,18 @@ type Node struct {
 	finish sim.Time
 }
 
-// Cluster is the whole machine.
+// engine is what drives a run: the single kernel, or the shard set of
+// a sharded run.
+type engine interface {
+	Run() sim.Time
+	Drain()
+	Executed() uint64
+	Now() sim.Time
+}
+
+// Cluster is the whole machine. Every node lives on the kernel
+// Net.NodeKernel returns for it.
 type Cluster struct {
-	// K is the simulation kernel on single-kernel runs. On sharded runs
-	// (SS non-nil) every node lives on its shard's kernel — reach those
-	// through Net.NodeKernel — and K aliases shard 0's, for callers that
-	// only need construction-time scheduling context.
-	K  *sim.Kernel
 	SS *sim.ShardSet // non-nil when the run executes as parallel shards
 	// ShardClamp records why a SimShards request was reduced to one
 	// shard ("" when the request was honored as-is).
@@ -57,6 +64,8 @@ type Cluster struct {
 	RPC        *rpc.Engine
 	KV         *kv.Engine
 	Nodes      []*Node
+
+	eng engine
 }
 
 // Setup allocates the shared region (identically on every run).
@@ -98,19 +107,18 @@ func New(cfg *config.Config, n int, setup Setup) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		c.Net, c.SS = net, ss
-		c.K = net.NodeKernel(0)
+		c.Net, c.SS, c.eng = net, ss, ss
 	} else {
-		c.K = sim.NewKernel()
-		net, err := atm.New(c.K, cfg, n)
+		k := sim.NewKernel()
+		net, err := atm.New(k, cfg, n)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		c.Net = net
+		c.Net, c.eng = net, k
 	}
-	c.Coll = collective.NewEngine(cfg, c.K)
-	c.RPC = rpc.NewEngine(cfg, c.K)
-	c.KV = kv.NewEngine(cfg, c.K)
+	c.Coll = collective.NewEngine(cfg)
+	c.RPC = rpc.NewEngine(cfg)
+	c.KV = kv.NewEngine(cfg)
 	for i := 0; i < n; i++ {
 		node := &Node{ID: i}
 		node.Mem = memsys.New(cfg)
@@ -135,21 +143,7 @@ func (c *Cluster) Shards() int {
 
 // Executed reports the total number of simulation events executed, over
 // every shard kernel.
-func (c *Cluster) Executed() uint64 {
-	if c.SS != nil {
-		return c.SS.Executed()
-	}
-	return c.K.Executed()
-}
-
-// now is the simulation clock for diagnostics: the latest event time
-// any shard has reached.
-func (c *Cluster) now() sim.Time {
-	if c.SS != nil {
-		return c.SS.Now()
-	}
-	return c.K.Now()
-}
+func (c *Cluster) Executed() uint64 { return c.eng.Executed() }
 
 // EnableTrace attaches a bounded protocol-event log (capacity cap
 // events) to every node and returns it; call before Run.
@@ -210,63 +204,34 @@ type NodeStats struct {
 	KV          kv.Stats
 }
 
-// DSMStats is the cluster-level view of the DSM protocol's activity:
-// the counters that characterize the ownership organization, promoted
-// from the per-node dsm.Stats so consumers (cmd/cnisim, the FD1
-// artifact) read one struct instead of walking PerNode.
-type DSMStats struct {
-	Faults        uint64 // page accesses that stalled or fetched, summed
-	Fetches       uint64 // page requests served by homes/owners, summed
-	Invalidations uint64 // page invalidations from write notices, summed
-	// ManagerMsgs counts protocol messages handled in a manager/owner
-	// role (page requests and diffs at the owner, lock/barrier/task
-	// traffic at the manager), summed over nodes.
-	ManagerMsgs uint64
-	// MaxManagerMsgs is the largest per-node manager-role count — the
-	// hotspot metric: under central ownership the barrier manager and
-	// bag server at node 0 dominate it, under distributed ownership the
-	// load spreads.
-	MaxManagerMsgs uint64
-	// MaxManagerNode is the node holding MaxManagerMsgs.
-	MaxManagerNode int
-	Forwards       uint64 // probable-owner chain forwards, summed
-	Migrations     uint64 // ownership migrations, summed
-	// Chain is the chain-length histogram over every completed fetch:
-	// bucket i counts fetches forwarded i times (last bucket: longer).
-	Chain dsm.ChainHist
-}
-
-// MeanChain reports the mean forwarding-chain length over completed
-// fetches (0 when no fetch was observed, as under central ownership).
-func (d *DSMStats) MeanChain() float64 {
-	total := d.Chain.Total()
-	if total == 0 {
-		return 0
-	}
-	var weighted uint64
-	for i, v := range d.Chain {
-		weighted += uint64(i) * v
-	}
-	return float64(weighted) / float64(total)
+// Totals is one node's share of the cluster-wide counters; Run folds
+// every node's Totals into its Result with metrics.Fold.
+type Totals struct {
+	Time      sim.Time `fold:"max"` // wall time: the last worker's finish time
+	Coll      collective.Stats
+	RPC       rpc.Stats       // request/response activity
+	RPCLat    rpc.Latencies   // exact request-latency samples over all clients
+	KV        kv.Stats        // key-value serving activity
+	KVLat     rpc.Latencies   // exact KV latency samples (OK/NotFound) over all clients
+	KVHit     rpc.Latencies   // KV GET latency, board-cache-served
+	KVHost    rpc.Latencies   // KV GET latency, host-served
+	Tenants   []tenant.Stats  // per-tenant outcomes
+	TenantLat []rpc.Latencies // exact per-tenant latency samples
+	Rel       nic.RelStats    // reliability activity
+	DSM       dsm.Stats       // DSM protocol activity
+	MC        msgcache.Stats  // Message Cache activity (none on boards without one)
 }
 
 // Result is the outcome of one Run.
 type Result struct {
-	Time      sim.Time // wall time: the last worker's finish time
-	PerNode   []NodeStats
-	Net       atm.Stats
-	Coll      collective.Stats // summed over nodes
-	RPC       rpc.Stats        // request/response activity summed over nodes
-	RPCLat    rpc.Latencies    // exact request-latency samples over all clients
-	KV        kv.Stats         // key-value serving activity summed over nodes
-	KVLat     rpc.Latencies    // exact KV latency samples (OK/NotFound) over all clients
-	KVHit     rpc.Latencies    // KV GET latency, board-cache-served
-	KVHost    rpc.Latencies    // KV GET latency, host-served
-	Tenants   []tenant.Stats   // per-tenant outcomes and latency, merged over nodes
-	TenantLat []rpc.Latencies  // exact per-tenant latency samples
-	Rel       nic.RelStats     // reliability activity summed over nodes
-	DSM       DSMStats         // DSM protocol activity aggregated over nodes
-	HitRatio  float64          // aggregate network cache hit ratio, percent
+	PerNode []NodeStats
+	Net     atm.Stats
+	Totals  // summed over nodes; Time and peaks keep the per-node maximum
+	// MaxManagerMsgs is the largest per-node DSM.OwnerMsgs, the manager
+	// hotspot FD1 plots; MaxManagerNode is the node holding it.
+	MaxManagerMsgs uint64
+	MaxManagerNode int
+	HitRatio       float64 // aggregate network cache hit ratio, percent
 
 	// Averages across nodes (the shape Tables 2-4 report).
 	AvgOverhead    sim.Time
@@ -286,15 +251,10 @@ func (c *Cluster) Run(app App) *Result {
 			n.finish = p.Local()
 		})
 	}
-	if c.SS != nil {
-		c.SS.Run()
-	} else {
-		c.K.Run()
-	}
+	c.eng.Run()
 	c.Net.Finish()
 
 	res := &Result{Net: c.Net.Stats}
-	var hits, misses uint64
 	for _, n := range c.Nodes {
 		if !n.Proc.Finished() {
 			var states strings.Builder
@@ -305,16 +265,9 @@ func (c *Cluster) Run(app App) *Result {
 					fmt.Fprintf(&states, " parkedHomeReqs=%d [%s]", cnt, sample)
 				}
 			}
-			if c.SS != nil {
-				c.SS.Drain()
-			} else {
-				c.K.Drain()
-			}
+			c.eng.Drain()
 			panic(fmt.Sprintf("cluster: node %d never finished (deadlock at t=%d); tasks: %s%s",
-				n.ID, c.now(), c.G.TaskDebug(), states.String()))
-		}
-		if n.finish > res.Time {
-			res.Time = n.finish
+				n.ID, c.eng.Now(), c.G.TaskDebug(), states.String()))
 		}
 		overhead := n.R.Stats.Overhead + n.Proc.PenaltyTime
 		delay := n.Proc.BlockedTime
@@ -330,46 +283,27 @@ func (c *Cluster) Run(app App) *Result {
 			KV:          c.KV.Node(n.ID).Stats,
 		}
 		res.PerNode = append(res.PerNode, ns)
-		res.Coll.Merge(ns.Coll)
-		res.RPC.Merge(ns.RPC)
-		res.RPCLat.Merge(c.RPC.Node(n.ID).Lat)
+		var mc msgcache.Stats
+		if n.Board.MC != nil {
+			mc = n.Board.MC.Stats
+		}
 		kn := c.KV.Node(n.ID)
-		res.KV.Merge(kn.Stats)
-		res.KVLat.Merge(kn.Lat)
-		res.KVHit.Merge(kn.HitLat)
-		res.KVHost.Merge(kn.HostLat)
-		res.Tenants = tenant.MergeSlices(res.Tenants, kn.TStats)
-		for len(res.TenantLat) < len(kn.TLat) {
-			res.TenantLat = append(res.TenantLat, rpc.Latencies{})
+		metrics.Fold(&res.Totals, Totals{
+			Time: n.finish, Coll: ns.Coll, RPC: ns.RPC, RPCLat: c.RPC.Node(n.ID).Lat,
+			KV: kn.Stats, KVLat: kn.Lat, KVHit: kn.HitLat, KVHost: kn.HostLat,
+			Tenants: kn.TStats, TenantLat: kn.TLat,
+			Rel: ns.NIC.Rel, DSM: ns.DSM, MC: mc,
+		})
+		if ns.DSM.OwnerMsgs > res.MaxManagerMsgs {
+			res.MaxManagerMsgs, res.MaxManagerNode = ns.DSM.OwnerMsgs, n.ID
 		}
-		for i := range kn.TLat {
-			res.TenantLat[i].Merge(kn.TLat[i])
-		}
-		res.Rel.Merge(ns.NIC.Rel)
-		res.DSM.Faults += ns.DSM.PageFaults
-		res.DSM.Fetches += ns.DSM.PageFetches
-		res.DSM.Invalidations += ns.DSM.Invalidates
-		res.DSM.ManagerMsgs += ns.DSM.OwnerMsgs
-		if ns.DSM.OwnerMsgs > res.DSM.MaxManagerMsgs {
-			res.DSM.MaxManagerMsgs = ns.DSM.OwnerMsgs
-			res.DSM.MaxManagerNode = n.ID
-		}
-		res.DSM.Forwards += ns.DSM.Forwards
-		res.DSM.Migrations += ns.DSM.Migrations
-		res.DSM.Chain.Merge(ns.DSM.Chain)
 		res.AvgOverhead += overhead
 		res.AvgDelay += delay
-		if n.Board.MC != nil {
-			hits += n.Board.MC.Stats.TxHits
-			misses += n.Board.MC.Stats.TxMisses
-		}
 	}
 	n := sim.Time(len(c.Nodes))
 	res.AvgOverhead /= n
 	res.AvgDelay /= n
 	res.AvgComputation = res.Time - res.AvgOverhead - res.AvgDelay
-	if hits+misses > 0 {
-		res.HitRatio = 100 * float64(hits) / float64(hits+misses)
-	}
+	res.HitRatio = res.MC.HitRatio()
 	return res
 }

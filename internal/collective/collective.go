@@ -141,17 +141,16 @@ type contrib struct {
 }
 
 // Engine is the cluster-wide collective engine: one Node per board, all
-// sharing the configuration and kernel.
+// sharing the configuration.
 type Engine struct {
 	cfg   *config.Config
-	k     *sim.Kernel
 	nodes []*Node
 	log   *trace.Log
 }
 
 // NewEngine returns an engine for the cluster described by cfg.
-func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
-	return &Engine{cfg: cfg, k: k}
+func NewEngine(cfg *config.Config) *Engine {
+	return &Engine{cfg: cfg}
 }
 
 // EnableTrace routes episode events into l.

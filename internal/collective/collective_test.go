@@ -40,13 +40,13 @@ func TestBarrierSynchronizesAllSizes(t *testing.T) {
 					for it := 0; it < 4; it++ {
 						ep.Compute(sim.Time(700 * (ep.Node() + 1)))
 						phase[ep.Node()] = it
-						ep.Barrier(0)
+						ep.Barrier()
 						for i := 0; i < n; i++ {
 							if phase[i] != it {
 								ok = false
 							}
 						}
-						ep.Barrier(0)
+						ep.Barrier()
 					}
 				})
 				if !ok {
@@ -187,7 +187,7 @@ func TestAccounting(t *testing.T) {
 		stats := make([]collective.Stats, n)
 		f.Run(func(ep *msgpass.Endpoint) {
 			for i := 0; i < 3; i++ {
-				ep.Barrier(0)
+				ep.Barrier()
 				ep.AllReduceF64(1, msgpass.OpSum)
 			}
 			stats[ep.Node()] = ep.CollStats()
@@ -226,7 +226,7 @@ func TestSingleNodeCompletesImmediately(t *testing.T) {
 		var sum float64
 		var stats collective.Stats
 		f.Run(func(ep *msgpass.Endpoint) {
-			ep.Barrier(0)
+			ep.Barrier()
 			sum = ep.AllReduceF64(42, msgpass.OpSum)
 			stats = ep.CollStats()
 		})
@@ -251,7 +251,7 @@ func TestMismatchedProgramOrderPanics(t *testing.T) {
 	f := mustFabric(&cfg, 2)
 	f.Run(func(ep *msgpass.Endpoint) {
 		if ep.Node() == 0 {
-			ep.Barrier(0)
+			ep.Barrier()
 		} else {
 			ep.AllReduceF64(1, msgpass.OpSum)
 		}

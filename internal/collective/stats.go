@@ -19,12 +19,3 @@ type Stats struct {
 	// Latency samples enter-to-release time per episode, in CPU cycles.
 	Latency rpc.Hist
 }
-
-// Merge folds o into s (cluster-wide aggregation).
-func (s *Stats) Merge(o Stats) {
-	s.Episodes += o.Episodes
-	s.BoardCombined += o.BoardCombined
-	s.HostHandled += o.HostHandled
-	s.Msgs += o.Msgs
-	s.Latency.Merge(o.Latency)
-}

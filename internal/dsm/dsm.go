@@ -227,13 +227,6 @@ func (h *ChainHist) observe(hops int) {
 	h[hops]++
 }
 
-// Merge accumulates other into h.
-func (h *ChainHist) Merge(other ChainHist) {
-	for i, v := range other {
-		h[i] += v
-	}
-}
-
 // Total reports the number of observed fetches.
 func (h ChainHist) Total() uint64 {
 	var t uint64
@@ -241,6 +234,20 @@ func (h ChainHist) Total() uint64 {
 		t += v
 	}
 	return t
+}
+
+// Mean reports the mean forwarding-chain length over the observed
+// fetches (0 when none was observed, as under central ownership).
+func (h ChainHist) Mean() float64 {
+	var total, weighted uint64
+	for i, v := range h {
+		total += v
+		weighted += uint64(i) * v
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(weighted) / float64(total)
 }
 
 // Stats aggregates one node's protocol activity.

@@ -132,8 +132,8 @@ func TestProbableOwnerChainsForward(t *testing.T) {
 	if res.DSM.Chain.Total() == 0 {
 		t.Fatal("no completed fetch observed a chain length")
 	}
-	if res.DSM.MeanChain() <= 0 {
-		t.Fatalf("mean chain length %v with %d forwards", res.DSM.MeanChain(), res.DSM.Forwards)
+	if res.DSM.Chain.Mean() <= 0 {
+		t.Fatalf("mean chain length %v with %d forwards", res.DSM.Chain.Mean(), res.DSM.Forwards)
 	}
 	for i := 256; i < 264; i++ {
 		if got, want := c.ReadU64(i), uint64(rounds-1)<<16|uint64(i); got != want {

@@ -57,7 +57,7 @@ func measureCollectiveWithCfg(cfg config.Config, n int, op string) int64 {
 		switch op {
 		case "barrier":
 			for i := 0; i < collIters; i++ {
-				ep.Barrier(0)
+				ep.Barrier()
 			}
 		case "allreduce":
 			for i := 0; i < collIters; i++ {

@@ -18,7 +18,7 @@ package experiments
 //     the smallest node count (self-relative scaling, the shape that
 //     shows where the manager serializes);
 //   - mgrmax: the hottest node's manager-role message count
-//     (Result.DSM.MaxManagerMsgs) — page requests and diffs served in
+//     (Result.MaxManagerMsgs) — page requests and diffs served in
 //     an owner role plus lock/barrier/task traffic served in a manager
 //     role. This is the load the distributed organization exists to
 //     spread.
@@ -124,7 +124,7 @@ func FigureDSMOwnership(o Options) Figure {
 					sp.X = append(sp.X, float64(n))
 					sp.Y = append(sp.Y, float64(base.Time)/float64(res.Time))
 					mg.X = append(mg.X, float64(n))
-					mg.Y = append(mg.Y, float64(res.DSM.MaxManagerMsgs))
+					mg.Y = append(mg.Y, float64(res.MaxManagerMsgs))
 				}
 				f.Series = append(f.Series, sp, mg)
 			}
@@ -146,11 +146,11 @@ func FigureDSMOwnership(o Options) Figure {
 			}
 			switch wl.label {
 			case "jacobi":
-				if dis.DSM.MaxManagerMsgs >= cen.DSM.MaxManagerMsgs {
+				if dis.MaxManagerMsgs >= cen.MaxManagerMsgs {
 					panic(fmt.Sprintf("experiments: fd1 %s/%s/%d distributed hottest node %d msgs (node %d) did not beat central %d msgs (node %d)",
 						wl.label, kind, top,
-						dis.DSM.MaxManagerMsgs, dis.DSM.MaxManagerNode,
-						cen.DSM.MaxManagerMsgs, cen.DSM.MaxManagerNode))
+						dis.MaxManagerMsgs, dis.MaxManagerNode,
+						cen.MaxManagerMsgs, cen.MaxManagerNode))
 				}
 			case "cholesky":
 				if dis.DSM.Migrations == 0 || dis.DSM.Forwards == 0 {

@@ -6,6 +6,7 @@ import (
 	"cni/internal/apps"
 	"cni/internal/config"
 	"cni/internal/memsys"
+	"cni/internal/metrics"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -123,7 +124,7 @@ func fr1Stress(cfg config.Config, kind config.NICKind, rate float64, n int) nic.
 			kind, rate, delivered, n, ordered))
 	}
 	rel := src.Stats.Rel
-	rel.Merge(dst.Stats.Rel)
+	metrics.Fold(&rel, dst.Stats.Rel)
 	if rate > 0 && rel.Retransmits == 0 {
 		panic(fmt.Sprintf("experiments: FR1 stress on %v at %v loss injected faults but retransmitted nothing (faults: %+v)",
 			kind, rate, net.Stats.Faults))

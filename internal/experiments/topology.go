@@ -118,7 +118,7 @@ func ft1Run(cfg config.Config, n int, pattern string, rounds int) (float64, uint
 // on the reference heap to re-prove that the simulated result does not
 // depend on the engine.
 func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine sim.Engine) (float64, uint64) {
-	net, ss, k := mustFt1Net(cfg, n, engine)
+	net, drv := mustFt1Net(cfg, n, engine)
 	boards := make([]*nic.Board, n)
 	// Latency accumulators are per receiving node and folded in node
 	// order after the run: the per-node sums are integers, so the fold
@@ -165,14 +165,7 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 			}
 		})
 	}
-	var executed uint64
-	if ss != nil {
-		ss.Run()
-		executed = ss.Executed()
-	} else {
-		k.Run()
-		executed = k.Executed()
-	}
+	drv.Run()
 	net.Finish()
 	var total sim.Time
 	var count uint64
@@ -184,23 +177,26 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 		panic(fmt.Sprintf("experiments: ft1 %s/%d delivered no messages", pattern, n))
 	}
 	// cycles / MHz = microseconds.
-	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), executed
+	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), drv.Executed()
 }
 
-// mustFt1Net builds the fabric for one board-level run: sharded when
-// cfg.SimShards asks for it (>= 1; 1 exercises the sharded driver on a
-// single shard), the plain single kernel otherwise (ss is nil and k
-// the kernel in that case).
-func mustFt1Net(cfg config.Config, n int, engine sim.Engine) (*atm.Network, *sim.ShardSet, *sim.Kernel) {
+// mustFt1Net builds the fabric for one board-level run and what drives
+// it: the shard set when cfg.SimShards asks for one (>= 1; 1 exercises
+// the sharded driver on a single shard), the plain single kernel
+// otherwise.
+func mustFt1Net(cfg config.Config, n int, engine sim.Engine) (*atm.Network, interface {
+	Run() sim.Time
+	Executed() uint64
+}) {
 	if cfg.SimShards >= 1 {
 		net, ss, err := atm.NewSharded(&cfg, n, cfg.SimShards, engine)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %v", err))
 		}
-		return net, ss, nil
+		return net, ss
 	}
 	k := sim.NewKernelWith(engine)
-	return mustNet(k, &cfg, n), nil, k
+	return mustNet(k, &cfg, n), k
 }
 
 // FigureTopology reproduces FT1: 18 series (2 fabrics x 3 patterns x

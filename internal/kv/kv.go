@@ -116,21 +116,6 @@ type Stats struct {
 	HostLat rpc.Hist
 }
 
-// Merge folds o into s (cluster-level aggregation).
-func (s *Stats) Merge(o Stats) {
-	s.Stats.Merge(o.Stats)
-	s.Malformed += o.Malformed
-	s.BoardServed += o.BoardServed
-	s.BoardMissed += o.BoardMissed
-	s.Inserts += o.Inserts
-	s.CacheEvicts += o.CacheEvicts
-	s.WriteInvals += o.WriteInvals
-	s.InsertVetoes += o.InsertVetoes
-	s.PinFails += o.PinFails
-	s.HitLat.Merge(o.HitLat)
-	s.HostLat.Merge(o.HostLat)
-}
-
 // reqPDU is the wire payload of a request: the encoded bytes, plus the
 // decode the first consumer (board filter or host handler) produced so
 // the message is parsed once per receiving node.
@@ -157,13 +142,12 @@ type storeVal struct {
 // attached to every board (cluster.New does this).
 type Engine struct {
 	cfg   *config.Config
-	k     *sim.Kernel
 	nodes []*Node
 }
 
-// NewEngine returns an engine for a simulation using cfg on kernel k.
-func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
-	return &Engine{cfg: cfg, k: k}
+// NewEngine returns an engine for a simulation using cfg.
+func NewEngine(cfg *config.Config) *Engine {
+	return &Engine{cfg: cfg}
 }
 
 // Node returns the endpoint attached for node i.

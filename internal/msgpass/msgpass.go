@@ -135,7 +135,7 @@ func NewFabric(cfg *config.Config, n int) (*Fabric, error) {
 		return nil, fmt.Errorf("msgpass: %w", err)
 	}
 	f.Net = net
-	f.Coll = collective.NewEngine(cfg, f.K)
+	f.Coll = collective.NewEngine(cfg)
 	for i := 0; i < n; i++ {
 		mem := memsys.New(cfg)
 		b := nic.NewBoard(f.K, cfg, i, f.Net, mem)
@@ -297,11 +297,9 @@ func (ep *Endpoint) SendAM(to, id int, args ...uint64) {
 // Barrier blocks until every node has entered the barrier. It runs on
 // the collective engine: as Application Interrupt Handlers combining in
 // board memory on the CNI (Config.NICCollectives), through host
-// interrupts and handlers otherwise. tagBase is retained for API
-// compatibility with the old message-tag implementation and is unused —
-// the engine sequences episodes itself.
-func (ep *Endpoint) Barrier(tagBase int) {
-	_ = tagBase
+// interrupts and handlers otherwise. The engine sequences episodes
+// itself, so successive barriers need no distinguishing tag.
+func (ep *Endpoint) Barrier() {
 	ep.coll.Barrier(ep.proc)
 }
 

@@ -125,14 +125,14 @@ func TestBarrierSynchronizes(t *testing.T) {
 				// Stagger the nodes so the barrier actually has to wait.
 				ep.Compute(sim.Time(1000 * (ep.Node() + 1)))
 				phase[ep.Node()] = it
-				ep.Barrier(10_000)
+				ep.Barrier()
 				// After the barrier everyone must be in the same phase.
 				for i := 0; i < n; i++ {
 					if phase[i] != it {
 						ok = false
 					}
 				}
-				ep.Barrier(20_000)
+				ep.Barrier()
 			}
 		})
 		if !ok {
@@ -234,7 +234,7 @@ func TestFabricDeterministic(t *testing.T) {
 		return f.Run(func(ep *Endpoint) {
 			for i := 0; i < 3; i++ {
 				ep.AllReduceF64(float64(ep.Node()), OpSum)
-				ep.Barrier(5000)
+				ep.Barrier()
 			}
 		})
 	}

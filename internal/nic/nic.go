@@ -115,32 +115,10 @@ type RelStats struct {
 	AcksSent      uint64   // cumulative ACK cells transmitted
 	NaksSent      uint64   // NAK cells transmitted
 	NaksMuted     uint64   // NAKs ignored while a retransmit was in flight
-	MaxWindow     int      // high-water mark of unacked PDUs on one VC
-	MaxQueued     int      // high-water mark of PDUs parked for window space
-	RetainedBytes uint64   // peak PDU bytes retained in board memory
+	MaxWindow     int      `fold:"max"` // high-water mark of unacked PDUs on one VC
+	MaxQueued     int      `fold:"max"` // high-water mark of PDUs parked for window space
+	RetainedBytes uint64   `fold:"max"` // peak PDU bytes retained in board memory
 	RetxCycles    sim.Time // board cycles spent on retransmission work
-}
-
-// Merge folds o into s (cluster-level aggregation).
-func (s *RelStats) Merge(o RelStats) {
-	s.DropsSeen += o.DropsSeen
-	s.Retransmits += o.Retransmits
-	s.Timeouts += o.Timeouts
-	s.DupDiscards += o.DupDiscards
-	s.OutOfOrder += o.OutOfOrder
-	s.AcksSent += o.AcksSent
-	s.NaksSent += o.NaksSent
-	s.NaksMuted += o.NaksMuted
-	if o.MaxWindow > s.MaxWindow {
-		s.MaxWindow = o.MaxWindow
-	}
-	if o.MaxQueued > s.MaxQueued {
-		s.MaxQueued = o.MaxQueued
-	}
-	if o.RetainedBytes > s.RetainedBytes {
-		s.RetainedBytes = o.RetainedBytes
-	}
-	s.RetxCycles += o.RetxCycles
 }
 
 // Stats counts one board's activity.

@@ -94,8 +94,8 @@ type Stats struct {
 	FreeDry    uint64 // arrivals that found the free queue dry
 	QueueFull  uint64 // arrivals that found the work queue full
 	Delayed    uint64 // arrivals parked under the Delay policy
-	QueuePeak  int    // work-queue high-water mark (all classes)
-	ParkedPeak int    // parked-request high-water mark
+	QueuePeak  int    `fold:"max"` // work-queue high-water mark (all classes)
+	ParkedPeak int    `fold:"max"` // parked-request high-water mark
 
 	// Lat is the log2 histogram of request latency (issue to response
 	// receipt) in CPU cycles, recorded on the client that issued the
@@ -103,27 +103,6 @@ type Stats struct {
 	// tests can use ==; the exact sample set behind the percentiles
 	// lives in Node.Lat and cluster.Result.RPCLat.
 	Lat Hist
-}
-
-// Merge folds o into s (cluster-level aggregation).
-func (s *Stats) Merge(o Stats) {
-	s.Issued += o.Issued
-	s.Completed += o.Completed
-	s.Rejected += o.Rejected
-	s.Throttled += o.Throttled
-	s.Expired += o.Expired
-	s.DeadlineMiss += o.DeadlineMiss
-	s.Served += o.Served
-	s.FreeDry += o.FreeDry
-	s.QueueFull += o.QueueFull
-	s.Delayed += o.Delayed
-	if o.QueuePeak > s.QueuePeak {
-		s.QueuePeak = o.QueuePeak
-	}
-	if o.ParkedPeak > s.ParkedPeak {
-		s.ParkedPeak = o.ParkedPeak
-	}
-	s.Lat.Merge(o.Lat)
 }
 
 // Outcome is the terminal state of one call, and the flag a response
@@ -158,13 +137,12 @@ type respMsg struct {
 // attached to every board.
 type Engine struct {
 	cfg   *config.Config
-	k     *sim.Kernel
 	nodes []*Node
 }
 
-// NewEngine returns an engine for a simulation using cfg on kernel k.
-func NewEngine(cfg *config.Config, k *sim.Kernel) *Engine {
-	return &Engine{cfg: cfg, k: k}
+// NewEngine returns an engine for a simulation using cfg.
+func NewEngine(cfg *config.Config) *Engine {
+	return &Engine{cfg: cfg}
 }
 
 // Node returns the endpoint attached for node i.

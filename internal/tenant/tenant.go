@@ -62,27 +62,6 @@ type Stats struct {
 	Expired   uint64 // dropped server-side past their deadline
 }
 
-// Merge folds o into s.
-func (s *Stats) Merge(o Stats) {
-	s.Issued += o.Issued
-	s.Completed += o.Completed
-	s.OnTime += o.OnTime
-	s.Rejected += o.Rejected
-	s.Throttled += o.Throttled
-	s.Expired += o.Expired
-}
-
-// MergeSlices folds per-tenant stats b into a, growing a as needed.
-func MergeSlices(a []Stats, b []Stats) []Stats {
-	for len(a) < len(b) {
-		a = append(a, Stats{})
-	}
-	for i := range b {
-		a[i].Merge(b[i])
-	}
-	return a
-}
-
 // Bucket is a token bucket evaluated in simulated time. The zero
 // bucket (or one built from a zero-rate Class) admits everything.
 type Bucket struct {

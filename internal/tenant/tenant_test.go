@@ -92,13 +92,3 @@ func TestSchedQueueBound(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
-
-func TestStatsMerge(t *testing.T) {
-	var a, b Stats
-	a.Issued, a.Completed = 3, 2
-	b.Issued, b.Rejected, b.Throttled = 4, 1, 5
-	a.Merge(b)
-	if a.Issued != 7 || a.Completed != 2 || a.Rejected != 1 || a.Throttled != 5 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-}
