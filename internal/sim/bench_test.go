@@ -9,7 +9,8 @@ package sim_test
 //
 // TestCalendarSteadyStateAllocs pins down the "allocation-free hot
 // loop" claim: after warm-up, scheduling and draining events on the
-// calendar engine allocates nothing.
+// calendar engine allocates nothing. TestProcHandoffAllocs does the
+// same for the hand-off between the kernel and a process.
 
 import (
 	"testing"
@@ -89,5 +90,52 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 	}
 	if avg = testing.AllocsPerRun(2000, work); avg != 0 {
 		t.Fatalf("calendar steady-state scheduling allocated %.1f objects/run, want 0", avg)
+	}
+}
+
+// TestProcHandoffAllocs pins the allocation-free hot synchronization
+// path: after warm-up, handing control from the kernel to a process and
+// back allocates nothing, for an Advance(1)+Sync round trip and for a
+// Block/WakeAt round trip.
+func TestProcHandoffAllocs(t *testing.T) {
+	syncK := sim.NewKernel()
+	syncK.Spawn("syncer", func(p *sim.Proc) {
+		for {
+			p.Advance(1)
+			p.Sync()
+		}
+	})
+	blockK := sim.NewKernel()
+	sleeper := blockK.Spawn("sleeper", func(p *sim.Proc) {
+		for {
+			p.Block()
+		}
+	})
+	defer syncK.Drain()
+	defer blockK.Drain()
+	// Each RunUntil(now+1) executes exactly one resume of the process,
+	// which runs until its next Sync or Block.
+	syncTrip := func() { syncK.RunUntil(syncK.Now() + 1) }
+	blockTrip := func() {
+		sleeper.WakeAt(blockK.Now() + 1)
+		blockK.RunUntil(blockK.Now() + 1)
+	}
+	for _, c := range []struct {
+		name string
+		k    *sim.Kernel
+		trip func()
+	}{{"Advance+Sync", syncK, syncTrip}, {"Block/WakeAt", blockK, blockTrip}} {
+		c.k.RunUntil(0) // start the process
+		// Warm the calendar's bucket slabs over two whole windows.
+		for i := 0; i < 1<<16; i++ {
+			c.trip()
+		}
+		before := c.k.Executed()
+		if avg := testing.AllocsPerRun(1000, c.trip); avg != 0 {
+			t.Errorf("%s round trip allocated %.2f objects, want 0", c.name, avg)
+		}
+		if got := c.k.Executed() - before; got != 1001 {
+			t.Errorf("%s: %d events for 1001 round trips, want one each", c.name, got)
+		}
 	}
 }

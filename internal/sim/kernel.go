@@ -6,8 +6,9 @@
 // flows through timestamped events.
 //
 // The kernel is strictly sequential: at any instant either the kernel or
-// exactly one process goroutine is running, handed off through unbuffered
-// channels. Events with equal timestamps execute in scheduling order.
+// exactly one process is running, each process being a coroutine
+// (iter.Pull) that the kernel resumes and that yields back. Events with
+// equal timestamps execute in scheduling order.
 // Two runs of the same program therefore produce identical event orders,
 // identical statistics, and identical virtual end times.
 //
@@ -130,9 +131,9 @@ func NewKernelWith(engine Engine) *Kernel {
 	}
 }
 
-// Now reports the current virtual time. While a process goroutine is
-// running, Now is the time at which that process was resumed; processes
-// track the cycles they have charged since then in their local clocks.
+// Now reports the current virtual time. While a process is running, Now
+// is the time at which that process was resumed; processes track the
+// cycles they have charged since then in their local clocks.
 func (k *Kernel) Now() Time { return k.now }
 
 // Executed reports how many events have run so far.
@@ -241,9 +242,11 @@ func (k *Kernel) checkRunnable() {
 // Pending reports the number of queued events.
 func (k *Kernel) Pending() int { return k.q.len() }
 
-// Drain abandons all pending events and unblocks every process goroutine
-// so that no goroutines leak when a simulation is cut short (tests,
-// -quick runs).
+// Drain abandons all pending events and unwinds every parked process so
+// that no goroutines leak when a simulation is cut short (tests, -quick
+// runs). The unwinding is synchronous: when Drain returns, every
+// process's deferred calls have run, any events they scheduled are
+// discarded too, and its goroutine is gone.
 //
 // Drain is terminal: the kernel's clock and counters (Now, Executed,
 // Pending) remain readable, and Drain itself is idempotent, but any
@@ -253,12 +256,10 @@ func (k *Kernel) Pending() int { return k.q.len() }
 // so a "fresh" run on the same kernel could never be trusted; build a
 // new Kernel instead.
 func (k *Kernel) Drain() {
-	k.q.clear()
 	for _, p := range k.procs {
-		if !p.finished {
-			p.kill()
-		}
+		p.kill()
 	}
+	k.q.clear()
 	k.drained = true
 }
 

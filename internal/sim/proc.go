@@ -1,17 +1,35 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// errKilled is panicked inside a process goroutine to unwind it when the
+// killedError is panicked inside a process body to unwind it when the
 // kernel is drained. It never escapes the package.
 type killedError struct{}
 
 func (killedError) Error() string { return "sim: process killed" }
 
+// procPanic is what a panic in a process body becomes when it reaches
+// the caller of Kernel.Run: the coroutine re-raises it on the kernel's
+// goroutine, so the body's stack is captured while it is still live.
+type procPanic struct {
+	proc  string
+	value any
+	stack []byte
+}
+
+func (e *procPanic) Error() string {
+	return fmt.Sprintf("sim: proc %s panicked: %v\n\n%s", e.proc, e.value, e.stack)
+}
+
 // Proc is a simulated processor (or any other active agent, such as a NIC
-// firmware thread). Its body is ordinary Go code running on its own
-// goroutine; the kernel and the goroutine hand control back and forth so
-// that exactly one of them runs at a time.
+// firmware thread). Its body is ordinary Go code running as a coroutine
+// (iter.Pull): the kernel resumes it and it yields back, so exactly one
+// of them runs at a time and each switch goes straight to the other
+// goroutine without passing through the scheduler.
 //
 // A Proc keeps a local clock that may run ahead of kernel time between
 // interaction points: Advance charges cycles locally without touching the
@@ -26,9 +44,13 @@ type Proc struct {
 	local   Time // proc-local clock, >= kernel time whenever the proc runs
 	penalty Time // asynchronous time charged to this CPU (e.g. interrupt service)
 
-	toProc   chan struct{}
-	toKernel chan struct{}
-	quit     chan struct{}
+	// next, stop and yieldTo are the body's coroutine, created when the
+	// process starts (stop is nil before): next resumes the body until it
+	// yields or returns, stop unwinds it (Kernel.Drain), and yieldTo
+	// hands control back.
+	next    func() (struct{}, bool)
+	stop    func()
+	yieldTo func(struct{}) bool
 
 	// resumeFn and wakeFn are the pre-bound event bodies Sync and
 	// WakeAt schedule. Binding them once at spawn keeps the hot
@@ -37,7 +59,6 @@ type Proc struct {
 	resumeFn func()
 	wakeFn   func()
 
-	started     bool
 	finished    bool
 	blocked     bool
 	wakePending bool
@@ -59,69 +80,56 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt creates a process that begins executing fn at time start.
 func (k *Kernel) SpawnAt(name string, start Time, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:        k,
-		ID:       len(k.procs),
-		Name:     name,
-		toProc:   make(chan struct{}),
-		toKernel: make(chan struct{}),
-		quit:     make(chan struct{}),
-	}
+	p := &Proc{k: k, ID: len(k.procs), Name: name}
 	p.resumeFn = p.resumeAndWait
 	p.wakeFn = p.wakeEvent
 	k.procs = append(k.procs, p)
 	k.At(start, func() {
 		p.local = k.now
-		p.started = true
-		go p.run(fn)
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yieldTo = yield
+			p.run(fn)
+		})
 		p.resumeAndWait()
 	})
 	return p
 }
 
-// run is the goroutine body: wait for the first resume, execute fn, then
-// signal completion back to the kernel.
+// run is the coroutine body: execute fn and mark the process finished.
+// A kill unwinds silently; any other panic is re-raised with the
+// process's name and stack, which iter.Pull then carries to the caller
+// of Kernel.Run.
 func (p *Proc) run(fn func(*Proc)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(killedError); ok {
 				return // kernel drained; unwind silently
 			}
-			panic(r)
+			panic(&procPanic{proc: p.Name, value: r, stack: debug.Stack()})
 		}
 	}()
-	p.waitResume()
 	fn(p)
 	p.finished = true
-	p.toKernel <- struct{}{}
 }
 
-// resumeAndWait transfers control to the process goroutine and blocks the
-// kernel until the process yields or finishes. Kernel-side only.
-func (p *Proc) resumeAndWait() {
-	p.toProc <- struct{}{}
-	<-p.toKernel
-}
+// resumeAndWait transfers control to the process and blocks the kernel
+// until the process yields or finishes. Kernel-side only.
+func (p *Proc) resumeAndWait() { p.next() }
 
-// yield transfers control back to the kernel and blocks the goroutine
-// until the next resume. Process-side only.
+// yield transfers control back to the kernel until the next resume.
+// Process-side only. It panics killedError when the kernel is drained
+// instead of resuming the process.
 func (p *Proc) yield() {
-	p.toKernel <- struct{}{}
-	p.waitResume()
-}
-
-func (p *Proc) waitResume() {
-	select {
-	case <-p.toProc:
-	case <-p.quit:
+	if !p.yieldTo(struct{}{}) {
 		panic(killedError{})
 	}
 }
 
-// kill unblocks a parked process goroutine during Kernel.Drain.
+// kill unwinds a parked process during Kernel.Drain. The unwinding runs
+// before kill returns.
 func (p *Proc) kill() {
-	if p.started && !p.finished {
-		close(p.quit)
+	if p.stop != nil && !p.finished {
+		p.stop()
 	}
 	p.finished = true
 }

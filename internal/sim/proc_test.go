@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"strings"
+	"testing"
+)
 
 func TestProcAdvanceAndSync(t *testing.T) {
 	k := NewKernel()
@@ -225,5 +230,130 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	k.Run()
 	if !panicked {
 		t.Fatal("Advance(-1) did not panic")
+	}
+}
+
+// breakInvariant is the model helper whose panic
+// TestProcPanicSurfacesFromRun expects to find on the reported stack.
+func breakInvariant(p *Proc) {
+	panic(fmt.Sprintf("invariant broken at t=%d", p.Local()))
+}
+
+// TestProcPanicSurfacesFromRun checks that a panic in a process body
+// reaches the caller of Kernel.Run or ShardSet.Run, naming the process,
+// the panic value and the panicking function, and that runtime.Goexit
+// in a body (what t.FailNow does) ends the goroutine that called Run
+// instead of hanging it.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	runners := []struct {
+		name   string
+		prefix string
+		run    func(body func(*Proc))
+	}{
+		{"kernel", "sim: proc crasher panicked: ", func(body func(*Proc)) {
+			k := NewKernel()
+			k.Spawn("crasher", body)
+			k.Run()
+		}},
+		{"shards", "sim: shard 1: sim: proc crasher panicked: ", func(body func(*Proc)) {
+			ss := NewShardSet(2, EngineCalendar)
+			ss.SetLookahead(5)
+			ss.Kernel(0).Spawn("bystander", func(p *Proc) {
+				p.Advance(1)
+				p.Sync()
+			})
+			ss.Kernel(1).Spawn("crasher", body)
+			ss.Run()
+		}},
+	}
+	for _, r := range runners {
+		t.Run(r.name, func(t *testing.T) {
+			t.Run("panic", func(t *testing.T) {
+				var got any
+				func() {
+					defer func() { got = recover() }()
+					r.run(func(p *Proc) {
+						p.Advance(10)
+						p.Sync()
+						breakInvariant(p)
+					})
+				}()
+				msg := fmt.Sprint(got)
+				if !strings.HasPrefix(msg, r.prefix+"invariant broken at t=10") {
+					t.Fatalf("recovered %q, want prefix %q", msg, r.prefix)
+				}
+				if !strings.Contains(msg, "sim.breakInvariant(") {
+					t.Fatalf("recovered text lacks the panicking function:\n%s", msg)
+				}
+			})
+			t.Run("goexit", func(t *testing.T) {
+				returned := make(chan bool)
+				go func() {
+					ok := false
+					defer func() { returned <- ok }()
+					r.run(func(p *Proc) {
+						p.Advance(10)
+						p.Sync()
+						runtime.Goexit()
+					})
+					ok = true
+				}()
+				if <-returned {
+					t.Fatal("Run returned normally after a process body called runtime.Goexit")
+				}
+			})
+		})
+	}
+}
+
+// TestDrainReleasesGoroutines parks 100 processes in Block and checks
+// that Drain unwinds every one before it returns: their deferred calls
+// have run and their goroutines are gone, with no sleep or retry. Spawn
+// starts no goroutine (a process's coroutine is created when it starts,
+// here at t=10), so the baseline is taken at t=0: on a ShardSet it then
+// counts the shard workers, which Run retires as it returns without
+// waiting for them to exit.
+func TestDrainReleasesGoroutines(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var kernels []*Kernel
+			var run, drain func()
+			if shards == 0 {
+				k := NewKernel()
+				kernels = []*Kernel{k}
+				run, drain = func() { k.Run() }, k.Drain
+			} else {
+				ss := NewShardSet(shards, EngineCalendar)
+				ss.SetLookahead(5)
+				for i := 0; i < shards; i++ {
+					kernels = append(kernels, ss.Kernel(i))
+				}
+				run, drain = func() { ss.Run() }, ss.Drain
+			}
+			before := -1
+			kernels[0].At(0, func() { before = runtime.NumGoroutine() })
+			unwound := 0
+			var procs []*Proc
+			for i := 0; i < 100; i++ {
+				procs = append(procs, kernels[i%len(kernels)].SpawnAt("parked", 10, func(p *Proc) {
+					defer func() { unwound++ }()
+					p.Advance(Time(i))
+					p.Block() // nobody wakes it
+				}))
+			}
+			run()
+			for _, p := range procs {
+				if !p.Blocked() {
+					t.Fatal("process not parked in Block after Run")
+				}
+			}
+			drain()
+			if after := runtime.NumGoroutine(); after > before {
+				t.Fatalf("%d goroutines after Drain, %d before any process started", after, before)
+			}
+			if unwound != 100 {
+				t.Fatalf("%d of 100 processes unwound by Drain", unwound)
+			}
+		})
 	}
 }

@@ -10,7 +10,10 @@
 // supplies the window loop, the barrier hook, and the worker pool.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // ShardSet drives a fixed set of per-shard kernels through
 // lock-stepped windows [T, T+lookahead): T is the earliest pending
@@ -27,6 +30,10 @@ type ShardSet struct {
 	done   chan struct{}
 	panics []any
 }
+
+// goexited marks a window whose worker was ended by runtime.Goexit in a
+// process body (what t.FailNow does).
+type goexited struct{}
 
 // NewShardSet returns n independent kernels (all at time zero, backed
 // by engine) under one window driver.
@@ -110,7 +117,8 @@ func (ss *ShardSet) minPending() (Time, bool) {
 // runWindow advances every kernel to edge in parallel. A model panic
 // on any shard is re-raised here — after all workers have finished the
 // window, and lowest shard first, so the surfaced failure does not
-// depend on goroutine timing.
+// depend on goroutine timing. A runtime.Goexit in a process body ends
+// the caller's goroutine the same way.
 func (ss *ShardSet) runWindow(edge Time) {
 	for i := range ss.start {
 		ss.panics[i] = nil
@@ -121,15 +129,19 @@ func (ss *ShardSet) runWindow(edge Time) {
 	}
 	ss.edge = edge
 	for i, r := range ss.panics {
-		if r != nil {
+		switch r.(type) {
+		case nil:
+		case goexited:
+			runtime.Goexit()
+		default:
 			panic(fmt.Sprintf("sim: shard %d: %v", i, r))
 		}
 	}
 }
 
-// startWorkers launches one persistent goroutine per shard; each
-// executes its kernel's windows so that proc goroutine handoffs stay
-// confined to a single worker.
+// startWorkers launches one persistent goroutine per shard. Each
+// executes its kernel's windows, so every process coroutine of a shard
+// is resumed from that shard's worker.
 func (ss *ShardSet) startWorkers() {
 	ss.start = make([]chan Time, len(ss.kernels))
 	ss.done = make(chan struct{}, len(ss.kernels))
@@ -139,13 +151,17 @@ func (ss *ShardSet) startWorkers() {
 		go func(i int) {
 			for edge := range ss.start[i] {
 				func() {
+					returned := false
 					defer func() {
 						if r := recover(); r != nil {
 							ss.panics[i] = r
+						} else if !returned {
+							ss.panics[i] = goexited{}
 						}
 						ss.done <- struct{}{}
 					}()
 					ss.kernels[i].RunUntil(edge)
+					returned = true
 				}()
 			}
 		}(i)
@@ -193,8 +209,8 @@ func (ss *ShardSet) Pending() int {
 	return n
 }
 
-// Drain abandons all pending events on every shard and unblocks their
-// process goroutines; like Kernel.Drain it is terminal.
+// Drain abandons all pending events on every shard and unwinds their
+// parked processes; like Kernel.Drain it is synchronous and terminal.
 func (ss *ShardSet) Drain() {
 	for _, k := range ss.kernels {
 		k.Drain()
