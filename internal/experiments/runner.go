@@ -210,7 +210,9 @@ func (r *Runner) submit(spec string, key pointKey, run func() any) *future {
 }
 
 // worker is one pool goroutine: pop, execute (capturing panics into
-// the future), count, repeat.
+// the future), repeat. A point is counted before its future resolves,
+// so a caller that has joined every future of an artifact reads them
+// all in Counts.
 func (r *Runner) worker() {
 	defer r.wg.Done()
 	for {
@@ -231,24 +233,32 @@ func (r *Runner) worker() {
 		r.mu.Unlock()
 
 		if err := r.ctx.Err(); err != nil {
-			t.f.resolvePanic(canceled{err})
 			r.countDone(t.spec)
+			t.f.resolvePanic(canceled{err})
 			continue
 		}
 		r.execute(t)
-		r.countDone(t.spec)
 	}
 }
 
 // execute runs one point, converting a panic inside the model into a
-// resolved-with-panic future so a worker never crashes the process.
+// resolved-with-panic future so a worker never crashes the process,
+// and counts the point before resolving its future.
 func (r *Runner) execute(t *task) {
-	defer func() {
-		if p := recover(); p != nil {
-			t.f.resolvePanic(p)
-		}
-	}()
-	t.f.resolve(t.run())
+	v, p := t.runRecovered()
+	r.countDone(t.spec)
+	if p != nil {
+		t.f.resolvePanic(p)
+		return
+	}
+	t.f.resolve(v)
+}
+
+// runRecovered runs the point, returning its panic value (nil if it
+// returned normally) instead of unwinding.
+func (t *task) runRecovered() (v, p any) {
+	defer func() { p = recover() }()
+	return t.run(), nil
 }
 
 func (r *Runner) countDone(spec string) {

@@ -81,6 +81,17 @@ type Message struct {
 	// above, so sharing it between an in-flight copy and a retransmit
 	// is harmless.
 	hdr [HeaderBytes]byte
+
+	// pkt is the fabric packet launch hands to the network, inline in
+	// the Message so a send allocates nothing beyond the Message
+	// itself. The fabric holds it until delivery, so a Message is
+	// launched at most once (launch panics otherwise); retransmits
+	// (relaunch) send a packet of their own.
+	pkt atm.Packet
+
+	// handler is the handler receive dispatched the message to; the
+	// pre-bound delivery event (runAIH, runHost) calls it.
+	handler Handler
 }
 
 // Handler is invoked in kernel-event context when a message's
@@ -191,6 +202,13 @@ type Board struct {
 	handlers map[uint32]handlerEntry
 	hostProc *sim.Proc
 
+	// aihFn and hostFn are the pre-bound delivery event bodies receive
+	// schedules with AtCall, the arriving *Message as argument: an
+	// Application Interrupt Handler run and a host-handled arrival.
+	// Bound once in NewBoard, so a delivery allocates no closure.
+	aihFn  func(any)
+	hostFn func(any)
+
 	lastHostDeliver sim.Time // host handlers run in receive-queue order
 
 	Stats Stats
@@ -210,6 +228,8 @@ func NewBoard(k *sim.Kernel, cfg *config.Config, node int, net *atm.Network, mem
 		rxProc:   sim.NewResource("rxproc" + strconv.Itoa(node)),
 		handlers: make(map[uint32]handlerEntry),
 	}
+	b.aihFn = b.runAIH
+	b.hostFn = b.runHost
 	b.provision()
 	if cfg.FaultsEnabled() {
 		b.rel = newReliability(b)
@@ -485,8 +505,12 @@ func (b *Board) transmit(at sim.Time, m *Message) {
 
 // launch is the board transmit processor proper: per-packet and
 // per-cell segmentation work, the Message Cache probe, and the DMA
-// when needed.
+// when needed. It hands the fabric m's inline packet, so it panics if
+// m was launched before: that packet may still be in flight.
 func (b *Board) launch(at sim.Time, m *Message) {
+	if m.pkt.Meta == m {
+		panic(fmt.Sprintf("nic: node %d launched a message (op %d) twice", b.node, m.Op))
+	}
 	cells := int64(b.cfg.Cells(m.Size))
 	work := b.cfg.NICToCPU(b.cfg.NICPacketTxCycles + b.cfg.NICCellTxCycles*cells)
 	_, end := b.txProc.Use(at, work)
@@ -508,7 +532,7 @@ func (b *Board) launch(at sim.Time, m *Message) {
 		}
 	}
 
-	pkt := &atm.Packet{
+	m.pkt = atm.Packet{
 		Src:    m.From,
 		Dst:    m.To,
 		VCI:    vci(m),
@@ -516,7 +540,7 @@ func (b *Board) launch(at sim.Time, m *Message) {
 		Header: header(m),
 		Meta:   m,
 	}
-	b.net.Send(launch, pkt)
+	b.net.Send(launch, &m.pkt)
 }
 
 // receive is the board receive processor, invoked by the fabric at the
@@ -561,6 +585,7 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 	if !registered {
 		panic(fmt.Sprintf("nic: node %d has no handler for op %d", b.node, m.Op))
 	}
+	m.handler = entry.fn
 	_, end := b.rxProc.Use(at, work)
 
 	if entry.filter != nil {
@@ -581,7 +606,7 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 		_, end = b.rxProc.Use(end, b.cfg.NICToCPU(b.cfg.AIHHandlerCycles))
 		b.Stats.AIHRuns++
 		end = b.deliverPayload(end, m)
-		b.k.At(end, func() { entry.fn(b.k.Now(), m) })
+		b.k.AtCall(end, b.aihFn, m)
 		return
 	}
 
@@ -621,16 +646,27 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 		notify = b.lastHostDeliver
 	}
 	b.lastHostDeliver = notify
-	b.k.At(notify, func() {
-		// The application pops its completion from the user-level
-		// receive queue as its handler runs (the dequeue cost is the
-		// caller-visible RecvDequeueCost); deliveries are FIFO, so the
-		// pop order matches the push order above.
-		if b.channel != nil {
-			b.channel.PollReceive()
-		}
-		entry.fn(b.k.Now(), m)
-	})
+	b.k.AtCall(notify, b.hostFn, m)
+}
+
+// runAIH is the delivery event of an Application Interrupt Handler,
+// at the end of its receive-processor work.
+func (b *Board) runAIH(arg any) {
+	m := arg.(*Message)
+	m.handler(b.k.Now(), m)
+}
+
+// runHost is the delivery event of a host-handled arrival. The
+// application pops its completion from the user-level receive queue as
+// its handler runs (the dequeue cost is the caller-visible
+// RecvDequeueCost); deliveries are FIFO, so the pop order matches the
+// push order in receive.
+func (b *Board) runHost(arg any) {
+	m := arg.(*Message)
+	if b.channel != nil {
+		b.channel.PollReceive()
+	}
+	m.handler(b.k.Now(), m)
 }
 
 // deliverPayload DMAs m's payload to host memory when the message

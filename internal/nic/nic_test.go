@@ -1,6 +1,8 @@
 package nic
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"cni/internal/atm"
@@ -445,4 +447,57 @@ func TestUnregisteredOpPanics(t *testing.T) {
 		r.boards[0].Send(p, &Message{From: 0, To: 1, Op: 99, Size: 64})
 	})
 	r.k.Run()
+}
+
+// TestDeliveryAllocs pins the board's send and delivery path at one
+// allocation per message, the caller's own Message: the fabric packet
+// lives inside it, and the handler runs from a pre-bound event.
+func TestDeliveryAllocs(t *testing.T) {
+	for _, kind := range config.Kinds() {
+		for _, onNIC := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/onNIC=%v", kind, onNIC), func(t *testing.T) {
+				r := newRig(t, kind, nil)
+				delivered := 0
+				r.boards[1].Register(opData, onNIC, func(sim.Time, *Message) { delivered++ })
+				send := func() {
+					r.boards[0].SendAt(r.k.Now(), &Message{From: 0, To: 1, Op: opData, Size: HeaderBytes})
+					r.k.Run()
+				}
+				// Warm the calendar's bucket slabs over several windows.
+				for i := 0; i < 1000; i++ {
+					send()
+				}
+				if avg := testing.AllocsPerRun(1000, send); avg != 1 {
+					t.Errorf("a delivered message allocated %.2f objects, want 1 (the Message)", avg)
+				}
+				if delivered != 2001 {
+					t.Errorf("%d deliveries for 2001 sends", delivered)
+				}
+			})
+		}
+	}
+}
+
+// TestMessageLaunchesOnce checks that launching a Message a second time
+// panics, whether its first packet is still in flight or delivered.
+func TestMessageLaunchesOnce(t *testing.T) {
+	for _, kind := range config.Kinds() {
+		for _, delivered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/delivered=%v", kind, delivered), func(t *testing.T) {
+				r := newRig(t, kind, nil)
+				r.boards[1].Register(opData, true, func(sim.Time, *Message) {})
+				m := &Message{From: 0, To: 1, Op: opData, Size: HeaderBytes}
+				r.boards[0].SendAt(0, m)
+				if delivered {
+					r.k.Run()
+				}
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "launched a message (op 1) twice") {
+						t.Fatalf("second launch recovered %q", msg)
+					}
+				}()
+				r.boards[0].SendAt(r.k.Now(), m)
+			})
+		}
+	}
 }

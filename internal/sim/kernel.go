@@ -7,8 +7,11 @@
 //
 // The kernel is strictly sequential: at any instant either the kernel or
 // exactly one process is running, each process being a coroutine
-// (iter.Pull) that the kernel resumes and that yields back. Events with
-// equal timestamps execute in scheduling order.
+// (iter.Pull) that the kernel resumes and that yields back. When a
+// syncing process's own resume would be the very next event, the
+// kernel runs that event in place instead (Kernel.runInPlace), so the
+// process continues without a switch. Events with equal timestamps
+// execute in scheduling order.
 // Two runs of the same program therefore produce identical event orders,
 // identical statistics, and identical virtual end times.
 //
@@ -23,7 +26,10 @@
 // across the engine swap.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is virtual time measured in host CPU cycles.
 type Time = int64
@@ -111,6 +117,9 @@ type Kernel struct {
 	// leaves now there, but RunUntil advances now to the window edge, so
 	// sharded drivers need the real end-of-activity time separately.
 	lastAt Time
+	// horizon is the latest timestamp the current Run or RunUntil may
+	// execute: unbounded under Run, t under RunUntil(t).
+	horizon Time
 }
 
 // NewKernel returns an empty kernel at time zero, backed by the default
@@ -191,6 +200,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 func (k *Kernel) Run() Time {
 	k.checkRunnable()
 	k.stopped = false
+	k.horizon = math.MaxInt64
 	for !k.stopped {
 		e, ok := k.q.pop()
 		if !ok {
@@ -211,6 +221,7 @@ func (k *Kernel) Run() Time {
 func (k *Kernel) RunUntil(t Time) {
 	k.checkRunnable()
 	k.stopped = false
+	k.horizon = t
 	for !k.stopped {
 		at, ok := k.q.peekAt()
 		if !ok || at > t {
@@ -228,6 +239,34 @@ func (k *Kernel) RunUntil(t Time) {
 	if !k.stopped && k.now < t {
 		k.now = t
 	}
+}
+
+// runInPlace runs the event at t that the running process would
+// otherwise schedule and yield to: its own resume (Proc.Sync). It does
+// so only when that event would be the next one Run or RunUntil pops,
+// which holds when nothing is pending at or before t (a pending event
+// at t was scheduled earlier and wins the tie), t is within the
+// horizon, no Stop is pending, and running it stays within the event
+// limit. It then accounts the event exactly as the run loop would —
+// the next sequence number, the clock, LastEventAt and Executed — but
+// pushes, pops and switches nothing, and reports true. Otherwise it
+// changes nothing and reports false, and the caller schedules the
+// event; Run raises the limit panic when it pops it.
+func (k *Kernel) runInPlace(t Time) bool {
+	if k.stopped || k.drained || t > k.horizon {
+		return false
+	}
+	if k.limit != 0 && k.executed >= k.limit {
+		return false
+	}
+	if at, ok := k.q.peekAt(); ok && at <= t {
+		return false
+	}
+	k.seq++
+	k.now = t
+	k.lastAt = t
+	k.executed++
+	return true
 }
 
 // checkRunnable panics when the kernel has been drained: Drain is
@@ -256,6 +295,9 @@ func (k *Kernel) Pending() int { return k.q.len() }
 // so a "fresh" run on the same kernel could never be trusted; build a
 // new Kernel instead.
 func (k *Kernel) Drain() {
+	// The processes unwind outside any run, so none may resume in
+	// place (a deferred Sync yields and unwinds instead).
+	k.horizon = math.MinInt64
 	for _, p := range k.procs {
 		p.kill()
 	}

@@ -34,8 +34,10 @@ func (e *procPanic) Error() string {
 // A Proc keeps a local clock that may run ahead of kernel time between
 // interaction points: Advance charges cycles locally without touching the
 // kernel, and Sync publishes the local clock by yielding until global
-// time catches up. This is the Proteus optimization that makes
-// execution-driven simulation of computation-heavy programs affordable.
+// time catches up, or, when no event lies in between, by having the
+// kernel advance to it in place. This is the Proteus optimization that
+// makes execution-driven simulation of computation-heavy programs
+// affordable.
 type Proc struct {
 	k    *Kernel
 	ID   int
@@ -162,7 +164,8 @@ func (p *Proc) AddPenalty(c Time) {
 
 // Sync publishes the local clock: it folds in pending penalties, yields,
 // and returns once kernel time has reached the local clock, with every
-// intervening event executed.
+// intervening event executed. When no event intervenes, the kernel
+// runs the resume in place and the process continues without yielding.
 func (p *Proc) Sync() {
 	for {
 		p.local += p.penalty
@@ -171,8 +174,10 @@ func (p *Proc) Sync() {
 			p.local = p.k.now
 			return
 		}
-		p.k.At(p.local, p.resumeFn)
-		p.yield()
+		if !p.k.runInPlace(p.local) {
+			p.k.At(p.local, p.resumeFn)
+			p.yield()
+		}
 		p.local = p.k.now
 		// A penalty that arrived while we were waiting (an interrupt
 		// delivered mid-computation) must still delay this sync; loop

@@ -357,3 +357,135 @@ func TestDrainReleasesGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestSyncResumeInPlace pins the edge cases of Sync's in-place resume:
+// the kernel may run a process's own resume without queuing it only
+// when that event would have been the next one popped anyway, so every
+// case below observes exactly what the queued resume produces.
+func TestSyncResumeInPlace(t *testing.T) {
+	cases := []struct {
+		name string
+		run  func() string
+		want string
+	}{
+		{"lone process under Run", func() string {
+			k := NewKernel()
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 1000; i++ {
+					p.Advance(1)
+					p.Sync()
+				}
+			})
+			end := k.Run()
+			return fmt.Sprintf("end=%d events=%d", end, k.Executed())
+		}, "end=1000 events=1001"},
+
+		{"event pending at the target time runs first", func() string {
+			k := NewKernel()
+			var order []string
+			k.At(10, func() { order = append(order, fmt.Sprintf("event@%d", k.Now())) })
+			k.Spawn("p", func(p *Proc) {
+				p.Advance(10)
+				p.Sync()
+				order = append(order, fmt.Sprintf("proc@%d", k.Now()))
+			})
+			k.Run()
+			return fmt.Sprintf("%v events=%d", order, k.Executed())
+		}, "[event@10 proc@10] events=3"},
+
+		{"RunUntil horizon", func() string {
+			k := NewKernel()
+			var resumed []Time
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					p.Advance(100)
+					p.Sync()
+					resumed = append(resumed, k.Now())
+				}
+			})
+			k.RunUntil(150)
+			first := fmt.Sprintf("now=%d last=%d resumed=%v events=%d",
+				k.Now(), k.LastEventAt(), resumed, k.Executed())
+			end := k.Run()
+			return fmt.Sprintf("%s; end=%d events=%d", first, end, k.Executed())
+		}, "now=150 last=100 resumed=[100] events=2; end=300 events=4"},
+
+		{"pending Stop", func() string {
+			k := NewKernel()
+			steps := 0
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 5; i++ {
+					if i == 2 {
+						k.Stop()
+					}
+					p.Advance(10)
+					p.Sync()
+					steps++
+				}
+			})
+			end := k.Run()
+			first := fmt.Sprintf("end=%d steps=%d events=%d", end, steps, k.Executed())
+			end = k.Run()
+			return fmt.Sprintf("%s; end=%d steps=%d events=%d", first, end, steps, k.Executed())
+		}, "end=20 steps=2 events=3; end=50 steps=5 events=6"},
+
+		{"event limit", func() string {
+			k := NewKernel()
+			k.SetEventLimit(50)
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 100; i++ {
+					p.Advance(1)
+					p.Sync()
+				}
+			})
+			defer k.Drain()
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			return fmt.Sprintf("panic=%#v events=%d", got, k.Executed())
+		}, `panic="sim: event limit 50 exceeded at t=50" events=51`},
+
+		{"Drain unwinds a deferred Sync", func() string {
+			k := NewKernel()
+			after := false
+			k.Spawn("p", func(p *Proc) {
+				defer func() {
+					p.Advance(10)
+					p.Sync()
+					after = true
+				}()
+				p.Block()
+			})
+			k.Run()
+			k.Drain()
+			return fmt.Sprintf("now=%d events=%d after=%v", k.Now(), k.Executed(), after)
+		}, "now=0 events=1 after=false"},
+
+		{"shard window edge", func() string {
+			ss := NewShardSet(2, EngineCalendar)
+			ss.SetLookahead(100)
+			window := 0
+			ss.OnBarrier(func() { window++ })
+			var got [2]string
+			for i, target := range []Time{250, 50} {
+				k := ss.Kernel(i)
+				k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+					p.Advance(target)
+					p.Sync()
+					got[i] = fmt.Sprintf("p%d@%d in window %d", i, k.Now(), window)
+				})
+			}
+			end := ss.Run()
+			return fmt.Sprintf("%s; %s; end=%d events=%d", got[0], got[1], end, ss.Executed())
+		}, "p0@250 in window 2; p1@50 in window 1; end=250 events=4"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.run(); got != c.want {
+				t.Fatalf("got  %s\nwant %s", got, c.want)
+			}
+		})
+	}
+}
