@@ -3,7 +3,7 @@ package rpc
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"cni/internal/sim"
@@ -135,7 +135,7 @@ func (l *Latencies) Percentile(q float64) sim.Time {
 		return 0
 	}
 	if !l.sorted {
-		sort.Slice(l.Samples, func(i, j int) bool { return l.Samples[i] < l.Samples[j] })
+		slices.Sort(l.Samples)
 		l.sorted = true
 	}
 	// Ceil with a tolerance so that float artifacts in q/100*n (e.g.

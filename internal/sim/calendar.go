@@ -2,8 +2,8 @@ package sim
 
 import "math/bits"
 
-// This file implements the default scheduler engine: a calendar queue
-// (bucketed event scheduling) with an overflow ladder.
+// This file implements the default scheduler engine: a two-tier
+// calendar queue (bucketed event scheduling).
 //
 // The dominant inter-event gaps in this simulator are short and
 // clustered: the 150 ns link-propagation delta is 25 CPU cycles at the
@@ -11,44 +11,73 @@ import "math/bits"
 // per-message serialization times a few thousand. Bucket width is
 // therefore 2^5 = 32 cycles — the propagation delta rounded up to a
 // power of two — and the calendar spans calBuckets of them, a window of
-// 32768 cycles (~13 max-size-PDU serialization times). Events inside
-// the window go to the bucket covering their timestamp; events beyond
-// it (retransmit timers, far-future application timers) go to the
-// overflow ladder, a plain binary min-heap, and migrate into buckets
-// when the window advances past its old end. An occupancy bitmap over
-// the buckets makes "find the next non-empty bucket" a
-// TrailingZeros64 scan, so sparse schedules do not pay a linear walk.
+// 32768 cycles (~13 max-size-PDU serialization times). The window start
+// (base) is a multiple of the window width, and an event goes to one of
+// three places:
+//
+//   - inside the current window: the bucket covering its timestamp;
+//   - 1 to calSlots-1 windows ahead: the coarse slot of its window
+//     (window number mod calSlots), an unordered slab whose earliest
+//     timestamp is kept beside it;
+//   - further ahead (more than 2^25 cycles, ~0.2 s simulated): the far
+//     heap, a binary min-heap.
+//
+// When every bucketed event has run, the window moves to the nearest
+// occupied slot (or, with the ring empty, to the far heap's minimum):
+// that slot's events are appended to their buckets in O(1) each, and
+// far-heap events that now fall inside the ring move to their slots.
+// Occupancy bitmaps over the buckets and over the slots make "find the
+// next non-empty one" a TrailingZeros64 scan, so sparse schedules do
+// not pay a linear walk.
 //
 // Ordering contract: pops come out in exactly (at, seq) lexicographic
 // order — identical to the reference heap engine, which is what keeps
-// artifact output bit-identical across the engine swap. Within the
-// window only the bucket currently being drained needs internal order,
-// so buckets stay unsorted until the cursor reaches them, then get
-// heapified once (curIdx); re-entrant insertions into that live bucket
-// sift into its heap, insertions into later buckets just append.
-// Events are stored by value in bucket slices whose backing arrays are
-// reused for the life of the kernel — scheduling allocates nothing in
-// steady state (the free-list/pool of the classic recipe, realized as
-// reusable slabs instead of linked records).
+// artifact output bit-identical across the engine swap. Only the bucket
+// the cursor is draining needs internal order, so buckets stay
+// unordered until the cursor reaches them. On arrival one pass checks
+// whether the bucket is already in (at, seq) order — it usually is,
+// because events mostly arrive in scheduling order with non-decreasing
+// timestamps — and if so it drains by index, as a FIFO; otherwise it is
+// heapified once. A re-entrant push into a FIFO bucket appends when it
+// sorts after the bucket's last event (its seq is the largest yet, so
+// only an earlier timestamp sorts before); otherwise the bucket drops
+// its consumed prefix, is heapified, and drains as a heap from then on.
+// Insertions into later buckets just append.
+//
+// Events are stored by value in slabs whose backing arrays are reused
+// for the life of the kernel — buckets keep theirs, and a drained
+// slot's slab goes onto a spare list that the next slot to fill takes
+// from — so scheduling allocates nothing in steady state (the
+// free-list/pool of the classic recipe, realized as reusable slabs
+// instead of linked records).
 
 const (
-	calLogWidth = 5 // 32-cycle buckets: NSToCycles(150ns) = 25, rounded up
-	calWidth    = 1 << calLogWidth
-	calBuckets  = 1024 // window = 32768 cycles
-	calWindow   = calBuckets * calWidth
-	calOccWords = calBuckets / 64
+	calLogWidth   = 5 // 32-cycle buckets: NSToCycles(150ns) = 25, rounded up
+	calLogBuckets = 10
+	calBuckets    = 1 << calLogBuckets
+	calLogWindow  = calLogWidth + calLogBuckets // window = 32768 cycles
+	calWindow     = 1 << calLogWindow
+	calSlots      = 1024 // coarse ring: the windows 1..calSlots-1 past base
 )
 
 type calendarQueue struct {
-	base   Time // window start, multiple of calWidth; invariant: base <= kernel now at API boundaries
+	base   Time // window start, multiple of calWindow; invariant: base <= kernel now at API boundaries
 	cursor int  // lowest possibly-occupied bucket index this window
-	curIdx int  // bucket currently heapified and draining, -1 if none
+	curIdx int  // bucket the cursor has settled on and drains, -1 if none
+	head   int  // next event of buckets[curIdx] while it drains as a FIFO; 0 as a heap
+	fifo   bool // buckets[curIdx] is in (at, seq) order and drains by index
 	inWin  int  // events stored in buckets
-	n      int  // total events (buckets + overflow)
+	n      int  // total events (all tiers)
 
-	buckets  [calBuckets][]event
-	occ      [calOccWords]uint64 // bit b set <=> buckets[b] non-empty
-	overflow []event             // binary min-heap by (at, seq): at >= base+calWindow
+	buckets [calBuckets][]event
+	occ     occBits // bit b set <=> buckets[b] non-empty
+
+	slots   [calSlots][]event // slots[w mod calSlots]: the events of window w, unordered
+	slotMin [calSlots]Time    // earliest timestamp in each non-empty slot
+	slotOcc occBits           // bit s set <=> slots[s] non-empty
+	spare   [][]event         // emptied slot slabs, for the next slot to fill
+
+	far []event // binary min-heap by (at, seq): calSlots or more windows past base
 }
 
 func newCalendarQueue() *calendarQueue {
@@ -57,26 +86,21 @@ func newCalendarQueue() *calendarQueue {
 
 func (c *calendarQueue) len() int { return c.n }
 
-// bucketFor maps an in-window timestamp to its bucket index.
-func (c *calendarQueue) bucketFor(at Time) int {
-	return int((at - c.base) >> calLogWidth)
-}
+// occBits is an occupancy bitmap over the 1024 buckets or slots.
+type occBits [calBuckets / 64]uint64
 
-func (c *calendarQueue) setOcc(i int) { c.occ[i>>6] |= 1 << (uint(i) & 63) }
-func (c *calendarQueue) clrOcc(i int) { c.occ[i>>6] &^= 1 << (uint(i) & 63) }
+func (o *occBits) set(i int) { o[i>>6] |= 1 << (uint(i) & 63) }
+func (o *occBits) clr(i int) { o[i>>6] &^= 1 << (uint(i) & 63) }
 
-// nextOcc returns the first occupied bucket index >= from, or -1.
-func (c *calendarQueue) nextOcc(from int) int {
+// next returns the first set index >= from, or -1; from < 1024.
+func (o *occBits) next(from int) int {
 	w := from >> 6
-	if w >= calOccWords {
-		return -1
-	}
-	if rem := c.occ[w] >> (uint(from) & 63); rem != 0 {
+	if rem := o[w] >> (uint(from) & 63); rem != 0 {
 		return from + bits.TrailingZeros64(rem)
 	}
-	for w++; w < calOccWords; w++ {
-		if c.occ[w] != 0 {
-			return w<<6 + bits.TrailingZeros64(c.occ[w])
+	for w++; w < len(o); w++ {
+		if o[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(o[w])
 		}
 	}
 	return -1
@@ -84,33 +108,75 @@ func (c *calendarQueue) nextOcc(from int) int {
 
 func (c *calendarQueue) push(e event) {
 	c.n++
-	if e.at-c.base < calWindow {
-		idx := c.bucketFor(e.at)
-		c.inWin++
-		if idx == c.curIdx {
-			// The bucket is live (heapified, being drained): keep its
-			// heap order so the next pop still sees the exact minimum.
-			heapUp(append(c.buckets[idx], e), &c.buckets[idx])
-			return
-		}
-		c.buckets[idx] = append(c.buckets[idx], e)
-		c.setOcc(idx)
+	c.place(e)
+}
+
+// place stores e in the tier its distance from base selects.
+func (c *calendarQueue) place(e event) {
+	switch ahead := (e.at - c.base) >> calLogWindow; {
+	case ahead == 0:
+		c.pushBucket(e)
+	case ahead < calSlots:
+		c.pushSlot(e)
+	default:
+		heapUp(append(c.far, e), &c.far)
+	}
+}
+
+func (c *calendarQueue) pushBucket(e event) {
+	idx := int((e.at - c.base) >> calLogWidth)
+	c.inWin++
+	b := c.buckets[idx]
+	if idx != c.curIdx {
+		c.buckets[idx] = append(b, e)
+		c.occ.set(idx)
 		c.rewind(idx)
 		return
 	}
-	heapUp(append(c.overflow, e), &c.overflow)
+	// The bucket is live (being drained): keep it drainable in exact
+	// order.
+	if c.fifo {
+		if e.at >= b[len(b)-1].at {
+			c.buckets[idx] = append(b, e)
+			return
+		}
+		n := copy(b, b[c.head:])
+		clear(b[n:])
+		b = b[:n]
+		heapify(b)
+		c.head, c.fifo = 0, false
+	}
+	heapUp(append(b, e), &c.buckets[idx])
+}
+
+func (c *calendarQueue) pushSlot(e event) {
+	s := int(e.at>>calLogWindow) & (calSlots - 1)
+	if len(c.slots[s]) == 0 {
+		if k := len(c.spare); k > 0 {
+			c.slots[s] = c.spare[k-1]
+			c.spare = c.spare[:k-1]
+		}
+		c.slotMin[s] = e.at
+		c.slotOcc.set(s)
+	} else if e.at < c.slotMin[s] {
+		c.slotMin[s] = e.at
+	}
+	c.slots[s] = append(c.slots[s], e)
 }
 
 // rewind backs the cursor up when an insertion lands in a bucket the
 // scan position has already passed. That happens when RunUntil stops
-// short of the earliest pending event: peekAt settles the cursor (and
-// possibly a heapified live bucket) on that event's bucket, the clock
-// parks below it, and a subsequent push may legally target any bucket
-// from the clock's onward. Without the rewind the occupancy scan would
-// never look back — events would run out of order, and the
-// inWin/occupancy bookkeeping would strand settle on an empty scan.
-// The abandoned live bucket keeps its (valid) heap prefix plus any
-// appended tail; settle re-heapifies it when the cursor returns.
+// short of the earliest pending event: peekAt settles the cursor on
+// that event's bucket, the clock parks below it, and a subsequent push
+// may legally target any bucket from the clock's onward. Without the
+// rewind the occupancy scan would never look back — events would run
+// out of order, and the inWin/occupancy bookkeeping would strand settle
+// on an empty scan. It can fire only while nothing has been popped from
+// the settled bucket: a pop moves the clock into that bucket, and every
+// later push lands in it or after it. So the abandoned bucket still
+// holds all its events, none consumed — a FIFO at head 0, or a heap
+// after a fallback — and needs no prefix handling; settle checks its
+// order again when the cursor returns.
 func (c *calendarQueue) rewind(idx int) {
 	if idx < c.cursor {
 		c.cursor = idx
@@ -118,42 +184,64 @@ func (c *calendarQueue) rewind(idx int) {
 	}
 }
 
-// rebase slides the window forward when every bucketed event has been
-// consumed: the new window starts at the overflow minimum's bucket
-// boundary, and every overflow event now inside it migrates to its
-// bucket. Caller guarantees inWin == 0 and len(overflow) > 0.
-func (c *calendarQueue) rebase() {
-	c.base = c.overflow[0].at &^ (calWidth - 1)
+// nearestSlot returns the occupied slot holding the earliest window, or
+// -1. The ring holds the windows after base's in slot order from
+// base's slot + 1, wrapping; base's own slot is always empty.
+func (c *calendarQueue) nearestSlot() int {
+	if s := c.slotOcc.next(int(c.base>>calLogWindow+1) & (calSlots - 1)); s >= 0 {
+		return s
+	}
+	return c.slotOcc.next(0)
+}
+
+// advance moves the window forward once every bucketed event has run:
+// base jumps to the window of the earliest pending event — the nearest
+// occupied slot's, or with the ring empty the far heap minimum's — that
+// slot's events go to their buckets and its slab to the spare list, and
+// far-heap events that now fall inside the ring move to their slots.
+// Caller guarantees inWin == 0 and n > 0.
+func (c *calendarQueue) advance() {
 	c.cursor = 0
 	c.curIdx = -1
-	for len(c.overflow) > 0 && c.overflow[0].at-c.base < calWindow {
-		e := heapPop(&c.overflow)
-		idx := c.bucketFor(e.at)
-		c.buckets[idx] = append(c.buckets[idx], e)
-		c.setOcc(idx)
-		c.inWin++
+	if s := c.nearestSlot(); s >= 0 {
+		c.base = c.slotMin[s] &^ (calWindow - 1)
+		slab := c.slots[s]
+		for i := range slab {
+			c.pushBucket(slab[i])
+		}
+		clear(slab)
+		c.spare = append(c.spare, slab[:0])
+		c.slots[s] = nil
+		c.slotOcc.clr(s)
+	} else {
+		c.base = c.far[0].at &^ (calWindow - 1)
+	}
+	for len(c.far) > 0 && (c.far[0].at-c.base)>>calLogWindow < calSlots {
+		c.place(heapPop(&c.far))
 	}
 }
 
 // settle positions curIdx on the bucket holding the earliest event,
-// heapifying it if the cursor just arrived, and returns false when the
-// queue is empty. After settle returns true, the minimum event is
-// buckets[curIdx][0] (or, if inWin is somehow 0, never: rebase filled
-// the window).
+// choosing its drain order if the cursor just arrived, and returns
+// false when the queue is empty. After settle returns true, the minimum
+// event is buckets[curIdx][head].
 func (c *calendarQueue) settle() bool {
 	if c.n == 0 {
 		return false
 	}
 	if c.inWin == 0 {
-		c.rebase()
+		c.advance()
 	}
 	if c.curIdx >= 0 {
 		return true
 	}
-	idx := c.nextOcc(c.cursor)
-	c.cursor = idx
-	c.curIdx = idx
-	heapify(c.buckets[idx])
+	idx := c.occ.next(c.cursor)
+	c.cursor, c.curIdx, c.head = idx, idx, 0
+	b := c.buckets[idx]
+	c.fifo = inOrder(b)
+	if !c.fifo {
+		heapify(b)
+	}
 	return true
 }
 
@@ -162,13 +250,23 @@ func (c *calendarQueue) pop() (event, bool) {
 		return event{}, false
 	}
 	b := c.buckets[c.curIdx]
-	e := heapPop(&b)
+	var e event
+	if c.fifo {
+		e = b[c.head]
+		b[c.head] = event{}
+		c.head++
+		if c.head == len(b) {
+			b = b[:0]
+		}
+	} else {
+		e = heapPop(&b)
+	}
 	c.buckets[c.curIdx] = b
 	if len(b) == 0 {
-		c.clrOcc(c.curIdx)
+		c.occ.clr(c.curIdx)
 		// Stay on this bucket index: the event about to run may
-		// schedule back into it (ties at now), re-entering via push's
-		// curIdx path — but it is no longer heap-draining, so reset.
+		// schedule back into it (ties at now), re-entering via
+		// pushBucket — but it is no longer draining, so reset.
 		c.curIdx = -1
 	}
 	c.inWin--
@@ -181,30 +279,34 @@ func (c *calendarQueue) peekAt() (Time, bool) {
 		return 0, false
 	}
 	if c.inWin == 0 {
-		// Everything pending lives in the overflow ladder. Do not
-		// rebase here: RunUntil may stop short of these events, and the
-		// window must never advance past the kernel clock.
-		return c.overflow[0].at, true
+		// Everything pending lies past the window. Do not advance here:
+		// RunUntil and the shard barrier may stop short of these events
+		// and then schedule behind them, so the window must never move
+		// past the kernel clock.
+		if s := c.nearestSlot(); s >= 0 {
+			return c.slotMin[s], true
+		}
+		return c.far[0].at, true
 	}
 	c.settle()
-	return c.buckets[c.curIdx][0].at, true
+	return c.buckets[c.curIdx][c.head].at, true
 }
 
-func (c *calendarQueue) clear() {
-	for i := range c.buckets {
-		c.buckets[i] = nil
+func (c *calendarQueue) clear() { *c = calendarQueue{curIdx: -1} }
+
+// inOrder reports whether b is sorted by (at, seq), so it can drain by
+// index.
+func inOrder(b []event) bool {
+	for i := 1; i < len(b); i++ {
+		if b[i].before(&b[i-1]) {
+			return false
+		}
 	}
-	c.occ = [calOccWords]uint64{}
-	c.overflow = nil
-	c.base = 0
-	c.cursor = 0
-	c.curIdx = -1
-	c.inWin = 0
-	c.n = 0
+	return true
 }
 
-// --- value-typed binary min-heap by (at, seq), shared by the bucket
-// being drained and the overflow ladder ---
+// --- value-typed binary min-heap by (at, seq), shared by a bucket
+// draining as a heap and the far heap ---
 
 // heapify establishes the heap invariant over h in place.
 func heapify(h []event) {

@@ -37,7 +37,7 @@ func TestDrainTerminal(t *testing.T) {
 	for _, eng := range []sim.Engine{sim.EngineCalendar, sim.EngineHeap} {
 		k := sim.NewKernelWith(eng)
 		k.At(5, func() {})
-		k.At(900000, func() {}) // parked on the calendar's overflow ladder
+		k.At(900000, func() {}) // parked in the calendar's coarse ring
 		p := k.SpawnAt("blocked", 0, func(pp *sim.Proc) {
 			pp.WakeAt(1 << 40)
 		})

@@ -40,10 +40,11 @@ type diffProgram struct {
 // tieDeltas is the delta menu: heavy on ties (0) and on the 25-cycle
 // link-propagation quantum the calendar's bucket width was derived
 // from, plus values straddling bucket (32) and window (32768)
-// boundaries and far-future timers that must ride the overflow ladder.
+// boundaries, timers that land in the coarse ring of later windows,
+// and 2^26-cycle timers that start in the far heap.
 var tieDeltas = []sim.Time{
 	0, 0, 0, 0, 1, 25, 25, 31, 32, 33, 150, 1023, 1024, 4096,
-	32767, 32768, 32769, 100000, 1 << 21,
+	32767, 32768, 32769, 100000, 1 << 21, 1 << 26,
 }
 
 func (p *diffProgram) delta() sim.Time {
@@ -224,4 +225,150 @@ func mustPanic(t *testing.T, label string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// script is a deterministic schedule that TestDifferentialCalendarTiers
+// replays on both engines.
+type script struct {
+	k      *sim.Kernel
+	trace  []traceEntry
+	nextID uint64
+}
+
+// at schedules a recorded event at t whose body then runs body, if any.
+func (s *script) at(t sim.Time, body func()) {
+	id := s.nextID
+	s.nextID++
+	s.k.At(t, func() {
+		s.trace = append(s.trace, traceEntry{t: s.k.Now(), id: id})
+		if body != nil {
+			body()
+		}
+	})
+}
+
+// TestDifferentialCalendarTiers replays short deterministic schedules,
+// each aimed at one path of the calendar engine, on both engines and
+// requires identical execution. The random schedules above reach these
+// paths rarely or never: the rewind after RunUntil stops short, the
+// FIFO drain of a large same-time burst and its fall-back to a heap,
+// RunUntil stopping while only coarse-ring or only far-heap events are
+// pending, far-heap events travelling to a slot and to a bucket, and
+// the slot ring wrapping around.
+func TestDifferentialCalendarTiers(t *testing.T) {
+	const window = 1 << 15 // the calendar's window width in cycles
+	cases := []struct {
+		name string
+		run  func(s *script)
+	}{
+		{"rewind-fifo", func(s *script) {
+			for _, at := range []sim.Time{1000, 1001, 1002} {
+				s.at(at, nil)
+			}
+			s.k.RunUntil(500) // settles the bucket of 1000, in order
+			s.at(600, nil)    // an earlier bucket: the cursor rewinds
+			s.at(1001, nil)
+		}},
+		{"rewind-heap", func(s *script) {
+			for _, at := range []sim.Time{1002, 1001, 1000} {
+				s.at(at, nil)
+			}
+			s.k.RunUntil(500) // settles the bucket of 1000, out of order
+			s.at(600, nil)
+			s.at(1000, nil)
+		}},
+		{"burst-fallback", func(s *script) {
+			// 600 events at one time, then a later one in the same
+			// bucket: the bucket is in order and drains as a FIFO. Pushes
+			// after its last event append; pushes at now sort before it
+			// and turn the bucket into a heap mid-drain.
+			const at = 4096
+			for i := 0; i < 600; i++ {
+				i := i
+				s.at(at, func() {
+					if i%7 == 0 {
+						s.at(s.k.Now()+20, nil)
+					}
+					if i%100 == 50 {
+						s.at(s.k.Now(), nil)
+					}
+				})
+			}
+			s.at(at+20, nil)
+		}},
+		{"burst-fifo", func(s *script) {
+			// A burst whose events reschedule at now and one round
+			// later: every bucket stays in order and drains as a FIFO.
+			for i := 0; i < 600; i++ {
+				i := i
+				s.at(8192, func() {
+					if i%3 == 0 {
+						s.at(s.k.Now(), nil)
+					}
+					s.at(s.k.Now()+1000, nil)
+				})
+			}
+		}},
+		{"rununtil-ring", func(s *script) {
+			s.at(100, nil)
+			s.at(3*window+7, nil) // three windows ahead: the coarse ring
+			s.k.RunUntil(50000)   // stops with only ring events pending
+			s.at(50001, nil)      // behind the ring's earliest event
+			s.k.RunUntil(60000)   // moves the window, stops on the ring again
+			s.at(60005, nil)
+			s.at(3*window+3, nil)
+		}},
+		{"rununtil-far", func(s *script) {
+			s.at(100, nil)
+			s.at(1<<26+5, nil)    // far heap
+			s.k.RunUntil(1 << 20) // stops with only far-heap events pending
+			s.at(1<<20+7, nil)    // into the ring, ahead of the far event
+			s.at(1<<26+3, nil)
+			s.k.RunUntil(1<<26 + 4)
+			s.at(1<<26+4, nil)
+		}},
+		{"far-to-slot-to-bucket", func(s *script) {
+			// A ticker steps 32 windows at a time, so the window moves in
+			// strides: the 2^26-cycle events wait in the far heap, move
+			// to their slots once within 1023 windows, then to buckets.
+			s.at(1<<26+9, nil)
+			s.at(1<<26, nil)
+			s.at(1<<26+window, nil)
+			n := 0
+			var tick func()
+			tick = func() {
+				if n++; n < 80 {
+					s.at(s.k.Now()+1<<20, tick)
+				}
+			}
+			s.at(1<<20, tick)
+			// With the ring empty the window jumps straight to a far
+			// event, whose neighbours go to buckets and slots directly.
+			s.at(1<<30, nil)
+			s.at(1<<30+1, nil)
+			s.at(1<<30+window, nil)
+		}},
+		{"ring-wrap", func(s *script) {
+			// Windows past slot 1023 wrap to the ring's start, twice.
+			for _, w := range []sim.Time{1000, 1020, 1030, 2040, 2050, 3100} {
+				s.at(w*window+3, nil)
+				s.at(w*window+1, nil)
+				s.at(w*window+3, nil)
+			}
+		}},
+	}
+	for _, c := range cases {
+		var traces [2][]traceEntry
+		var nows [2]sim.Time
+		for i, eng := range []sim.Engine{sim.EngineCalendar, sim.EngineHeap} {
+			s := &script{k: sim.NewKernelWith(eng)}
+			c.run(s)
+			nows[i] = s.k.Run()
+			traces[i] = s.trace
+		}
+		compareTraces(t, c.name, traces[0], traces[1])
+		if nows[0] != nows[1] {
+			t.Fatalf("%s: final time: calendar %d, heap %d", c.name, nows[0], nows[1])
+		}
+	}
 }

@@ -8,6 +8,7 @@ package sim_test
 // on which the production engine diverges from the seed's.
 
 import (
+	"bytes"
 	"testing"
 
 	"cni/internal/sim"
@@ -32,7 +33,8 @@ const fuzzMaxEvents = 1 << 14
 
 // fuzzDeltas maps a delta byte to a time offset: tie-heavy, straddling
 // the calendar's bucket (32) and window (32768) boundaries, with a few
-// far-future rungs for the overflow ladder.
+// far-future rungs for the coarse ring (65536, 2^20) and the far heap
+// (2^26).
 var fuzzDeltas = [16]sim.Time{
 	0, 0, 1, 7, 25, 31, 32, 33, 150, 1000, 4095, 32767, 32768, 65536, 1 << 20, 1 << 26,
 }
@@ -116,9 +118,30 @@ func FuzzKernelSchedule(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 2, 1, 3, 255})
 	f.Add([]byte{1, 11, 1, 11, 1, 11, 4, 9, 0, 0, 5, 3})
-	// Window-boundary and overflow-heavy seeds.
+	// Window-boundary and far-future-heavy seeds.
 	f.Add([]byte{0, 12, 0, 13, 0, 14, 0, 15, 4, 15, 2, 0, 3, 55, 5, 1})
 	f.Add([]byte{3, 0x71, 3, 0x72, 3, 0x73, 4, 11, 0, 4, 2, 4, 5, 8, 1, 15})
+	// One seed per calendar path. A body byte b schedules at
+	// now+fuzzDeltas[b>>2&15] when b&3 != 0; a 0 byte ends the body.
+	// Rewind: RunUntil(1) settles the in-order bucket of 150 and parks
+	// the clock below it, then 26 lands in an earlier bucket.
+	f.Add([]byte{0, 8, 1, 8, 3, 2, 0, 4})
+	// Rewind into a heap: the event at 1 schedules 32 behind 33 in the
+	// same bucket, RunUntil settles that bucket out of order, then 26
+	// lands before it.
+	f.Add([]byte{0, 7, 0, 2, 3, 2, 21, 0, 0, 4})
+	// FIFO drain: bucket [1, 7, 25] is in order; the event at 1 appends
+	// 26 after 25, then the event at 7 schedules 8, which sorts before
+	// 26 and turns the bucket into a heap.
+	f.Add([]byte{0, 2, 0, 3, 0, 4, 3, 5, 17, 0, 9, 0, 0, 0, 0})
+	// RunUntil stops with only the far heap pending, then with only the
+	// coarse ring pending; the run then moves far events to a bucket and
+	// to a slot.
+	f.Add([]byte{0, 15, 3, 14, 0, 4, 0, 2, 3, 0, 4, 15, 0, 0, 0})
+	// A 2^20-cycle ticker, run by RunUntil, strides 32 windows at a time
+	// past a 2^26 far event: far heap to slot to bucket, wrapping the
+	// slot ring twice.
+	f.Add(append([]byte{0, 15, 0, 14, 3, 15}, bytes.Repeat([]byte{57, 0}, 70)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cal := runFuzzSchedule(sim.EngineCalendar, data)
 		ref := runFuzzSchedule(sim.EngineHeap, data)

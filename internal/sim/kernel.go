@@ -16,9 +16,11 @@
 // identical statistics, and identical virtual end times.
 //
 // Two scheduler engines implement that contract. The default is a
-// calendar queue (calendar.go): events live by value in width-2^5-cycle
-// buckets with an overflow ladder for far-future timers, so the hot
-// loop neither allocates nor chases heap pointers. The seed's binary
+// two-tier calendar queue (calendar.go): events live by value in
+// width-2^5-cycle buckets that drain as FIFOs when already in order,
+// later windows wait in a coarse ring of window-wide slots, and only
+// timers over 2^25 cycles ahead go to a heap, so the hot loop neither
+// allocates nor chases heap pointers. The seed's binary
 // heap survives as EngineHeap (refheap.go), the reference
 // implementation the differential and fuzz tests replay every schedule
 // against — the two engines must agree on the exact (time, seq)
@@ -90,9 +92,9 @@ type scheduler interface {
 type Engine string
 
 const (
-	// EngineCalendar is the default: a bucketed calendar queue with an
-	// overflow ladder, O(1) amortized and allocation-free in steady
-	// state.
+	// EngineCalendar is the default: a two-tier calendar queue of
+	// buckets and window-wide slots, O(1) amortized and
+	// allocation-free in steady state.
 	EngineCalendar Engine = "calendar"
 	// EngineHeap is the seed's container/heap binary heap, kept as the
 	// reference implementation ("refKernel") that differential and

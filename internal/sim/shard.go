@@ -141,15 +141,17 @@ func (ss *ShardSet) runWindow(edge Time) {
 
 // startWorkers launches one persistent goroutine per shard. Each
 // executes its kernel's windows, so every process coroutine of a shard
-// is resumed from that shard's worker.
+// is resumed from that shard's worker. A worker receives its start
+// channel as an argument: when no window runs, stopWorkers may retire
+// ss.start before the worker first looks.
 func (ss *ShardSet) startWorkers() {
 	ss.start = make([]chan Time, len(ss.kernels))
 	ss.done = make(chan struct{}, len(ss.kernels))
 	ss.panics = make([]any, len(ss.kernels))
 	for i := range ss.kernels {
 		ss.start[i] = make(chan Time)
-		go func(i int) {
-			for edge := range ss.start[i] {
+		go func(i int, start <-chan Time) {
+			for edge := range start {
 				func() {
 					returned := false
 					defer func() {
@@ -164,7 +166,7 @@ func (ss *ShardSet) startWorkers() {
 					returned = true
 				}()
 			}
-		}(i)
+		}(i, ss.start[i])
 	}
 }
 

@@ -64,6 +64,19 @@ func TestShardSetWindows(t *testing.T) {
 	}
 }
 
+// TestShardSetRunEmpty runs a set with nothing pending, so no window
+// executes and the workers are retired as soon as they start: each must
+// exit on its own start channel, not read a retired one.
+func TestShardSetRunEmpty(t *testing.T) {
+	ss := NewShardSet(4, EngineCalendar)
+	ss.SetLookahead(5)
+	for i := 0; i < 1000; i++ {
+		if end := ss.Run(); end != 0 {
+			t.Fatalf("run %d of an empty set ended at %d, want 0", i, end)
+		}
+	}
+}
+
 // TestShardSetPanic checks that a model panic inside a window is
 // re-raised deterministically, labeled with the lowest panicking
 // shard.
