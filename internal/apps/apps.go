@@ -64,13 +64,3 @@ func MustExecute(cfg *config.Config, n int, app App) (*cluster.Cluster, *cluster
 	}
 	return c, res
 }
-
-// NewClusterForDebug builds the cluster without running it (testing
-// aid so instrumentation can be installed between Setup and Run).
-func NewClusterForDebug(cfg *config.Config, n int, app App) *cluster.Cluster {
-	c, err := cluster.New(cfg, n, app.Setup)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}

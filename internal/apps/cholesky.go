@@ -39,18 +39,13 @@ type Cholesky struct {
 
 	// oracle, when non-nil, cross-checks the shared dependency
 	// counters against ground truth (debug builds of the tests).
-	oracle       []int64
-	traceCounter int
+	oracle []int64
 }
 
 // EnableOracle turns on the counter cross-check (testing aid).
 func (ch *Cholesky) EnableOracle() {
 	ch.oracle = append([]int64(nil), ch.nmod0...)
-	ch.traceCounter = -1
 }
-
-// TraceCounter prints every touch of one dependency counter (debug).
-func (ch *Cholesky) TraceCounter(s int) { ch.traceCounter = s }
 
 // NewCholesky builds the matrix and its symbolic factorization.
 func NewCholesky(gen spmat.Gen) *Cholesky {
@@ -254,11 +249,6 @@ func (ch *Cholesky) Body(w *dsm.Worker) {
 			sIdx := ch.headIdx[b.target]
 			left := w.ReadU64(ch.nmodBase+sIdx) - uint64(len(b.pairs))
 			w.WriteU64(ch.nmodBase+sIdx, left)
-			if ch.oracle != nil && ch.traceCounter == sIdx {
-				fmt.Printf("TRACE t=%d node=%d counter=%d read=%d wrote=%d pairs=%d truth(before)=%d\n",
-					w.Proc().Local(), w.Node(), sIdx, int64(left)+int64(len(b.pairs)), int64(left),
-					len(b.pairs), ch.oracle[sIdx])
-			}
 			if ch.oracle != nil {
 				ch.oracle[sIdx] -= int64(len(b.pairs))
 				if ch.oracle[sIdx] != int64(left) {

@@ -76,15 +76,6 @@ func (wa *Water) Init(c *cluster.Cluster) {
 	}
 }
 
-// ownerOf block-partitions molecules over n nodes.
-func (wa *Water) ownerOf(m, n int) int {
-	o := m * n / wa.M
-	if o >= n {
-		o = n - 1
-	}
-	return o
-}
-
 // molRange is this node's owned molecule range [lo, hi).
 func (wa *Water) molRange(node, n int) (int, int) {
 	lo := node * wa.M / n

@@ -196,23 +196,12 @@ func (nw *Network) Lookahead() sim.Time {
 		nw.cfg.NSToCycles(nw.cfg.SwitchLatencyNS)
 }
 
-// Sharded reports whether the fabric runs on a ShardSet.
-func (nw *Network) Sharded() bool { return nw.ss != nil }
-
 // Shards reports the effective shard count (1 on the plain path).
 func (nw *Network) Shards() int {
 	if nw.ss == nil {
 		return 1
 	}
 	return len(nw.perShard)
-}
-
-// ShardOf reports node i's shard (0 on the plain path).
-func (nw *Network) ShardOf(i int) int {
-	if nw.ss == nil {
-		return 0
-	}
-	return nw.shardOf[i]
 }
 
 // NodeKernel returns the kernel node i's components must schedule on:
@@ -473,7 +462,3 @@ func (nw *Network) deliver(arg any) {
 	pkt := arg.(*Packet)
 	nw.rx[pkt.Dst](pkt, nw.k.Now())
 }
-
-// CellsOf reports how many cells pkt occupies under the current
-// configuration; the NIC model charges per-cell firmware work with it.
-func (nw *Network) CellsOf(pkt *Packet) int { return nw.cfg.Cells(pkt.Bytes()) }

@@ -23,12 +23,6 @@ func DissemTo(rank, round, n int) int {
 	return (rank + 1<<round) % n
 }
 
-// DissemFrom returns the node rank combines from in round round.
-func DissemFrom(rank, round, n int) int {
-	d := 1 << round
-	return ((rank-d)%n + n) % n
-}
-
 // TreeParent returns rank's parent in the binomial tree rooted at root,
 // or -1 for the root itself. The tree is defined on relative ranks
 // rr = (rank-root) mod n: a node's parent clears rr's lowest set bit.

@@ -142,11 +142,10 @@ type Config struct {
 
 	// --- Memory bus (Table 1) ---
 
-	BusFreqMHz           int64 // 25 MHz
-	BusAcquireCycles     int64 // 4 bus cycles to win arbitration
-	BusTransferPerWord   int64 // 2 bus cycles per word
-	DMASetupBusCycles    int64 // descriptor fetch + engine start, bus cycles
-	SnoopLookupNICCycles int64 // buffer-map probe per snooped write, NIC cycles
+	BusFreqMHz         int64 // 25 MHz
+	BusAcquireCycles   int64 // 4 bus cycles to win arbitration
+	BusTransferPerWord int64 // 2 bus cycles per word
+	DMASetupBusCycles  int64 // descriptor fetch + engine start, bus cycles
 
 	// --- ATM interconnect (Table 1 + Section 3.4) ---
 
@@ -346,11 +345,10 @@ func ForNIC(kind NICKind) Config {
 		MemoryLatencyCycles: 20,
 		WordBytes:           8,
 
-		BusFreqMHz:           25,
-		BusAcquireCycles:     4,
-		BusTransferPerWord:   2,
-		DMASetupBusCycles:    8,
-		SnoopLookupNICCycles: 2,
+		BusFreqMHz:         25,
+		BusAcquireCycles:   4,
+		BusTransferPerWord: 2,
+		DMASetupBusCycles:  8,
 
 		SwitchPorts:      32,
 		SwitchLatencyNS:  500,

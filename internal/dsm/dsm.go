@@ -49,10 +49,6 @@ import (
 	"cni/internal/trace"
 )
 
-// DebugPage, when >= 0, makes the runtime print every protocol event
-// touching that page (testing/forensics aid; not for production runs).
-var DebugPage int32 = -1
-
 // SharedBase is the virtual address where the shared region is mapped
 // on every node (identical everywhere, as the paper's fixed allocation
 // of processor address space to DSM prescribes).
@@ -284,36 +280,103 @@ type pageState uint8
 
 const (
 	// pageInvalid: the local copy is stale; an access faults and
-	// fetches from the home.
+	// fetches from the probable owner.
 	pageInvalid pageState = iota
 	// pageValid: the local copy is current as of the node's last
 	// acquire; accesses proceed at memory speed.
 	pageValid
-	// pageHomeStale: this node is the page's home and has seen write
-	// notices for diffs that have not arrived yet. The copy stays
-	// mapped (homes are never invalidated) but the next access must
-	// stall until the noticed diffs are applied — otherwise a home
-	// read-modify-write could overwrite an in-flight remote update.
+	// pageHomeStale: this node owns the page (or, under the update
+	// protocol, holds a copy) and has seen write notices for diffs that
+	// have not arrived yet. The copy stays mapped (owners are never
+	// invalidated) but the next access must stall until the noticed
+	// diffs are applied — otherwise an owner read-modify-write could
+	// overwrite an in-flight remote update.
 	pageHomeStale
 )
 
-// pageHome holds the home-side bookkeeping for one page.
-type pageHome struct {
-	applied []int32   // per-writer highest applied interval index
-	waiting []waitReq // version-gated requests parked here
+// page is one node's record for one shared page; Runtime.pages holds
+// one per page, indexed by page id. It is the per-page state machine of
+// the Li/Hudak manager in IVY: access state, ownership and the
+// probable-owner pointer here, the rest in a pageBook made on first use
+// (Runtime.book), so the table stays small over pages a node never
+// touches. Central ownership is the case in which ownership never
+// migrates: every page stays owned by its static home, where every
+// node's probable-owner pointer starts and stays.
+type page struct {
+	state pageState
+	// dirty marks a page written since the last release; it stays set
+	// until release reaches the page, so handlers running while release
+	// yields still see the unreleased pages as dirty.
+	dirty bool
+	// owned marks that this node manages the page: its static home from
+	// the start, and under distributed ownership whichever node the
+	// ownership has migrated to.
+	owned bool
+	// fetchingW marks an outstanding write fetch (see pendingOwn).
+	fetchingW bool
+	// lastWrote is this node's interval index of the last release that
+	// diffed the page (the update protocol's write-ordering guard).
+	lastWrote int32
+	// probOwner is this node's best guess at the page's owner: the
+	// static home at first, itself while it owns the page.
+	probOwner int
+	book      *pageBook
+}
+
+// pageBook is the part of a page record made on first use: the
+// interval's twin and preserved writes, the write notices still to be
+// observed, and the manager bookkeeping.
+type pageBook struct {
+	// twin is the page as of its first write in the interval, the base
+	// the next diff is taken against; nil when the page is not twinned.
+	twin []uint64
+	// local holds the uncommitted writes a fault preserves across the
+	// refetch; onPageReply reapplies them over the fetched base.
+	local []diffEntry
+	// needs[w] is the interval of writer w whose diff this node must
+	// see applied before its copy is current; zero means none.
+	needs []int32
+	// pendingOwn parks requests and diffs that arrive while this node
+	// has a write fetch outstanding for the page: the requester is the
+	// probable future owner, so racing traffic funnels here instead of
+	// chasing a moving target (the rule that makes Li/Hudak chains
+	// terminate).
+	pendingOwn []*nic.Message
+	applied    []int32   // per-writer highest applied interval index
+	waiting    []waitReq // version-gated requests parked here
 	// homeStalled marks that this node's worker is blocked waiting
-	// for noticed diffs on this page (at the home under either
+	// for noticed diffs on this page (at the owner under either
 	// protocol; at any copy holder under the update protocol).
 	homeStalled bool
+	// exported marks that some other node has fetched this page: from
+	// then on the owner flushes it at every release (the "impending
+	// message transfer" discipline); never-exported pages skip the
+	// flush and pay it once on their first fetch.
+	exported bool
 	// copyset lists the nodes holding a copy of this page; under the
 	// update protocol the home forwards every diff to them. Maintained
 	// only at the home.
 	copyset map[int]bool
-	// exported marks that some other node has fetched this page: from
-	// then on the home flushes it at every release (the "impending
-	// message transfer" discipline); never-exported pages skip the
-	// flush and pay it once on their first fetch.
-	exported bool
+}
+
+// need records that writer w's interval idx must be applied before the
+// page is current.
+func (b *pageBook) need(w int, idx int32) {
+	if idx > b.needs[w] {
+		b.needs[w] = idx
+	}
+}
+
+// pendingNeeds counts the writers whose noticed intervals are still
+// required.
+func (b *pageBook) pendingNeeds() int {
+	n := 0
+	for _, idx := range b.needs {
+		if idx != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 type waitReq struct {
@@ -335,7 +398,8 @@ type barrierState struct {
 }
 
 // Runtime is one node's DSM engine. All Runtimes of a cluster share
-// the Globals.
+// the Globals. Everything the node knows about a shared page, from its
+// access state to its ownership, is in the page's record in pages.
 type Runtime struct {
 	G    *Globals
 	node int
@@ -344,32 +408,21 @@ type Runtime struct {
 	cfg   *config.Config
 	board *nic.Board
 
-	data         []uint64    // this node's copy of the whole shared region
-	state        []pageState // per page access state
-	twin         map[int32][]uint64
-	dirty        map[int32]bool
-	needs        map[int32]map[int]int32 // page -> writer -> required interval
-	pendingLocal map[int32][]diffEntry   // local writes preserved across a refetch
-	vc           []int32
-	log          [][]*Interval // per node, contiguous by interval index
-	homes        map[int32]*pageHome
-	locks        map[int]*lockState
-	bars         map[int]*barrierState
-	grantVC      map[int][]int32 // per lock: manager VC seen at last grant
-	lastBarVC    []int32         // manager VC broadcast at the last barrier release
-	lastWrote    map[int32]int32 // per page: own interval idx of the last release that diffed it
+	data  []uint64 // this node's copy of the whole shared region
+	pages []page   // the page table: every per-page state, by page id
+	// dirtied lists the pages written since the last release, in the
+	// order of their first write; release sorts them.
+	dirtied   []int32
+	vc        []int32
+	log       [][]*Interval // per node, contiguous by interval index
+	locks     map[int]*lockState
+	bars      map[int]*barrierState
+	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
+	lastBarVC []int32         // manager VC broadcast at the last barrier release
 
-	// Distributed-ownership state (nil/unused under central ownership).
+	// distributed selects the Li/Hudak dynamic manager: ownership
+	// migrates on clean write faults and barrier managers rotate.
 	distributed bool
-	owned       map[int32]bool // pages this node currently owns
-	probOwner   map[int32]int  // best guess at the current owner (default: static home)
-	fetchingW   map[int32]bool // pages with an outstanding write fetch
-	// pendingOwn parks requests and diffs that arrive while this node
-	// has a write fetch outstanding for the page: the requester is the
-	// probable future owner, so racing traffic funnels here instead of
-	// chasing a moving target (the rule that makes Li/Hudak chains
-	// terminate).
-	pendingOwn map[int32][]*nic.Message
 	// pendingIv parks intervals that arrived ahead of a gap in the
 	// log. Only the rotating barrier manager can see such a gap: an
 	// enter bundle is computed against the previous manager's release
@@ -403,12 +456,6 @@ type Globals struct {
 	homeOf       func(page int32) int
 	homeOverride func(page int32, n int) int
 
-	// ownerMoved records the current owner of every page whose
-	// ownership migrated away from its static home (distributed
-	// ownership). Post-run reads consult it: the authoritative copy
-	// follows the owner.
-	ownerMoved map[int32]int
-
 	// Bag of tasks, served by node 0's protocol handler. taskTotal is
 	// the number of TaskDone completions after which NextTask returns
 	// -1 to everyone; 0 means "the initial bag is everything" and the
@@ -423,8 +470,7 @@ type Globals struct {
 // NewGlobals prepares a cluster-wide DSM of n nodes. Homes are
 // distributed by blocks once the region size is known (see Freeze).
 func NewGlobals(cfg *config.Config) *Globals {
-	return &Globals{cfg: cfg, pageWords: cfg.PageBytes / cfg.WordBytes,
-		ownerMoved: make(map[int32]int)}
+	return &Globals{cfg: cfg, pageWords: cfg.PageBytes / cfg.WordBytes}
 }
 
 // Alloc reserves words shared words and returns the base word index.
@@ -437,14 +483,6 @@ func (g *Globals) Alloc(words int) int {
 	if rem := g.words % g.pageWords; rem != 0 {
 		g.words += g.pageWords - rem
 	}
-	return base
-}
-
-// AllocUnpadded reserves words without page alignment, for arrays that
-// intentionally share pages (false-sharing studies).
-func (g *Globals) AllocUnpadded(words int) int {
-	base := g.words
-	g.words += words
 	return base
 }
 
@@ -503,30 +541,16 @@ func (g *Globals) Freeze(n int) {
 	}
 }
 
-// HomeOf reports the home node of a page.
-func (g *Globals) HomeOf(page int32) int { return g.homeOf(page) }
-
 // OwnerOf reports the node holding the page's authoritative copy after
-// a run: the static home unless ownership migrated away (distributed
-// ownership).
+// a run. Like a request, it starts at the page's static home and
+// follows the probable-owner pointers to the node that owns the page.
 func (g *Globals) OwnerOf(page int32) int {
-	if o, ok := g.ownerMoved[page]; ok {
-		return o
-	}
-	return g.homeOf(page)
-}
-
-// noteOwner records an ownership migration for post-run reads.
-func (g *Globals) noteOwner(page int32, node int) { g.ownerMoved[page] = node }
-
-// Migrated reports how many pages are currently owned away from their
-// static home (diagnostics and tests).
-func (g *Globals) Migrated() int {
-	n := 0
-	for page, o := range g.ownerMoved {
-		if o != g.homeOf(page) {
-			n++
+	n := g.homeOf(page)
+	for hops := 0; !g.nodes[n].pages[page].owned; hops++ {
+		if hops == len(g.nodes) {
+			panic(fmt.Sprintf("dsm: page %d probable-owner chain from its home reaches no owner", page))
 		}
+		n = g.nodes[n].pages[page].probOwner
 	}
 	return n
 }
@@ -540,20 +564,24 @@ func (g *Globals) TaskDebug() string {
 // PendingHomeRequests reports, per runtime, how many version-gated
 // page requests are parked at this node's homes (deadlock forensics).
 func (r *Runtime) PendingHomeRequests() (n int, sample string) {
-	for page, hs := range r.homes {
-		if len(hs.waiting) > 0 {
-			n += len(hs.waiting)
+	for p := range r.pages {
+		b := r.pages[p].book
+		if b == nil {
+			continue
+		}
+		if len(b.waiting) > 0 {
+			n += len(b.waiting)
 			if sample == "" {
-				req := hs.waiting[0].req
+				req := b.waiting[0].req
 				sample = fmt.Sprintf("page %d from node %d needs %v applied=%v",
-					page, req.from, req.need, hs.applied)
+					p, req.from, req.need, b.applied)
 			}
 		}
-	}
-	for page, parked := range r.pendingOwn {
-		n += len(parked)
-		if sample == "" {
-			sample = fmt.Sprintf("page %d: %d message(s) parked awaiting ownership", page, len(parked))
+		if parked := b.pendingOwn; len(parked) > 0 {
+			n += len(parked)
+			if sample == "" {
+				sample = fmt.Sprintf("page %d: %d message(s) parked awaiting ownership", p, len(parked))
+			}
 		}
 	}
 	return n, sample
@@ -563,41 +591,29 @@ func (r *Runtime) PendingHomeRequests() (n int, sample string) {
 // protocol handlers on the board. Call after Globals.Freeze.
 func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *Runtime {
 	r := &Runtime{
-		G:            g,
-		node:         node,
-		k:            k,
-		cfg:          g.cfg,
-		board:        board,
-		data:         make([]uint64, g.words+g.pageWords),
-		state:        make([]pageState, g.Pages()+1),
-		twin:         make(map[int32][]uint64),
-		dirty:        make(map[int32]bool),
-		needs:        make(map[int32]map[int]int32),
-		pendingLocal: make(map[int32][]diffEntry),
-		vc:           make([]int32, nnodes),
-		log:          make([][]*Interval, nnodes),
-		homes:        make(map[int32]*pageHome),
-		locks:        make(map[int]*lockState),
-		bars:         make(map[int]*barrierState),
-		grantVC:      make(map[int][]int32),
-		lastBarVC:    make([]int32, nnodes),
-		lastWrote:    make(map[int32]int32),
+		G:           g,
+		node:        node,
+		k:           k,
+		cfg:         g.cfg,
+		board:       board,
+		data:        make([]uint64, g.words+g.pageWords),
+		pages:       make([]page, g.Pages()+1),
+		vc:          make([]int32, nnodes),
+		log:         make([][]*Interval, nnodes),
+		locks:       make(map[int]*lockState),
+		bars:        make(map[int]*barrierState),
+		grantVC:     make(map[int][]int32),
+		lastBarVC:   make([]int32, nnodes),
+		distributed: g.cfg.DSMOwnershipOrDefault() == config.DSMDistributed,
 	}
-	if g.cfg.DSMOwnershipOrDefault() == config.DSMDistributed {
-		r.distributed = true
-		r.owned = make(map[int32]bool)
-		r.probOwner = make(map[int32]int)
-		r.fetchingW = make(map[int32]bool)
-		r.pendingOwn = make(map[int32][]*nic.Message)
-	}
-	for p := range r.state {
-		if g.homeOf(int32(p)) == node {
-			r.state[p] = pageValid
-			if r.distributed {
-				// Initial owners are the static homes; probable-owner
-				// pointers elsewhere default to the static home too.
-				r.owned[int32(p)] = true
-			}
+	// Every page starts owned by its static home, and every node's
+	// probable-owner pointer starts there.
+	for p := range r.pages {
+		pg := &r.pages[p]
+		pg.probOwner = g.homeOf(int32(p))
+		if pg.probOwner == node {
+			pg.state = pageValid
+			pg.owned = true
 		}
 	}
 	g.nodes = append(g.nodes, r)
@@ -650,30 +666,15 @@ func (r *Runtime) vaddrOfWord(idx int) uint64 {
 // pageOf returns the page holding a word index.
 func (r *Runtime) pageOf(idx int) int32 { return int32(idx / r.G.pageWords) }
 
-// home reports whether this node is the page's home.
-func (r *Runtime) home(page int32) bool { return r.G.homeOf(page) == r.node }
-
-// owner reports whether this node currently manages the page: the
-// static home under central ownership, the dynamic owner (initially
-// the home, migrating on write faults) under distributed ownership.
-func (r *Runtime) owner(page int32) bool {
-	if r.distributed {
-		return r.owned[page]
-	}
-	return r.home(page)
-}
-
-// probOwnerOf is this node's best guess at the page's current owner
-// (distributed ownership). Unvisited pages default to the static home.
+// probOwnerOf is this node's best guess at the page's current owner:
+// where its requests and diffs for the page go.
 func (r *Runtime) probOwnerOf(page int32) int {
-	if o, ok := r.probOwner[page]; ok {
-		if o == r.node && !r.owned[page] {
-			panic(fmt.Sprintf("dsm: node %d probable-owner pointer for page %d is itself but it is not the owner",
-				r.node, page))
-		}
-		return o
+	pg := &r.pages[page]
+	if pg.probOwner == r.node && !pg.owned {
+		panic(fmt.Sprintf("dsm: node %d probable-owner pointer for page %d is itself but it is not the owner",
+			r.node, page))
 	}
-	return r.G.homeOf(page)
+	return pg.probOwner
 }
 
 // peer returns the runtime of another node (the simulator's stand-in
@@ -804,29 +805,19 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 			continue
 		}
 		for _, p := range iv.Pages {
-			need := r.needs[p]
-			if need == nil {
-				need = make(map[int]int32)
-				r.needs[p] = need
-			}
-			if iv.Idx > need[iv.Node] {
-				need[iv.Node] = iv.Idx
-			}
-			if p == DebugPage {
-				fmt.Printf("DSMDBG t=%d node=%d notice page=%d writer=%d idx=%d state=%d\n",
-					r.k.Now(), r.node, p, iv.Node, iv.Idx, r.state[p])
-			}
-			if r.owner(p) || (r.cfg.UpdateProtocol && r.state[p] != pageInvalid) {
-				// The copy stays mapped: the home always, and any copy
+			pg, b := &r.pages[p], r.book(p)
+			b.need(iv.Node, iv.Idx)
+			if pg.owned || (r.cfg.UpdateProtocol && pg.state != pageInvalid) {
+				// The copy stays mapped: the owner always, and any copy
 				// holder under the update protocol (the diff is on its
 				// way). Accesses stall until the diffs land.
-				if hs := r.homeState(p); !hs.satisfiedNeeds(need) {
-					r.state[p] = pageHomeStale
+				if !b.satisfiedNeeds() {
+					pg.state = pageHomeStale
 				}
 				continue
 			}
-			if r.state[p] == pageValid {
-				r.state[p] = pageInvalid
+			if pg.state == pageValid {
+				pg.state = pageInvalid
 				invalidated++
 				r.Stats.Invalidates++
 			}
@@ -835,32 +826,34 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 	return invalidated
 }
 
-// satisfiedNeeds reports whether every (writer, interval) requirement
-// has been applied at this home.
-func (hs *pageHome) satisfiedNeeds(need map[int]int32) bool {
-	for w, idx := range need {
-		if hs.applied[w] < idx {
+// satisfiedNeeds reports whether every noticed (writer, interval)
+// requirement has been applied to this copy.
+func (b *pageBook) satisfiedNeeds() bool {
+	for w, idx := range b.needs {
+		if b.applied[w] < idx {
 			return false
 		}
 	}
 	return true
 }
 
-// homeState returns (creating on demand) the home bookkeeping for page.
-func (r *Runtime) homeState(page int32) *pageHome {
-	hs := r.homes[page]
-	if hs == nil {
-		hs = &pageHome{applied: make([]int32, len(r.vc))}
-		r.homes[page] = hs
+// book returns the bookkeeping part of a page's record, making it on
+// first use.
+func (r *Runtime) book(page int32) *pageBook {
+	pg := &r.pages[page]
+	if pg.book == nil {
+		n := len(r.vc)
+		vecs := make([]int32, 2*n) // needs and applied, one allocation
+		pg.book = &pageBook{needs: vecs[:n:n], applied: vecs[n:]}
 	}
-	return hs
+	return pg.book
 }
 
-// satisfied reports whether the home has applied every diff the
+// satisfied reports whether the owner has applied every diff the
 // request requires.
-func (hs *pageHome) satisfied(req *pageReqMsg) bool {
+func (b *pageBook) satisfied(req *pageReqMsg) bool {
 	for _, need := range req.need {
-		if hs.applied[need.Node] < need.Idx {
+		if b.applied[need.Node] < need.Idx {
 			return false
 		}
 	}

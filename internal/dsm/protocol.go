@@ -68,8 +68,9 @@ func (r *Runtime) send(at sim.Time, m *nic.Message) {
 // OSIRIS/standard each hop pays the host interrupt + kernel/ADC path
 // the arrival already charged plus the host send.
 func (r *Runtime) parkOrForward(at sim.Time, m *nic.Message, page int32) {
-	if r.fetchingW[page] {
-		r.pendingOwn[page] = append(r.pendingOwn[page], m)
+	if r.pages[page].fetchingW {
+		b := r.book(page)
+		b.pendingOwn = append(b.pendingOwn, m)
 		return
 	}
 	r.forwardOwn(at, m)
@@ -107,13 +108,9 @@ func (r *Runtime) forwardOwn(at sim.Time, m *nic.Message) {
 			r.node, page, *hops))
 	}
 	if compressTo >= 0 {
-		r.probOwner[page] = compressTo
+		r.pages[page].probOwner = compressTo
 	}
 	r.Stats.Forwards++
-	if page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d forward op=%d page=%d -> node %d hops=%d\n",
-			at, r.node, m.Op, page, target, *hops)
-	}
 	r.send(at, &nic.Message{
 		From: r.node, To: target, Op: m.Op, Size: m.Size, Payload: m.Payload,
 	})
@@ -123,13 +120,11 @@ func (r *Runtime) forwardOwn(at sim.Time, m *nic.Message) {
 // write fetch: locally when the fetch won ownership, down the chain to
 // the node that served us when the owner declined to migrate.
 func (r *Runtime) drainPendingOwn(at sim.Time, page int32) {
-	parked := r.pendingOwn[page]
-	if parked == nil {
-		return
-	}
-	delete(r.pendingOwn, page)
+	b := r.book(page)
+	parked := b.pendingOwn
+	b.pendingOwn = nil
 	for _, pm := range parked {
-		if r.owner(page) {
+		if r.pages[page].owned {
 			r.dispatchLocal(at, pm)
 		} else {
 			r.forwardOwn(at, pm)
@@ -141,7 +136,7 @@ func (r *Runtime) drainPendingOwn(at sim.Time, page int32) {
 // version-gated page requests it satisfies.
 func (r *Runtime) onDiff(at sim.Time, m *nic.Message) {
 	d := m.Payload.(*diffMsg)
-	if !r.owner(d.page) {
+	if !r.pages[d.page].owned {
 		if !r.distributed {
 			panic(fmt.Sprintf("dsm: node %d got diff for page %d homed at %d",
 				r.node, d.page, r.G.homeOf(d.page)))
@@ -154,13 +149,9 @@ func (r *Runtime) onDiff(at sim.Time, m *nic.Message) {
 		r.data[e.word] = e.val
 	}
 	r.Stats.DiffsApplied++
-	if d.page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d applydiff page=%d writer=%d idx=%d words=%d\n",
-			at, r.node, d.page, d.writer, d.idx, len(d.entries))
-	}
-	hs := r.homeState(d.page)
-	if d.idx > hs.applied[d.writer] {
-		hs.applied[d.writer] = d.idx
+	b := r.book(d.page)
+	if d.idx > b.applied[d.writer] {
+		b.applied[d.writer] = d.idx
 	}
 	if r.cfg.UpdateProtocol {
 		r.forwardUpdate(at, d)
@@ -172,12 +163,8 @@ func (r *Runtime) onDiff(at sim.Time, m *nic.Message) {
 // eager-update protocol): their copies stay valid instead of going
 // stale, at the price of one message per holder per release.
 func (r *Runtime) forwardUpdate(at sim.Time, d *diffMsg) {
-	hs := r.homeState(d.page)
-	if d.page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d forward page=%d writer=%d idx=%d copyset=%v\n",
-			at, r.node, d.page, d.writer, d.idx, sortedMembers(hs.copyset))
-	}
-	for _, member := range sortedMembers(hs.copyset) {
+	b := r.book(d.page)
+	for _, member := range sortedMembers(b.copyset) {
 		if member == d.writer || member == r.node {
 			continue
 		}
@@ -192,7 +179,7 @@ func (r *Runtime) forwardUpdate(at sim.Time, d *diffMsg) {
 			NoFlush:      true,
 			DeliverVAddr: r.vaddrOfPage(d.page),
 			DeliverBytes: diffBytes,
-			Payload:      &updateMsg{diff: d, seenOfMember: hs.applied[member]},
+			Payload:      &updateMsg{diff: d, seenOfMember: b.applied[member]},
 		})
 	}
 }
@@ -212,11 +199,8 @@ func sortedMembers(set map[int]bool) []int {
 func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	u := m.Payload.(*updateMsg)
 	d := u.diff
-	if d.page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d onupdate page=%d writer=%d idx=%d state=%d seen=%d\n",
-			at, r.node, d.page, d.writer, d.idx, r.state[d.page], u.seenOfMember)
-	}
-	if r.state[d.page] == pageInvalid {
+	pg, b := &r.pages[d.page], r.book(d.page)
+	if pg.state == pageInvalid {
 		// The copy was dropped; the next access refetches, so the
 		// update is moot.
 		return
@@ -226,28 +210,20 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	// uncommitted writes to it, the pushed values may roll this node's
 	// own writes back. Drop the copy and fall back to the (version-
 	// gated) fault path, which merges correctly.
-	if u.seenOfMember < r.lastWrote[d.page] || r.dirty[d.page] {
-		r.state[d.page] = pageInvalid
+	if u.seenOfMember < pg.lastWrote || pg.dirty {
+		pg.state = pageInvalid
 		r.Stats.Invalidates++
-		need := r.needs[d.page]
-		if need == nil {
-			need = make(map[int]int32)
-			r.needs[d.page] = need
-		}
-		if d.idx > need[d.writer] {
-			need[d.writer] = d.idx
-		}
-		hs := r.homeState(d.page)
-		if hs.homeStalled {
+		b.need(d.writer, d.idx)
+		if b.homeStalled {
 			// The worker was waiting for this push; wake it so its
 			// access loop refaults instead.
-			hs.homeStalled = false
+			b.homeStalled = false
 			r.wakeWorker(at, waitPage)
 		}
 		return
 	}
 	lo := int(d.page) * r.G.pageWords
-	tw := r.twin[d.page]
+	tw := b.twin
 	for _, e := range d.entries {
 		r.data[e.word] = e.val
 		if tw != nil {
@@ -256,9 +232,8 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 			tw[int(e.word)-lo] = e.val
 		}
 	}
-	hs := r.homeState(d.page)
-	if d.idx > hs.applied[d.writer] {
-		hs.applied[d.writer] = d.idx
+	if d.idx > b.applied[d.writer] {
+		b.applied[d.writer] = d.idx
 	}
 	// The DMA rewrote host memory under the caches.
 	if r.worker != nil {
@@ -271,20 +246,20 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 // drainWaiting replies to parked page requests that are now satisfied
 // and unstalls the home's own worker if its requirements are met.
 func (r *Runtime) drainWaiting(at sim.Time, page int32) {
-	hs := r.homeState(page)
+	b := r.book(page)
 	var still []waitReq
-	for _, w := range hs.waiting {
-		if hs.satisfied(w.req) {
+	for _, w := range b.waiting {
+		if b.satisfied(w.req) {
 			r.sendPageReply(at, w.req)
 		} else {
 			still = append(still, w)
 		}
 	}
-	hs.waiting = still
-	if hs.homeStalled && hs.satisfiedNeeds(r.needs[page]) {
-		hs.homeStalled = false
-		r.state[page] = pageValid
-		delete(r.needs, page)
+	b.waiting = still
+	if b.homeStalled && b.satisfiedNeeds() {
+		b.homeStalled = false
+		r.pages[page].state = pageValid
+		clear(b.needs)
 		r.wakeWorker(at, waitPage)
 	}
 }
@@ -294,7 +269,7 @@ func (r *Runtime) drainWaiting(at sim.Time, page int32) {
 // or forwarded down the probable-owner chain instead.
 func (r *Runtime) onPageReq(at sim.Time, m *nic.Message) {
 	req := m.Payload.(*pageReqMsg)
-	if !r.owner(req.page) {
+	if !r.pages[req.page].owned {
 		if !r.distributed {
 			panic(fmt.Sprintf("dsm: node %d got page request for page %d homed at %d",
 				r.node, req.page, r.G.homeOf(req.page)))
@@ -303,12 +278,12 @@ func (r *Runtime) onPageReq(at sim.Time, m *nic.Message) {
 		return
 	}
 	r.Stats.OwnerMsgs++
-	hs := r.homeState(req.page)
-	if hs.satisfied(req) {
+	b := r.book(req.page)
+	if b.satisfied(req) {
 		r.sendPageReply(at, req)
 		return
 	}
-	hs.waiting = append(hs.waiting, waitReq{req: req, at: at})
+	b.waiting = append(b.waiting, waitReq{req: req, at: at})
 }
 
 // canGrant decides whether serving req should also migrate ownership
@@ -322,10 +297,9 @@ func (r *Runtime) canGrant(req *pageReqMsg) bool {
 	if !r.distributed || !req.write || req.from == r.node {
 		return false
 	}
-	p := req.page
-	hs := r.homeState(p)
-	return r.state[p] == pageValid && !r.dirty[p] && !hs.homeStalled &&
-		len(hs.waiting) == 0 && hs.satisfiedNeeds(r.needs[p])
+	pg, b := &r.pages[req.page], r.book(req.page)
+	return pg.state == pageValid && !pg.dirty && !b.homeStalled &&
+		len(b.waiting) == 0 && b.satisfiedNeeds()
 }
 
 // sendPageReply ships the owner's (flushed-at-release) copy of the
@@ -338,21 +312,21 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 	r.Stats.PageFetches++
 	r.trace.Addf(at, r.node, "serve", "page %d -> node %d", req.page, req.from)
 	vaddr := r.vaddrOfPage(req.page)
-	hs := r.homeState(req.page)
-	if !hs.exported {
+	b := r.book(req.page)
+	if !b.exported {
 		// First export of this page: the home's CPU flushes it to
 		// memory before the board can transfer it; from now on the
 		// page is flushed at every release instead.
-		hs.exported = true
+		b.exported = true
 		cost := r.board.FlushBuffer(vaddr, r.cfg.PageBytes)
 		r.board.PenalizeHost(cost)
 		at += cost
 	}
 	if r.cfg.UpdateProtocol {
-		if hs.copyset == nil {
-			hs.copyset = make(map[int]bool)
+		if b.copyset == nil {
+			b.copyset = make(map[int]bool)
 		}
-		hs.copyset[req.from] = true
+		b.copyset[req.from] = true
 	}
 	own := r.canGrant(req)
 	if own {
@@ -360,12 +334,9 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		// node keeps its (still current) copy as an ordinary holder
 		// and points its chain at the new owner. The manager state
 		// travels as the applied snapshot on the reply.
-		delete(r.owned, req.page)
-		r.probOwner[req.page] = req.from
-		r.G.noteOwner(req.page, req.from)
-		if req.page == DebugPage {
-			fmt.Printf("DSMDBG t=%d node=%d grant page=%d -> node %d\n", at, r.node, req.page, req.from)
-		}
+		pg := &r.pages[req.page]
+		pg.owned = false
+		pg.probOwner = req.from
 	}
 	r.send(at, &nic.Message{
 		From:         r.node,
@@ -380,7 +351,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		CacheRx:      req.write,
 		Payload: &pageReplyMsg{
 			page: req.page, to: req.from, from: r.node, own: own, req: req,
-			applied: append([]int32(nil), hs.applied...),
+			applied: append([]int32(nil), b.applied...),
 		},
 	})
 }
@@ -393,90 +364,71 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	rep := m.Payload.(*pageReplyMsg)
 	page := rep.page
-	if page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d pagereply page=%d from=%d own=%v pendingLocal=%v\n",
-			at, r.node, page, rep.from, rep.own, len(r.pendingLocal[page]))
-	}
+	pg, b := &r.pages[page], r.book(page)
 	r.copyPageFrom(page, rep.from)
-	// Preserve this node's own uncommitted writes over the fetched base.
-	if local, ok := r.pendingLocal[page]; ok {
+	// Preserve this node's own uncommitted writes over the fetched base:
+	// fault saved them in b.local because the page is twinned.
+	if tw := b.twin; tw != nil {
 		// New twin is the fetched base, so the next diff still carries
 		// the local writes forward.
-		if tw, twok := r.twin[page]; twok {
-			lo := int(page) * r.G.pageWords
-			copy(tw, r.data[lo:lo+len(tw)])
-		}
-		for _, e := range local {
+		lo := int(page) * r.G.pageWords
+		copy(tw, r.data[lo:lo+len(tw)])
+		for _, e := range b.local {
 			r.data[e.word] = e.val
 		}
-		delete(r.pendingLocal, page)
+		b.local = nil
 	}
 	// Clear only the requirements this reply was gated on. Notices that
 	// raced the fetch stay pending, the page stays invalid, and the
 	// worker's access loop refaults with the updated requirements.
-	if remaining := r.needs[page]; remaining != nil {
-		for _, nd := range rep.req.need {
-			if remaining[nd.Node] <= nd.Idx {
-				delete(remaining, nd.Node)
-			}
-		}
-		if len(remaining) == 0 {
-			delete(r.needs, page)
+	for _, nd := range rep.req.need {
+		if b.needs[nd.Node] <= nd.Idx {
+			b.needs[nd.Node] = 0
 		}
 	}
-	if r.cfg.UpdateProtocol {
-		// Seed this member's applied tracking with the home's state at
-		// reply time: diffs already folded into the fetched copy will
-		// never be forwarded again.
-		hs := r.homeState(page)
+	if r.cfg.UpdateProtocol || rep.own {
+		// Seed this copy's applied tracking with the server's at reply
+		// time. Under the update protocol, diffs already folded into the
+		// fetched copy will never be forwarded again; on a grant, this
+		// is the old owner's manager state passing to the new owner.
 		for n, idx := range rep.applied {
-			if idx > hs.applied[n] {
-				hs.applied[n] = idx
+			if idx > b.applied[n] {
+				b.applied[n] = idx
 			}
 		}
 	}
 	if r.distributed {
 		r.Stats.Chain.observe(rep.req.hops)
-		delete(r.fetchingW, page)
-		r.probOwner[page] = rep.from
-		if rep.own {
-			// This node is the page's owner and manager now: merge the
-			// old owner's applied vector into the local manager state
-			// and keep flushing at releases (the old owner still holds
-			// a copy, so transfers are impending).
-			r.Stats.Migrations++
-			r.owned[page] = true
-			r.probOwner[page] = r.node
-			hs := r.homeState(page)
-			for n, idx := range rep.applied {
-				if idx > hs.applied[n] {
-					hs.applied[n] = idx
-				}
-			}
-			hs.exported = true
-		}
 	}
-	if len(r.needs[page]) == 0 {
-		r.state[page] = pageValid
-	} else if r.distributed && r.owned[page] {
+	pg.fetchingW = false
+	pg.probOwner = rep.from
+	if rep.own {
+		// This node is the page's owner and manager now, and keeps
+		// flushing at releases (the old owner still holds a copy, so
+		// transfers are impending).
+		r.Stats.Migrations++
+		pg.owned = true
+		pg.probOwner = r.node
+		b.exported = true
+	}
+	if b.pendingNeeds() == 0 {
+		pg.state = pageValid
+	} else if pg.owned {
 		// A new owner never refaults: with noticed diffs still in
 		// flight (they are chasing the chain toward us) the page goes
 		// home-stale and the worker stalls until they land.
-		hs := r.homeState(page)
-		if hs.satisfiedNeeds(r.needs[page]) {
-			r.state[page] = pageValid
-			delete(r.needs, page)
+		if b.satisfiedNeeds() {
+			pg.state = pageValid
+			clear(b.needs)
 		} else {
-			r.state[page] = pageHomeStale
+			pg.state = pageHomeStale
 		}
 	}
 	// The DMA overwrote host memory beneath the caches; the worker pays
 	// the invalidation when it resumes.
 	inval := r.worker.mem.InvalidateRange(r.vaddrOfPage(page), r.cfg.PageBytes)
 	r.worker.pendingCharge += inval
-	if r.distributed {
-		r.drainPendingOwn(at, page)
-	}
+	r.drainPendingOwn(at, page)
 	r.wakeWorker(at, waitPage)
 }
 
@@ -672,17 +624,18 @@ func (r *Runtime) wakeWorker(at sim.Time, why waitKind) {
 	w.proc.WakeAt(at)
 }
 
-// sortedNeeds renders a page's pending write notices as a deterministic
-// requirement list for a version-gated fetch.
-func (r *Runtime) sortedNeeds(page int32) []Interval {
-	need := r.needs[page]
-	if len(need) == 0 {
+// sortedNeeds renders a page's pending write notices as a requirement
+// list for a version-gated fetch, in writer order.
+func (b *pageBook) sortedNeeds() []Interval {
+	n := b.pendingNeeds()
+	if n == 0 {
 		return nil
 	}
-	out := make([]Interval, 0, len(need))
-	for n, idx := range need {
-		out = append(out, Interval{Node: n, Idx: idx})
+	out := make([]Interval, 0, n)
+	for w, idx := range b.needs {
+		if idx != 0 {
+			out = append(out, Interval{Node: w, Idx: idx})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }

@@ -3,7 +3,7 @@ package dsm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"cni/internal/memsys"
 	"cni/internal/nic"
@@ -124,7 +124,7 @@ func (w *Worker) WriteF64(idx int, v float64) {
 func (w *Worker) ReadU64(idx int) uint64 {
 	r := w.r
 	page := r.pageOf(idx)
-	for r.state[page] != pageValid {
+	for r.pages[page].state != pageValid {
 		w.slowPath(page, false)
 	}
 	w.proc.Advance(w.mem.Read(r.vaddrOfWord(idx)))
@@ -137,10 +137,10 @@ func (w *Worker) ReadU64(idx int) uint64 {
 func (w *Worker) WriteU64(idx int, v uint64) {
 	r := w.r
 	page := r.pageOf(idx)
-	for r.state[page] != pageValid {
+	for r.pages[page].state != pageValid {
 		w.slowPath(page, true)
 	}
-	if !r.dirty[page] {
+	if !r.pages[page].dirty {
 		w.beginWrite(page)
 	}
 	w.proc.Advance(w.mem.Write(r.vaddrOfWord(idx)))
@@ -148,12 +148,14 @@ func (w *Worker) WriteU64(idx int, v uint64) {
 	r.board.NoteWrite(r.vaddrOfWord(idx))
 }
 
-// beginWrite marks page dirty and, for non-home pages, creates the
-// twin used for diffing at the next release.
+// beginWrite marks page dirty and, for pages this node does not own,
+// creates the twin used for diffing at the next release.
 func (w *Worker) beginWrite(page int32) {
 	r := w.r
-	r.dirty[page] = true
-	if r.owner(page) && !r.cfg.UpdateProtocol {
+	pg := &r.pages[page]
+	pg.dirty = true
+	r.dirtied = append(r.dirtied, page)
+	if pg.owned && !r.cfg.UpdateProtocol {
 		// Home writes need no twin under the invalidate protocol: the
 		// home copy is authoritative and nothing is diffed. The update
 		// protocol twins even home pages so the home's own writes can
@@ -163,7 +165,7 @@ func (w *Worker) beginWrite(page int32) {
 	lo := int(page) * r.G.pageWords
 	tw := make([]uint64, r.G.pageWords)
 	copy(tw, r.data[lo:lo+r.G.pageWords])
-	r.twin[page] = tw
+	r.book(page).twin = tw
 	// Twinning is a page copy on the host CPU.
 	w.charge(sim.Time(r.G.pageWords) * r.cfg.DiffWordCycles)
 }
@@ -172,7 +174,7 @@ func (w *Worker) beginWrite(page int32) {
 // invalid pages fault and fetch; home-stale pages stall until the
 // noticed in-flight diffs land.
 func (w *Worker) slowPath(page int32, write bool) {
-	if w.r.state[page] == pageHomeStale {
+	if w.r.pages[page].state == pageHomeStale {
 		w.stallHome(page)
 		return
 	}
@@ -185,56 +187,45 @@ func (w *Worker) slowPath(page int32, write bool) {
 // value into a read-modify-write and silently lose a remote update.
 func (w *Worker) stallHome(page int32) {
 	r := w.r
-	hs := r.homeState(page)
-	need := r.needs[page]
-	if hs.satisfiedNeeds(need) {
-		r.state[page] = pageValid
-		delete(r.needs, page)
+	b := r.book(page)
+	if b.satisfiedNeeds() {
+		r.pages[page].state = pageValid
+		clear(b.needs)
 		return
 	}
-	if page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d stall page=%d needs=%v applied=%v\n",
-			w.proc.Local(), r.node, page, need, hs.applied)
-	}
 	r.Stats.PageFaults++ // it is a fault: the access stalled
-	hs.homeStalled = true
+	b.homeStalled = true
 	w.block(waitPage)
 }
 
-// fault fetches an invalid page from its home (central ownership) or
-// its probable owner (distributed), version-gated on the write notices
-// this node has seen, preserving any local uncommitted writes across
-// the refetch. write marks a write fault, which makes the arriving
-// page Message Cache eligible (it is likely to migrate) — and, under
-// distributed ownership, migrates the ownership itself when the owner's
-// copy is clean.
+// fault fetches an invalid page from its probable owner (always the
+// static home under central ownership), version-gated on the write
+// notices this node has seen, preserving any local uncommitted writes
+// across the refetch. write marks a write fault, which makes the
+// arriving page Message Cache eligible (it is likely to migrate) — and,
+// under distributed ownership, migrates the ownership itself when the
+// owner's copy is clean.
 func (w *Worker) fault(page int32, write bool) {
 	r := w.r
 	r.Stats.PageFaults++
-	if r.owner(page) {
+	if r.pages[page].owned {
 		panic(fmt.Sprintf("dsm: node %d faulted on its own page %d", r.node, page))
 	}
 	// Preserve uncommitted local writes (concurrent write sharing): the
-	// incoming base page must not clobber them.
-	if tw, ok := r.twin[page]; ok {
-		r.pendingLocal[page] = diffWords(r.data, tw, int(page)*r.G.pageWords)
+	// incoming base page must not clobber them. A twinned page keeps its
+	// twin until release, so onPageReply knows the preserved writes by
+	// it, even when none of them changed a word.
+	b := r.book(page)
+	if b.twin != nil {
+		b.local = diffWords(r.data, b.twin, int(page)*r.G.pageWords)
 		write = true
 	}
-	need := r.sortedNeeds(page)
-	target := r.G.homeOf(page)
-	if r.distributed {
-		target = r.probOwnerOf(page)
-		if write {
-			// An outstanding write fetch makes this node the probable
-			// future owner: racing requests and diffs park here until
-			// the reply resolves the ownership (see pendingOwn).
-			r.fetchingW[page] = true
-		}
-	}
-	if page == DebugPage {
-		fmt.Printf("DSMDBG t=%d node=%d fault page=%d write=%v need=%v target=%d\n",
-			w.proc.Local(), r.node, page, write, need, target)
-	}
+	need := b.sortedNeeds()
+	target := r.probOwnerOf(page)
+	// An outstanding write fetch makes this node the probable future
+	// owner: racing requests and diffs park here until the reply
+	// resolves the ownership (see pendingOwn).
+	r.pages[page].fetchingW = write
 	r.trace.Addf(w.proc.Local(), r.node, "fault", "page %d write=%v need=%d", page, write, len(need))
 	req := &pageReqMsg{page: page, from: r.node, write: write, need: need}
 	m := &nic.Message{
@@ -261,17 +252,15 @@ func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
 // release is the release half of LRC: create the interval for the
 // pages written since the last release, flush them (publishing the
 // writes to memory and to the snooping Message Cache), and ship diffs
-// of non-home pages to their homes.
+// of pages this node does not own to their probable owners.
 func (w *Worker) release() {
 	r := w.r
-	if len(r.dirty) == 0 {
+	if len(r.dirtied) == 0 {
 		return
 	}
-	pages := make([]int32, 0, len(r.dirty))
-	for p := range r.dirty {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+	pages := slices.Clone(r.dirtied)
+	slices.Sort(pages)
+	r.dirtied = r.dirtied[:0]
 
 	r.vc[r.node]++
 	idx := r.vc[r.node]
@@ -280,44 +269,38 @@ func (w *Worker) release() {
 
 	for _, page := range pages {
 		vaddr := r.vaddrOfPage(page)
-		if r.owner(page) {
+		pg, b := &r.pages[page], r.book(page)
+		if pg.owned {
 			// Owner writes are authoritative; advance the version so gated
 			// fetches see them. Flush only pages some other node actually
 			// fetches — the rest have no impending transfer.
-			hs := r.homeState(page)
-			if hs.exported {
+			if b.exported {
 				w.charge(r.board.FlushBuffer(vaddr, r.cfg.PageBytes))
 			}
-			hs.applied[r.node] = idx
+			b.applied[r.node] = idx
 			w.proc.Sync()
-			if page == DebugPage {
-				fmt.Printf("DSMDBG t=%d node=%d homerelease page=%d idx=%d twin=%v\n",
-					w.proc.Local(), r.node, page, idx, r.twin[page] != nil)
-			}
 			if r.cfg.UpdateProtocol {
 				// Forward the home's own writes to every copy holder,
 				// which stalls on the matching write notice otherwise.
-				if tw := r.twin[page]; tw != nil {
+				if tw := b.twin; tw != nil {
 					entries := diffWords(r.data, tw, int(page)*r.G.pageWords)
 					w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 					r.forwardUpdate(w.proc.Local(), &diffMsg{
 						page: page, writer: r.node, idx: idx, entries: entries,
 					})
-					delete(r.twin, page)
+					b.twin = nil
 				}
 			}
 			r.drainWaiting(w.proc.Local(), page)
-			if r.distributed {
-				// Ownership may have arrived mid-interval, leaving the
-				// twin of the pre-ownership writes behind; the owner
-				// copy is authoritative, so the twin is dead.
-				delete(r.twin, page)
-			}
-			delete(r.dirty, page)
+			// Ownership may have arrived mid-interval, leaving the twin
+			// of the pre-ownership writes behind; the owner copy is
+			// authoritative, so the twin is dead.
+			b.twin = nil
+			pg.dirty = false
 			continue
 		}
 		w.charge(r.board.FlushBuffer(vaddr, r.cfg.PageBytes))
-		tw := r.twin[page]
+		tw := b.twin
 		if tw == nil {
 			panic(fmt.Sprintf("dsm: node %d dirty non-home page %d without twin", r.node, page))
 		}
@@ -325,26 +308,18 @@ func (w *Worker) release() {
 		// Diff creation scans the page and encodes the changed words.
 		w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 		// Remember that any refetch must see our own diff applied at
-		// the home...
-		need := r.needs[page]
-		if need == nil {
-			need = make(map[int]int32)
-			r.needs[page] = need
-		}
-		need[r.node] = idx
+		// the owner...
+		b.need(r.node, idx)
 		// ...while this copy trivially contains its own writes, so the
 		// local applied tracking (used by the update protocol's stall
 		// gate) advances immediately, and the write-ordering guard
 		// remembers how recent our writes are.
-		r.homeState(page).applied[r.node] = idx
-		r.lastWrote[page] = idx
+		b.applied[r.node] = idx
+		pg.lastWrote = idx
 
-		home := r.G.homeOf(page)
-		if r.distributed {
-			// Diffs chase the current owner down the probable-owner
-			// chain; past owners forward them.
-			home = r.probOwnerOf(page)
-		}
+		// Diffs go to the probable owner; under distributed ownership
+		// past owners forward them down the chain.
+		home := r.probOwnerOf(page)
 		d := &diffMsg{page: page, writer: r.node, idx: idx, entries: entries}
 		// A dense diff is run-length encoded in practice and never
 		// exceeds the page itself.
@@ -364,8 +339,8 @@ func (w *Worker) release() {
 		w.charge(r.board.Send(w.proc, m))
 		r.Stats.DiffsSent++
 		r.Stats.DiffWords += uint64(len(entries))
-		delete(r.twin, page)
-		delete(r.dirty, page)
+		b.twin = nil
+		pg.dirty = false
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"os"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -24,11 +25,20 @@ func renderSequential(s Spec, o Options) string {
 	return RenderTable(s.Table(o))
 }
 
+// suiteGolden is the committed rendering of the parity suite: every
+// artifact's output followed by a blank line, in registry order. It is
+// what the experiments CLI prints for the same options with its ready
+// lines removed, so this one command regenerates it:
+//
+//	go run ./cmd/experiments -quick -procs 1,4 | grep -v ' ready after ' > internal/experiments/testdata/quick_suite.golden
+const suiteGolden = "testdata/quick_suite.golden"
+
 // TestParallelSuiteParity is the golden parity gate of the harness:
 // for every registered artifact, the parallel suite's rendered output
-// must be byte-identical to the sequential path. The suite runs on one
-// shared 4-worker pool (memoization and cross-artifact interleaving
-// fully active), the sequential reference inline with no pool at all.
+// must be byte-identical to the sequential path and to suiteGolden.
+// The suite runs on one shared 4-worker pool (memoization and
+// cross-artifact interleaving fully active), the sequential reference
+// inline with no pool at all.
 func TestParallelSuiteParity(t *testing.T) {
 	specs := All()
 	par := parityOpts
@@ -43,6 +53,21 @@ func TestParallelSuiteParity(t *testing.T) {
 			t.Errorf("%s: parallel output differs from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
 				s.ID, seq, outs[i])
 		}
+	}
+	raw, err := os.ReadFile(suiteGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := string(raw)
+	for i, s := range specs {
+		section := outs[i] + "\n"
+		if !strings.HasPrefix(golden, section) {
+			t.Fatalf("%s: output differs from %s\n--- got ---\n%s", s.ID, suiteGolden, outs[i])
+		}
+		golden = golden[len(section):]
+	}
+	if golden != "" {
+		t.Fatalf("%s has %d bytes past the last artifact", suiteGolden, len(golden))
 	}
 }
 

@@ -359,9 +359,6 @@ func (t *Transport[R]) Connect(server int, deadline sim.Time) Link[R] {
 // ID is the link's connection id.
 func (l *Link[R]) ID() uint32 { return l.id }
 
-// Server reports the node the link is dialed to.
-func (l *Link[R]) Server() int { return l.server }
-
 // Call is one client request, from issue until its response arrives.
 type Call[R any] struct {
 	Req      R        // the request as issued (set by the service)
@@ -425,9 +422,6 @@ func (ca *Call[R]) Wait(p *sim.Proc) {
 	}
 	ca.waiter = nil
 }
-
-// Outstanding reports the number of requests awaiting responses.
-func (t *Transport[R]) Outstanding() int { return len(t.pending) }
 
 // WaitIdle blocks p until every issued request has a terminal outcome.
 func (t *Transport[R]) WaitIdle(p *sim.Proc) {

@@ -37,12 +37,6 @@ func (r *Resource) Use(at, dur Time) (start, end Time) {
 	return start, end
 }
 
-// FreeAt reports when the resource next becomes idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// Reset returns the resource to idle at time zero and clears statistics.
-func (r *Resource) Reset() { *r = Resource{Name: r.Name} }
-
 // WaitQueue is a FIFO of blocked processes, used to build locks,
 // condition variables and barriers in the protocol models. It dequeues
 // from a moving head instead of shifting the slice, so Pop is O(1) and

@@ -89,9 +89,6 @@ func (t *torus) Edges() int {
 
 func (t *torus) TxLink(node int) *sim.Resource { return t.tx[node] }
 
-// Dims reports the configured (or auto-picked) torus extents.
-func (t *torus) Dims() [3]int { return t.dims }
-
 // coords decomposes a router id into torus coordinates.
 func (t *torus) coords(id int) (c [3]int) {
 	c[0] = id % t.dims[0]
