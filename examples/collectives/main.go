@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"cni"
 )
@@ -41,6 +42,9 @@ func main() {
 		}
 	})
 	fmt.Printf("8-node all-reduce sum of ranks = %v (want 28)\n", sum[0])
+	if sum[0] != 28 {
+		log.Fatalf("all-reduce sum = %v, want 28", sum[0])
+	}
 	fmt.Printf("node 0 engine stats: %d episodes, %d arrivals combined on the board, %d on the host\n",
 		stats.Episodes, stats.BoardCombined, stats.HostHandled)
 	fmt.Printf("board 0: AIHRuns=%d HostHandlers=%d (collective traffic never reached the host)\n\n",

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"cni"
 )
@@ -41,6 +42,9 @@ func main() {
 		sums[ep.Node()] = ep.AllReduceF64(float64(ep.Node()), cni.ReduceSum)
 	})
 	fmt.Printf("4-node fabric: allreduce sum = %v (want 6), wall %d cycles\n", sums[0], end)
+	if sums[0] != 6 {
+		log.Fatalf("allreduce sum = %v, want 6", sums[0])
+	}
 	fmt.Printf("board AIH runs on node 0: %d (active messages stayed off the host)\n\n",
 		f.Boards[0].Stats.AIHRuns)
 

@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"cni"
 )
@@ -30,7 +31,11 @@ func main() {
 		w.Barrier(0)
 	})
 
-	fmt.Printf("counter        = %d (want 40)\n", cluster.ReadU64(0))
+	counter := cluster.ReadU64(0)
+	fmt.Printf("counter        = %d (want 40)\n", counter)
+	if counter != 40 {
+		log.Fatalf("counter = %d, want 40", counter)
+	}
 	fmt.Printf("virtual time   = %d cycles (%.2f ms at %d MHz)\n",
 		res.Time, float64(res.Time)/float64(cfg.CPUFreqMHz)/1000, cfg.CPUFreqMHz)
 	fmt.Printf("hit ratio      = %.1f%%\n", res.HitRatio)

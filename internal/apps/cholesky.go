@@ -120,44 +120,21 @@ func (ch *Cholesky) Init(c *cluster.Cluster) {
 	}
 }
 
-// findPos binary-searches row i in column col's structure and returns
-// the value index within the column.
-func (ch *Cholesky) findPos(col int32, row int32) int32 {
-	lo, hi := ch.Sy.ColPtr[col], ch.Sy.ColPtr[col+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ch.Sy.RowIdx[mid] < row {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// colOfPos returns the column whose value range contains position p.
-func (ch *Cholesky) colOfPos(p int32) int32 {
-	lo, hi := int32(0), int32(ch.Sy.N)
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if ch.Sy.ColPtr[mid] <= p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // cmod applies column j's outer-product update to column i; p is the
-// position of L(i,j) within column j.
+// position of L(i,j) within column j. Column j's rows from p on are
+// sorted and, by the fill property, a subset of column i's, so one
+// forward pointer t over column i finds every target. The simulated
+// program still pays for a search per element (SearchCycles*8).
 func (ch *Cholesky) cmod(w *dsm.Worker, j, p, i int32) {
 	sy := ch.Sy
 	cq := sy.ColPtr[j+1]
+	t := sy.ColPtr[i]
 	lij := w.ReadF64(ch.lvalBase + int(p))
 	for q := p; q < cq; q++ {
 		r := sy.RowIdx[q]
-		t := ch.findPos(i, r)
+		for sy.RowIdx[t] < r {
+			t++
+		}
 		w.Compute(ch.SearchCycles * 8)
 		v := w.ReadF64(ch.lvalBase+int(t)) - lij*w.ReadF64(ch.lvalBase+int(q))
 		w.WriteF64(ch.lvalBase+int(t), v)
@@ -219,9 +196,10 @@ func (ch *Cholesky) Body(w *dsm.Worker) {
 		// Phase B: external updates, batched per target supernode under
 		// one column lock — the supernode-granularity sharing the paper
 		// describes ("one page usually contains many columns").
+		type pair struct{ j, p int32 } // source column j, position p in it; RowIdx[p] is the target column
 		type batch struct {
-			target int32   // target supernode head
-			pairs  []int32 // positions p in source columns; RowIdx[p] is the target column
+			target int32 // target supernode head
+			pairs  []pair
 		}
 		var batches []batch
 		byTarget := map[int32]int{}
@@ -237,14 +215,13 @@ func (ch *Cholesky) Body(w *dsm.Worker) {
 					byTarget[si] = bi
 					batches = append(batches, batch{target: si})
 				}
-				batches[bi].pairs = append(batches[bi].pairs, p)
+				batches[bi].pairs = append(batches[bi].pairs, pair{j, p})
 			}
 		}
 		for _, b := range batches {
 			w.Lock(int(b.target))
-			for _, p := range b.pairs {
-				j := ch.colOfPos(p)
-				ch.cmod(w, j, p, sy.RowIdx[p])
+			for _, pr := range b.pairs {
+				ch.cmod(w, pr.j, pr.p, sy.RowIdx[pr.p])
 			}
 			sIdx := ch.headIdx[b.target]
 			left := w.ReadU64(ch.nmodBase+sIdx) - uint64(len(b.pairs))

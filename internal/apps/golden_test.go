@@ -11,7 +11,9 @@ import (
 // DSM to the exact wall times it produced before the distributed
 // organization existed. The distributed code paths are gated on
 // Config.DSMOwnership, so the default must stay bit-identical: any
-// drift here means the gate leaks into the central protocol.
+// drift here means the gate leaks into the central protocol. The
+// Cholesky rows also guard that its host-side position lookups and the
+// DSM's twin reuse move no simulated cycle.
 func TestCentralOwnershipGoldenTimes(t *testing.T) {
 	cases := []struct {
 		kind  config.NICKind
@@ -25,6 +27,9 @@ func TestCentralOwnershipGoldenTimes(t *testing.T) {
 		{config.NICCNI, func() App { return NewWater(16, 2) }, 4, 421183},
 		{config.NICOsiris, func() App { return NewWater(16, 2) }, 4, 657217},
 		{config.NICStandard, func() App { return NewWater(16, 2) }, 4, 879269},
+		{config.NICCNI, func() App { return NewCholesky(spmat.Small(96)) }, 4, 3982232},
+		{config.NICOsiris, func() App { return NewCholesky(spmat.Small(96)) }, 4, 7443068},
+		{config.NICStandard, func() App { return NewCholesky(spmat.Small(96)) }, 4, 9224311},
 	}
 	for _, tc := range cases {
 		app := tc.mk()

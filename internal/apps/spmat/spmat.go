@@ -252,15 +252,12 @@ func Factor(a *Sym, sy *Symbolic) []float64 {
 	n := a.N
 	lval := make([]float64, sy.NNZ())
 	// Scatter A into L's structure.
-	pos := make(map[int64]int32, sy.NNZ())
-	key := func(i, j int32) int64 { return int64(j)<<32 | int64(i) }
 	for j := 0; j < n; j++ {
-		for p := sy.ColPtr[j]; p < sy.ColPtr[j+1]; p++ {
-			pos[key(sy.RowIdx[p], int32(j))] = p
-		}
 		rows, vals := a.Col(j)
+		t := sy.ColPtr[j]
 		for k, i := range rows {
-			lval[pos[key(i, int32(j))]] = vals[k]
+			t = sy.seek(t, int32(j), i)
+			lval[t] = vals[k]
 		}
 	}
 	// Right-looking factorization over the fill structure.
@@ -278,15 +275,27 @@ func Factor(a *Sym, sy *Symbolic) []float64 {
 		for p := sy.ColPtr[j] + 1; p < sy.ColPtr[j+1]; p++ {
 			i := sy.RowIdx[p]
 			lij := lval[p]
+			t := sy.ColPtr[i]
 			for q := p; q < sy.ColPtr[j+1]; q++ {
-				r := sy.RowIdx[q]
-				t, ok := pos[key(r, i)]
-				if !ok {
-					panic(fmt.Sprintf("spmat: fill pattern missing (%d,%d)", r, i))
-				}
+				t = sy.seek(t, i, sy.RowIdx[q])
 				lval[t] -= lij * lval[q]
 			}
 		}
 	}
 	return lval
+}
+
+// seek advances position t within column col to the entry of row r.
+// Callers walk rows in ascending order, and a column's rows are
+// sorted, so one forward pointer per column finds them all; reaching
+// the end of the column means r is missing from the fill pattern.
+func (sy *Symbolic) seek(t, col, r int32) int32 {
+	end := sy.ColPtr[col+1]
+	for t < end && sy.RowIdx[t] < r {
+		t++
+	}
+	if t == end || sy.RowIdx[t] != r {
+		panic(fmt.Sprintf("spmat: fill pattern missing (%d,%d)", r, col))
+	}
+	return t
 }

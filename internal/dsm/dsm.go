@@ -420,6 +420,11 @@ type Runtime struct {
 	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
 	lastBarVC []int32         // manager VC broadcast at the last barrier release
 
+	// spareTwins holds page-sized twins that release has dropped, for
+	// beginWrite to reuse; it never holds more twins than were once
+	// live at the same time.
+	spareTwins [][]uint64
+
 	// distributed selects the Li/Hudak dynamic manager: ownership
 	// migrates on clean write faults and barrier managers rotate.
 	distributed bool

@@ -37,3 +37,31 @@ func CheckOwnership(g *Globals) error {
 	}
 	return nil
 }
+
+// CheckTwins verifies the twin invariants of a finished run: every
+// release has dropped its twins, so no page holds one and no page is
+// left dirtied; every spare twin is a whole page; and no twin sits on
+// the spare list twice, which would hand one buffer to two pages.
+func CheckTwins(g *Globals) error {
+	for n, r := range g.nodes {
+		if len(r.dirtied) != 0 {
+			return fmt.Errorf("node %d: %d pages still dirtied", n, len(r.dirtied))
+		}
+		for p := range r.pages {
+			if b := r.pages[p].book; b != nil && b.twin != nil {
+				return fmt.Errorf("node %d: page %d still holds a twin", n, p)
+			}
+		}
+		seen := make(map[*uint64]int, len(r.spareTwins))
+		for i, tw := range r.spareTwins {
+			if len(tw) != g.pageWords {
+				return fmt.Errorf("node %d: spare twin %d is %d words, want %d", n, i, len(tw), g.pageWords)
+			}
+			if j, dup := seen[&tw[0]]; dup {
+				return fmt.Errorf("node %d: spare twins %d and %d share a buffer", n, j, i)
+			}
+			seen[&tw[0]] = i
+		}
+	}
+	return nil
+}

@@ -36,10 +36,14 @@ func ownershipWorkload(words, rounds int) cluster.App {
 }
 
 // checkOwnership fails the test when a finished run breaks an
-// ownership invariant (dsm.CheckOwnership).
+// ownership invariant (dsm.CheckOwnership) or a twin invariant
+// (dsm.CheckTwins).
 func checkOwnership(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
 	if err := dsm.CheckOwnership(c.G); err != nil {
+		t.Fatal(err)
+	}
+	if err := dsm.CheckTwins(c.G); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -149,7 +149,8 @@ func (w *Worker) WriteU64(idx int, v uint64) {
 }
 
 // beginWrite marks page dirty and, for pages this node does not own,
-// creates the twin used for diffing at the next release.
+// creates the twin used for diffing at the next release, reusing a
+// spare one when release has returned any.
 func (w *Worker) beginWrite(page int32) {
 	r := w.r
 	pg := &r.pages[page]
@@ -163,7 +164,13 @@ func (w *Worker) beginWrite(page int32) {
 		return
 	}
 	lo := int(page) * r.G.pageWords
-	tw := make([]uint64, r.G.pageWords)
+	var tw []uint64
+	if n := len(r.spareTwins); n > 0 {
+		tw = r.spareTwins[n-1]
+		r.spareTwins = r.spareTwins[:n-1]
+	} else {
+		tw = make([]uint64, r.G.pageWords)
+	}
 	copy(tw, r.data[lo:lo+r.G.pageWords])
 	r.book(page).twin = tw
 	// Twinning is a page copy on the host CPU.
@@ -237,16 +244,36 @@ func (w *Worker) fault(page int32, write bool) {
 	w.block(waitPage)
 }
 
-// diffWords returns the entries where cur differs from twin; base is
-// the word index of the page start.
+// diffWords returns the entries where cur differs from twin, or nil
+// when no word changed; base is the word index of the page start. It
+// counts the changed words first so the result is allocated once, at
+// its exact size.
 func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
-	var out []diffEntry
+	cur = cur[base : base+len(twin)]
+	n := 0
 	for i, tv := range twin {
-		if cur[base+i] != tv {
-			out = append(out, diffEntry{word: int32(base + i), val: cur[base+i]})
+		if cur[i] != tv {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]diffEntry, 0, n)
+	for i, tv := range twin {
+		if cur[i] != tv {
+			out = append(out, diffEntry{word: int32(base + i), val: cur[i]})
 		}
 	}
 	return out
+}
+
+// dropTwin returns page book b's twin, if any, to the spare list.
+func (r *Runtime) dropTwin(b *pageBook) {
+	if b.twin != nil {
+		r.spareTwins = append(r.spareTwins, b.twin)
+		b.twin = nil
+	}
 }
 
 // release is the release half of LRC: create the interval for the
@@ -288,14 +315,14 @@ func (w *Worker) release() {
 					r.forwardUpdate(w.proc.Local(), &diffMsg{
 						page: page, writer: r.node, idx: idx, entries: entries,
 					})
-					b.twin = nil
+					r.dropTwin(b)
 				}
 			}
 			r.drainWaiting(w.proc.Local(), page)
 			// Ownership may have arrived mid-interval, leaving the twin
 			// of the pre-ownership writes behind; the owner copy is
 			// authoritative, so the twin is dead.
-			b.twin = nil
+			r.dropTwin(b)
 			pg.dirty = false
 			continue
 		}
@@ -339,7 +366,7 @@ func (w *Worker) release() {
 		w.charge(r.board.Send(w.proc, m))
 		r.Stats.DiffsSent++
 		r.Stats.DiffWords += uint64(len(entries))
-		b.twin = nil
+		r.dropTwin(b)
 		pg.dirty = false
 	}
 }
