@@ -92,7 +92,7 @@ func main() {
 	topoName := flag.String("topo", "", "fabric topology: single | clos | torus (default single)")
 	closRadix := flag.Int("closradix", 0, "fat-tree switch radix, even >= 4 (0 = auto-size for -procs)")
 	torusDims := flag.String("torusdims", "", "torus extents as XxYxZ, e.g. 4x4x4 (default auto-size)")
-	pageSize := flag.Int("pagesize", 0, "shared page size in bytes (default 2048)")
+	pageSize := flag.Int("pagesize", 0, "shared page size in bytes, a power of two (default 2048)")
 	cacheSize := flag.Int("cachesize", 0, "Message Cache size in bytes (default 32768)")
 	unrestricted := flag.Bool("unrestricted-cell", false, "mythical ATM with unlimited cell size (Table 5)")
 	verify := flag.Bool("verify", false, "check the result against the sequential reference")

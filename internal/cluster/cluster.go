@@ -159,20 +159,18 @@ func (c *Cluster) EnableTrace(cap int) *trace.Log {
 	return l
 }
 
-// PreloadU64 writes an initial value into every node's copy of the
-// shared word, outside simulated time (the memory image the program
-// starts from). Nothing is marked dirty and no traffic results.
+// PreloadU64 writes an initial value into the shared word's owner's
+// copy, outside simulated time (the memory image the program starts
+// from). Before a run the owner is the page's static home; every other
+// node's copy starts invalid and is overwritten by its first fetch.
+// Nothing is marked dirty and no traffic results.
 func (c *Cluster) PreloadU64(idx int, v uint64) {
-	for _, n := range c.Nodes {
-		n.R.Poke(idx, v)
-	}
+	c.Nodes[c.G.OwnerOfWord(idx)].R.Poke(idx, v)
 }
 
 // PreloadF64 is PreloadU64 for float64 values.
 func (c *Cluster) PreloadF64(idx int, v float64) {
-	for _, n := range c.Nodes {
-		n.R.PokeF64(idx, v)
-	}
+	c.Nodes[c.G.OwnerOfWord(idx)].R.PokeF64(idx, v)
 }
 
 // ReadU64 reads the authoritative copy of a shared word after a run;
@@ -180,14 +178,12 @@ func (c *Cluster) PreloadF64(idx int, v float64) {
 // authoritative copy lives at the page's static home under central
 // ownership and follows the current owner under distributed ownership.
 func (c *Cluster) ReadU64(idx int) uint64 {
-	owner := c.G.OwnerOf(int32(idx * c.Cfg.WordBytes / c.Cfg.PageBytes))
-	return c.Nodes[owner].R.Peek(idx)
+	return c.Nodes[c.G.OwnerOfWord(idx)].R.Peek(idx)
 }
 
 // ReadF64 is ReadU64 for float64 values.
 func (c *Cluster) ReadF64(idx int) float64 {
-	owner := c.G.OwnerOf(int32(idx * c.Cfg.WordBytes / c.Cfg.PageBytes))
-	return c.Nodes[owner].R.PeekF64(idx)
+	return c.Nodes[c.G.OwnerOfWord(idx)].R.PeekF64(idx)
 }
 
 // NodeStats is the per-node breakdown in the shape of the paper's

@@ -131,6 +131,7 @@ func (k NICKind) Display() string {
 type Config struct {
 	// --- Host processor and memory hierarchy (Table 1) ---
 
+	// Cache, line and page sizes are powers of two (Validate).
 	CPUFreqMHz          int64 // 166 MHz
 	L1AccessCycles      int64 // 1 cycle, primary cache
 	L1Bytes             int   // 32 KB unified
@@ -208,7 +209,7 @@ type Config struct {
 
 	// --- DSM protocol costs ---
 
-	PageBytes        int   // shared page size (2 KB in Table 2's runs)
+	PageBytes        int   // shared page size, a power of two (2 KB in Table 2's runs)
 	AIHHandlerCycles int64 // protocol handler on the NIC, NIC cycles
 	HostProtocolNS   int64 // protocol handler on the host CPU, ns
 	LocalOpCycles    int64 // protocol op handled on the local node, CPU cycles
@@ -496,12 +497,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: bus frequency %d MHz vs CPU %d MHz", c.BusFreqMHz, c.CPUFreqMHz)
 	case c.NICFreqMHz <= 0:
 		return fmt.Errorf("config: NIC frequency %d MHz", c.NICFreqMHz)
-	case c.WordBytes <= 0 || c.CacheLineBytes < c.WordBytes:
-		return fmt.Errorf("config: %d-byte lines of %d-byte words", c.CacheLineBytes, c.WordBytes)
-	case c.L1Bytes <= 0 || c.L2Bytes < c.L1Bytes:
-		return fmt.Errorf("config: L1 %d bytes, L2 %d bytes", c.L1Bytes, c.L2Bytes)
-	case c.PageBytes <= 0 || c.PageBytes%c.WordBytes != 0:
-		return fmt.Errorf("config: page size %d not a multiple of word size %d", c.PageBytes, c.WordBytes)
+	case c.WordBytes <= 0 || c.CacheLineBytes < c.WordBytes || !powerOfTwo(c.CacheLineBytes):
+		return fmt.Errorf("config: %d-byte lines of %d-byte words (lines must be a power of two)", c.CacheLineBytes, c.WordBytes)
+	case !powerOfTwo(c.L1Bytes) || !powerOfTwo(c.L2Bytes) || c.L2Bytes < c.L1Bytes:
+		return fmt.Errorf("config: L1 %d bytes, L2 %d bytes (both must be powers of two, L2 >= L1)", c.L1Bytes, c.L2Bytes)
+	case !powerOfTwo(c.PageBytes) || c.PageBytes%c.WordBytes != 0:
+		return fmt.Errorf("config: page size %d not a power-of-two multiple of word size %d", c.PageBytes, c.WordBytes)
 	case c.CellPayloadBytes <= 0 || c.CellBytes < c.CellPayloadBytes:
 		return fmt.Errorf("config: cell %d bytes with %d payload", c.CellBytes, c.CellPayloadBytes)
 	case c.MessageCacheByte < 0 || c.MessageCacheByte > c.BoardMemoryBytes:
@@ -550,6 +551,12 @@ func (c *Config) Validate() error {
 	}
 	return nil
 }
+
+// powerOfTwo reports whether n is a positive power of two. The cache
+// model indexes its lines with a mask and the DSM finds a word's page
+// with a shift, so cache, line and page sizes must all be powers of
+// two (which makes the words per page one as well).
+func powerOfTwo(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // --- Unit conversions. All return host CPU cycles. ---
 

@@ -76,6 +76,9 @@ func TestValidateCatchesBrokenConfigs(t *testing.T) {
 		{"line smaller than word", func(c *Config) { c.CacheLineBytes = 4 }},
 		{"L2 smaller than L1", func(c *Config) { c.L2Bytes = 1024 }},
 		{"unaligned page", func(c *Config) { c.PageBytes = 1001 }},
+		{"48 KB L1", func(c *Config) { c.L1Bytes = 48 << 10 }},
+		{"48-byte lines", func(c *Config) { c.CacheLineBytes = 48 }},
+		{"3072-byte pages", func(c *Config) { c.PageBytes = 3072 }},
 		{"payload bigger than cell", func(c *Config) { c.CellPayloadBytes = 100 }},
 		{"message cache bigger than board", func(c *Config) { c.MessageCacheByte = 2 << 20 }},
 		{"zero link", func(c *Config) { c.LinkMbps = 0 }},

@@ -41,6 +41,7 @@ package dsm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cni/internal/collective"
 	"cni/internal/config"
@@ -95,9 +96,11 @@ func noticeBytes(ivs []*Interval) int {
 
 // --- wire payloads (carried by reference through the simulated fabric) ---
 
+// diffEntry is one changed word of a page: its offset within the page
+// and its new value.
 type diffEntry struct {
-	word int32
-	val  uint64
+	off int32
+	val uint64
 }
 
 type diffMsg struct {
@@ -296,13 +299,20 @@ const (
 
 // page is one node's record for one shared page; Runtime.pages holds
 // one per page, indexed by page id. It is the per-page state machine of
-// the Li/Hudak manager in IVY: access state, ownership and the
-// probable-owner pointer here, the rest in a pageBook made on first use
-// (Runtime.book), so the table stays small over pages a node never
-// touches. Central ownership is the case in which ownership never
-// migrates: every page stays owned by its static home, where every
-// node's probable-owner pointer starts and stays.
+// the Li/Hudak manager in IVY: access state, ownership, the
+// probable-owner pointer and the node's copy of the page's words here,
+// the rest in a pageBook made on first use (Runtime.book), so the table
+// stays small over pages a node never touches. Central ownership is the
+// case in which ownership never migrates: every page stays owned by its
+// static home, where every node's probable-owner pointer starts and
+// stays.
 type page struct {
+	// words is this node's copy of the page, nil until the page
+	// materializes: at NewRuntime for the pages the node owns, at the
+	// first fetch (copyPageFrom) for any other. Once made it is kept,
+	// and an invalidated copy is overwritten by its next fetch.
+	words []uint64
+	// state is the access state; setState is its only writer.
 	state pageState
 	// dirty marks a page written since the last release; it stays set
 	// until release reaches the page, so handlers running while release
@@ -408,8 +418,11 @@ type Runtime struct {
 	cfg   *config.Config
 	board *nic.Board
 
-	data  []uint64 // this node's copy of the whole shared region
-	pages []page   // the page table: every per-page state, by page id
+	pages []page // the page table: every per-page state, by page id
+	// view[p] is page p's words while the page is valid and nil
+	// otherwise, so ReadU64 and WriteU64 test validity and find the
+	// word with one load. setState is its only writer.
+	view [][]uint64
 	// dirtied lists the pages written since the last release, in the
 	// order of their first write; release sorts them.
 	dirtied   []int32
@@ -457,7 +470,8 @@ type Globals struct {
 	cfg          *config.Config
 	nodes        []*Runtime
 	pageWords    int
-	words        int // allocated shared words
+	pageShift    uint // log2(pageWords): a word's page is idx >> pageShift
+	words        int  // allocated shared words
 	homeOf       func(page int32) int
 	homeOverride func(page int32, n int) int
 
@@ -474,8 +488,11 @@ type Globals struct {
 
 // NewGlobals prepares a cluster-wide DSM of n nodes. Homes are
 // distributed by blocks once the region size is known (see Freeze).
+// cfg must have passed config.Validate, which makes the words per page
+// a power of two.
 func NewGlobals(cfg *config.Config) *Globals {
-	return &Globals{cfg: cfg, pageWords: cfg.PageBytes / cfg.WordBytes}
+	pw := cfg.PageBytes / cfg.WordBytes
+	return &Globals{cfg: cfg, pageWords: pw, pageShift: uint(bits.TrailingZeros(uint(pw)))}
 }
 
 // Alloc reserves words shared words and returns the base word index.
@@ -546,9 +563,21 @@ func (g *Globals) Freeze(n int) {
 	}
 }
 
-// OwnerOf reports the node holding the page's authoritative copy after
-// a run. Like a request, it starts at the page's static home and
-// follows the probable-owner pointers to the node that owns the page.
+// pageOf returns the page holding word idx.
+func (g *Globals) pageOf(idx int) int32 { return int32(idx >> g.pageShift) }
+
+// offsetOf returns word idx's offset within its page.
+func (g *Globals) offsetOf(idx int) int { return idx & (g.pageWords - 1) }
+
+// OwnerOfWord reports the node holding the authoritative copy of word
+// idx: OwnerOf its page.
+func (g *Globals) OwnerOfWord(idx int) int { return g.OwnerOf(g.pageOf(idx)) }
+
+// OwnerOf reports the node holding the page's authoritative copy: its
+// static home before a run, and after a run whichever node the
+// ownership reached. Like a request, it starts at the page's static
+// home and follows the probable-owner pointers to the node that owns
+// the page.
 func (g *Globals) OwnerOf(page int32) int {
 	n := g.homeOf(page)
 	for hops := 0; !g.nodes[n].pages[page].owned; hops++ {
@@ -593,16 +622,19 @@ func (r *Runtime) PendingHomeRequests() (n int, sample string) {
 }
 
 // NewRuntime builds the DSM engine for one node and registers its
-// protocol handlers on the board. Call after Globals.Freeze.
+// protocol handlers on the board. Call after Globals.Freeze. Only the
+// pages the node owns get words here, carved from one block; every
+// other page materializes at its first fetch.
 func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *Runtime {
+	npages := g.Pages() + 1
 	r := &Runtime{
 		G:           g,
 		node:        node,
 		k:           k,
 		cfg:         g.cfg,
 		board:       board,
-		data:        make([]uint64, g.words+g.pageWords),
-		pages:       make([]page, g.Pages()+1),
+		pages:       make([]page, npages),
+		view:        make([][]uint64, npages),
 		vc:          make([]int32, nnodes),
 		log:         make([][]*Interval, nnodes),
 		locks:       make(map[int]*lockState),
@@ -613,12 +645,20 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 	}
 	// Every page starts owned by its static home, and every node's
 	// probable-owner pointer starts there.
+	owned := 0
 	for p := range r.pages {
 		pg := &r.pages[p]
 		pg.probOwner = g.homeOf(int32(p))
 		if pg.probOwner == node {
-			pg.state = pageValid
 			pg.owned = true
+			owned++
+		}
+	}
+	block := make([]uint64, owned*g.pageWords)
+	for p := range r.pages {
+		if pg := &r.pages[p]; pg.owned {
+			pg.words, block = block[:g.pageWords:g.pageWords], block[g.pageWords:]
+			r.setState(int32(p), pageValid)
 		}
 	}
 	g.nodes = append(g.nodes, r)
@@ -643,20 +683,27 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 // Node reports this runtime's node id.
 func (r *Runtime) Node() int { return r.node }
 
-// Poke writes a shared word directly into this node's memory image,
-// outside simulated time; used to preload initial data.
-func (r *Runtime) Poke(idx int, v uint64) { r.data[idx] = v }
+// word returns this node's copy of shared word idx, whose page must be
+// materialized here (owned or fetched).
+func (r *Runtime) word(idx int) *uint64 {
+	return &r.pages[r.G.pageOf(idx)].words[r.G.offsetOf(idx)]
+}
+
+// Poke writes a shared word directly into this node's copy, outside
+// simulated time; used on the word's owner (Globals.OwnerOfWord) to
+// preload initial data.
+func (r *Runtime) Poke(idx int, v uint64) { *r.word(idx) = v }
 
 // PokeF64 is Poke for float64 values.
-func (r *Runtime) PokeF64(idx int, v float64) { r.data[idx] = f64bits(v) }
+func (r *Runtime) PokeF64(idx int, v float64) { *r.word(idx) = f64bits(v) }
 
-// Peek reads a shared word directly from this node's memory image,
-// outside simulated time; meaningful on the word's home node after the
+// Peek reads a shared word directly from this node's copy, outside
+// simulated time; meaningful on the word's owner after the
 // application's final barrier.
-func (r *Runtime) Peek(idx int) uint64 { return r.data[idx] }
+func (r *Runtime) Peek(idx int) uint64 { return *r.word(idx) }
 
 // PeekF64 is Peek for float64 values.
-func (r *Runtime) PeekF64(idx int) float64 { return f64from(r.data[idx]) }
+func (r *Runtime) PeekF64(idx int) float64 { return f64from(*r.word(idx)) }
 
 // vaddrOfPage returns the host virtual address of a shared page.
 func (r *Runtime) vaddrOfPage(page int32) uint64 {
@@ -668,8 +715,18 @@ func (r *Runtime) vaddrOfWord(idx int) uint64 {
 	return SharedBase + uint64(idx)*uint64(r.cfg.WordBytes)
 }
 
-// pageOf returns the page holding a word index.
-func (r *Runtime) pageOf(idx int) int32 { return int32(idx / r.G.pageWords) }
+// setState moves a page to access state s and keeps its view in step:
+// the page's words while it is valid, nil otherwise. Every state
+// transition goes through here.
+func (r *Runtime) setState(page int32, s pageState) {
+	pg := &r.pages[page]
+	pg.state = s
+	if s == pageValid {
+		r.view[page] = pg.words
+	} else {
+		r.view[page] = nil
+	}
+}
 
 // probOwnerOf is this node's best guess at the page's current owner:
 // where its requests and diffs for the page go.
@@ -687,19 +744,17 @@ func (r *Runtime) probOwnerOf(page int32) int {
 func (r *Runtime) peer(n int) *Runtime { return r.G.nodes[n] }
 
 // copyPageFrom copies the serving node's current words for page into
-// this node's region (the serving node is the static home under
-// central ownership, the current owner under distributed). Run-ahead
-// caveat documented in DESIGN.md: contents may be fresher than the
-// request timestamp, which release consistency tolerates for
-// data-race-free programs.
+// this node's copy, materializing it on the page's first fetch (the
+// serving node is the static home under central ownership, the current
+// owner under distributed). Run-ahead caveat documented in DESIGN.md:
+// contents may be fresher than the request timestamp, which release
+// consistency tolerates for data-race-free programs.
 func (r *Runtime) copyPageFrom(page int32, from int) {
-	h := r.peer(from)
-	lo := int(page) * r.G.pageWords
-	hi := lo + r.G.pageWords
-	if hi > len(r.data) {
-		hi = len(r.data)
+	pg := &r.pages[page]
+	if pg.words == nil {
+		pg.words = make([]uint64, r.G.pageWords)
 	}
-	copy(r.data[lo:hi], h.data[lo:hi])
+	copy(pg.words, r.peer(from).pages[page].words)
 }
 
 // newIntervalBundleSince returns this node's known intervals newer than
@@ -817,12 +872,12 @@ func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
 				// holder under the update protocol (the diff is on its
 				// way). Accesses stall until the diffs land.
 				if !b.satisfiedNeeds() {
-					pg.state = pageHomeStale
+					r.setState(p, pageHomeStale)
 				}
 				continue
 			}
 			if pg.state == pageValid {
-				pg.state = pageInvalid
+				r.setState(p, pageInvalid)
 				invalidated++
 				r.Stats.Invalidates++
 			}

@@ -1,6 +1,11 @@
 package dsm
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"unsafe"
+)
 
 // CheckOwnership verifies the ownership invariants of a finished run:
 // every page has exactly one owner, the owner's probable-owner pointer
@@ -64,4 +69,68 @@ func CheckTwins(g *Globals) error {
 		}
 	}
 	return nil
+}
+
+// CheckRegion verifies the page-granular memory of a finished run. On
+// every node and page: the view is non-nil exactly when the page is
+// valid, and then it is the page's words; every owned page is
+// materialized; and every materialized page is one page long. Across
+// the whole cluster no two pages' words overlap, whether on one node
+// or on two (a fetch that aliased the owner's words would share them).
+func CheckRegion(g *Globals) error {
+	type span struct {
+		start      uintptr
+		node, page int
+	}
+	pageBytes := uintptr(g.pageWords) * unsafe.Sizeof(uint64(0))
+	var spans []span
+	for n, r := range g.nodes {
+		if len(r.view) != len(r.pages) {
+			return fmt.Errorf("node %d: view of %d pages over a table of %d", n, len(r.view), len(r.pages))
+		}
+		for p := range r.pages {
+			pg, v := &r.pages[p], r.view[p]
+			if (v != nil) != (pg.state == pageValid) {
+				return fmt.Errorf("node %d page %d: view set=%v in state %d", n, p, v != nil, pg.state)
+			}
+			if v != nil && (len(v) != len(pg.words) || &v[0] != &pg.words[0]) {
+				return fmt.Errorf("node %d page %d: view is not the page's words", n, p)
+			}
+			if pg.owned && pg.words == nil {
+				return fmt.Errorf("node %d page %d: owned but not materialized", n, p)
+			}
+			if pg.words == nil {
+				continue
+			}
+			if len(pg.words) != g.pageWords {
+				return fmt.Errorf("node %d page %d: %d words, want %d", n, p, len(pg.words), g.pageWords)
+			}
+			spans = append(spans, span{uintptr(unsafe.Pointer(&pg.words[0])), n, p})
+		}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.start, b.start) })
+	for i := 1; i < len(spans); i++ {
+		if a, b := spans[i-1], spans[i]; b.start < a.start+pageBytes {
+			return fmt.Errorf("node %d page %d and node %d page %d share words", a.node, a.page, b.node, b.page)
+		}
+	}
+	return nil
+}
+
+// Residency reports, per node, the pages it owns and the pages it
+// holds words for, and the size of the page table (one region).
+func Residency(g *Globals) (owned, resident []int, region int) {
+	for _, r := range g.nodes {
+		o, h := 0, 0
+		for p := range r.pages {
+			if r.pages[p].owned {
+				o++
+			}
+			if r.pages[p].words != nil {
+				h++
+			}
+		}
+		owned, resident = append(owned, o), append(resident, h)
+	}
+	return owned, resident, len(g.nodes[0].pages)
 }

@@ -128,6 +128,10 @@ func runFuzz(t *testing.T, fp fuzzProgram) bool {
 		t.Logf("program %+v: %v", fp, err)
 		return false
 	}
+	if err := dsm.CheckRegion(c.G); err != nil {
+		t.Logf("program %+v: %v", fp, err)
+		return false
+	}
 	for ci, want := range expectCounter {
 		if got := c.ReadU64(ci); got != want {
 			t.Logf("program %+v: counter %d = %d, want %d", fp, ci, got, want)

@@ -145,8 +145,9 @@ func (r *Runtime) onDiff(at sim.Time, m *nic.Message) {
 		return
 	}
 	r.Stats.OwnerMsgs++
+	words := r.pages[d.page].words
 	for _, e := range d.entries {
-		r.data[e.word] = e.val
+		words[e.off] = e.val
 	}
 	r.Stats.DiffsApplied++
 	b := r.book(d.page)
@@ -211,7 +212,7 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	// own writes back. Drop the copy and fall back to the (version-
 	// gated) fault path, which merges correctly.
 	if u.seenOfMember < pg.lastWrote || pg.dirty {
-		pg.state = pageInvalid
+		r.setState(d.page, pageInvalid)
 		r.Stats.Invalidates++
 		b.need(d.writer, d.idx)
 		if b.homeStalled {
@@ -222,14 +223,13 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 		}
 		return
 	}
-	lo := int(d.page) * r.G.pageWords
-	tw := b.twin
+	words, tw := pg.words, b.twin
 	for _, e := range d.entries {
-		r.data[e.word] = e.val
+		words[e.off] = e.val
 		if tw != nil {
 			// Keep the twin in step so this node's own next diff does
 			// not re-ship the forwarded words as its own.
-			tw[int(e.word)-lo] = e.val
+			tw[e.off] = e.val
 		}
 	}
 	if d.idx > b.applied[d.writer] {
@@ -258,7 +258,7 @@ func (r *Runtime) drainWaiting(at sim.Time, page int32) {
 	b.waiting = still
 	if b.homeStalled && b.satisfiedNeeds() {
 		b.homeStalled = false
-		r.pages[page].state = pageValid
+		r.setState(page, pageValid)
 		clear(b.needs)
 		r.wakeWorker(at, waitPage)
 	}
@@ -371,10 +371,9 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	if tw := b.twin; tw != nil {
 		// New twin is the fetched base, so the next diff still carries
 		// the local writes forward.
-		lo := int(page) * r.G.pageWords
-		copy(tw, r.data[lo:lo+len(tw)])
+		copy(tw, pg.words)
 		for _, e := range b.local {
-			r.data[e.word] = e.val
+			pg.words[e.off] = e.val
 		}
 		b.local = nil
 	}
@@ -412,16 +411,16 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 		b.exported = true
 	}
 	if b.pendingNeeds() == 0 {
-		pg.state = pageValid
+		r.setState(page, pageValid)
 	} else if pg.owned {
 		// A new owner never refaults: with noticed diffs still in
 		// flight (they are chasing the chain toward us) the page goes
 		// home-stale and the worker stalls until they land.
 		if b.satisfiedNeeds() {
-			pg.state = pageValid
+			r.setState(page, pageValid)
 			clear(b.needs)
 		} else {
-			pg.state = pageHomeStale
+			r.setState(page, pageHomeStale)
 		}
 	}
 	// The DMA overwrote host memory beneath the caches; the worker pays

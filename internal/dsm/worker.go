@@ -123,12 +123,14 @@ func (w *Worker) WriteF64(idx int, v float64) {
 // and charging the cache-hierarchy cost of the access.
 func (w *Worker) ReadU64(idx int) uint64 {
 	r := w.r
-	page := r.pageOf(idx)
-	for r.pages[page].state != pageValid {
+	page := r.G.pageOf(idx)
+	words := r.view[page]
+	for words == nil {
 		w.slowPath(page, false)
+		words = r.view[page]
 	}
 	w.proc.Advance(w.mem.Read(r.vaddrOfWord(idx)))
-	return r.data[idx]
+	return words[r.G.offsetOf(idx)]
 }
 
 // WriteU64 writes the shared word at idx. The first write to a page in
@@ -136,15 +138,17 @@ func (w *Worker) ReadU64(idx int) uint64 {
 // the next release.
 func (w *Worker) WriteU64(idx int, v uint64) {
 	r := w.r
-	page := r.pageOf(idx)
-	for r.pages[page].state != pageValid {
+	page := r.G.pageOf(idx)
+	words := r.view[page]
+	for words == nil {
 		w.slowPath(page, true)
+		words = r.view[page]
 	}
 	if !r.pages[page].dirty {
 		w.beginWrite(page)
 	}
 	w.proc.Advance(w.mem.Write(r.vaddrOfWord(idx)))
-	r.data[idx] = v
+	words[r.G.offsetOf(idx)] = v
 	r.board.NoteWrite(r.vaddrOfWord(idx))
 }
 
@@ -163,7 +167,6 @@ func (w *Worker) beginWrite(page int32) {
 		// be forwarded to the copyset.
 		return
 	}
-	lo := int(page) * r.G.pageWords
 	var tw []uint64
 	if n := len(r.spareTwins); n > 0 {
 		tw = r.spareTwins[n-1]
@@ -171,7 +174,7 @@ func (w *Worker) beginWrite(page int32) {
 	} else {
 		tw = make([]uint64, r.G.pageWords)
 	}
-	copy(tw, r.data[lo:lo+r.G.pageWords])
+	copy(tw, pg.words)
 	r.book(page).twin = tw
 	// Twinning is a page copy on the host CPU.
 	w.charge(sim.Time(r.G.pageWords) * r.cfg.DiffWordCycles)
@@ -196,7 +199,7 @@ func (w *Worker) stallHome(page int32) {
 	r := w.r
 	b := r.book(page)
 	if b.satisfiedNeeds() {
-		r.pages[page].state = pageValid
+		r.setState(page, pageValid)
 		clear(b.needs)
 		return
 	}
@@ -224,7 +227,7 @@ func (w *Worker) fault(page int32, write bool) {
 	// it, even when none of them changed a word.
 	b := r.book(page)
 	if b.twin != nil {
-		b.local = diffWords(r.data, b.twin, int(page)*r.G.pageWords)
+		b.local = diffWords(r.pages[page].words, b.twin)
 		write = true
 	}
 	need := b.sortedNeeds()
@@ -244,12 +247,11 @@ func (w *Worker) fault(page int32, write bool) {
 	w.block(waitPage)
 }
 
-// diffWords returns the entries where cur differs from twin, or nil
-// when no word changed; base is the word index of the page start. It
-// counts the changed words first so the result is allocated once, at
-// its exact size.
-func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
-	cur = cur[base : base+len(twin)]
+// diffWords returns the entries where a page's words cur differ from
+// its twin, or nil when no word changed. It counts the changed words
+// first so the result is allocated once, at its exact size.
+func diffWords(cur, twin []uint64) []diffEntry {
+	cur = cur[:len(twin)]
 	n := 0
 	for i, tv := range twin {
 		if cur[i] != tv {
@@ -262,7 +264,7 @@ func diffWords(cur []uint64, twin []uint64, base int) []diffEntry {
 	out := make([]diffEntry, 0, n)
 	for i, tv := range twin {
 		if cur[i] != tv {
-			out = append(out, diffEntry{word: int32(base + i), val: cur[i]})
+			out = append(out, diffEntry{off: int32(i), val: cur[i]})
 		}
 	}
 	return out
@@ -310,7 +312,7 @@ func (w *Worker) release() {
 				// Forward the home's own writes to every copy holder,
 				// which stalls on the matching write notice otherwise.
 				if tw := b.twin; tw != nil {
-					entries := diffWords(r.data, tw, int(page)*r.G.pageWords)
+					entries := diffWords(pg.words, tw)
 					w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 					r.forwardUpdate(w.proc.Local(), &diffMsg{
 						page: page, writer: r.node, idx: idx, entries: entries,
@@ -331,7 +333,7 @@ func (w *Worker) release() {
 		if tw == nil {
 			panic(fmt.Sprintf("dsm: node %d dirty non-home page %d without twin", r.node, page))
 		}
-		entries := diffWords(r.data, tw, int(page)*r.G.pageWords)
+		entries := diffWords(pg.words, tw)
 		// Diff creation scans the page and encodes the changed words.
 		w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 		// Remember that any refetch must see our own diff applied at

@@ -21,31 +21,35 @@
 package memsys
 
 import (
+	"math/bits"
+
 	"cni/internal/config"
 	"cni/internal/sim"
 )
 
-// line is one direct-mapped cache line.
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-}
+// A cache line is one word: (tag+1)<<1 | dirty, so the zero word is an
+// invalid line and a probe is one load and one compare.
+const lineDirty = 1
 
 // chunkLines is the materialization granularity of a cache's line
-// array: 1024 lines (24 KB of model state at 32-byte lines). A nil
-// chunk is equivalent to a chunk of invalid lines, so a node that
+// array: 1024 lines (8 KB of model state). A chunk never written is
+// the shared zeroChunk, whose lines are all invalid, so a node that
 // never touches most of its modeled 1 MB L2 — every board-level
 // experiment at 1024 nodes — never pays to zero it. Before this, cache
 // construction dominated large fabric sweeps: 1024 nodes allocated
 // ~1.6 GB of line arrays to simulate a few KB of traffic each.
 const chunkLines = 1024
 
+// zeroChunk stands in for every chunk not yet written. It is only ever
+// read: a probe into it misses, and fill materializes a chunk of its
+// own before writing a line.
+var zeroChunk [chunkLines]uint64
+
 // cache is one level of direct-mapped cache, with the line array
-// materialized lazily in chunkLines-sized chunks.
+// materialized lazily in chunkLines-sized chunks. Sizes are powers of
+// two (config.Validate), so the line index is a mask of the tag.
 type cache struct {
-	chunks    [][]line
-	nlines    uint64
+	chunks    []*[chunkLines]uint64
 	lineShift uint
 	indexMask uint64
 }
@@ -55,59 +59,45 @@ func newCache(sizeBytes, lineBytes int) *cache {
 	if n == 0 {
 		n = 1
 	}
-	shift := uint(0)
-	for 1<<shift < lineBytes {
-		shift++
-	}
-	return &cache{
-		chunks:    make([][]line, (n+chunkLines-1)/chunkLines),
-		nlines:    uint64(n),
-		lineShift: shift,
+	c := &cache{
+		chunks:    make([]*[chunkLines]uint64, (n+chunkLines-1)/chunkLines),
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
 		indexMask: uint64(n - 1),
 	}
-}
-
-// line returns the line at index idx, materializing its chunk.
-func (c *cache) line(idx uint64) *line {
-	ci := idx / chunkLines
-	ch := c.chunks[ci]
-	if ch == nil {
-		size := c.nlines - ci*chunkLines
-		if size > chunkLines {
-			size = chunkLines
-		}
-		ch = make([]line, size)
-		c.chunks[ci] = ch
+	for i := range c.chunks {
+		c.chunks[i] = &zeroChunk
 	}
-	return &ch[idx%chunkLines]
+	return c
 }
 
 // probe returns the line for addr and whether it currently holds addr.
-// The returned pointer is nil when the line's chunk has never been
-// touched (which also means the line cannot hold addr).
-func (c *cache) probe(addr uint64) (*line, bool) {
+// Only a hit's line may be written: a miss's may lie in zeroChunk.
+func (c *cache) probe(addr uint64) (*uint64, bool) {
+	tag := addr >> c.lineShift
+	idx := tag & c.indexMask
+	l := &c.chunks[idx/chunkLines][idx%chunkLines]
+	return l, *l>>1 == tag+1
+}
+
+// fill installs addr's line, dirty or clean, returning the evicted
+// victim's tag and whether that victim was dirty. dirty is false when
+// the slot was empty or already held addr.
+func (c *cache) fill(addr uint64, store bool) (victimTag uint64, dirty bool) {
 	tag := addr >> c.lineShift
 	idx := tag & c.indexMask
 	ch := c.chunks[idx/chunkLines]
-	if ch == nil {
-		return nil, false
+	if ch == &zeroChunk {
+		ch = new([chunkLines]uint64)
+		c.chunks[idx/chunkLines] = ch
 	}
 	l := &ch[idx%chunkLines]
-	return l, l.valid && l.tag == tag
-}
-
-// fill installs addr's line, returning the evicted victim's tag and
-// whether that victim was dirty. dirty is false when the slot was
-// empty or already held addr.
-func (c *cache) fill(addr uint64) (victimTag uint64, dirty bool) {
-	tag := addr >> c.lineShift
-	l := c.line(tag & c.indexMask)
-	if l.valid && l.tag != tag {
-		victimTag, dirty = l.tag, l.dirty
+	if old := *l; old != 0 && old>>1 != tag+1 {
+		victimTag, dirty = old>>1-1, old&lineDirty != 0
 	}
-	l.tag = tag
-	l.valid = true
-	l.dirty = false
+	*l = (tag + 1) << 1
+	if store {
+		*l |= lineDirty
+	}
 	return victimTag, dirty
 }
 
@@ -175,7 +165,7 @@ func (h *Hierarchy) access(addr uint64, store bool) sim.Time {
 	if hit1 {
 		h.Stats.L1Hits++
 		if store {
-			l1.dirty = true
+			*l1 |= lineDirty
 		}
 		return cost
 	}
@@ -186,30 +176,24 @@ func (h *Hierarchy) access(addr uint64, store bool) sim.Time {
 	} else {
 		h.Stats.L2Misses++
 		cost += h.missToMemory
-		if _, dirty := h.l2.fill(addr); dirty {
+		if _, dirty := h.l2.fill(addr, false); dirty {
 			h.Stats.WriteBacks++
 			cost += h.writeBackCost
 		}
 	}
-	// Install in L1. A dirty L1 victim is written down into L2; if the
-	// victim is no longer resident in L2 (non-inclusive hierarchy), it
-	// goes all the way to memory.
-	if victimTag, dirty := h.l1.fill(addr); dirty {
+	// Install in L1; a store dirties only the L1 copy (write-back), and
+	// the dirt trickles down on eviction or flush. A dirty L1 victim is
+	// written down into L2; if the victim is no longer resident in L2
+	// (non-inclusive hierarchy), it goes all the way to memory.
+	if victimTag, dirty := h.l1.fill(addr, store); dirty {
 		vaddr := victimTag << h.l1.lineShift
 		cost += h.missToL2
 		if l2v, ok := h.l2.probe(vaddr); ok {
-			l2v.dirty = true
+			*l2v |= lineDirty
 		} else {
 			h.Stats.WriteBacks++
 			cost += h.writeBackCost
 		}
-	}
-	if store {
-		// The line was just installed (or hit) in L1; a write-back cache
-		// dirties only the L1 copy, and the dirt trickles down on
-		// eviction or flush.
-		l1b, _ := h.l1.probe(addr)
-		l1b.dirty = true
 	}
 	return cost
 }
@@ -243,12 +227,12 @@ func (h *Hierarchy) FlushRange(addr uint64, n int) (cost sim.Time, flushed int) 
 	h.Stats.Flushes++
 	for a := addr &^ uint64(h.lineBytes-1); a < addr+uint64(n); a += uint64(h.lineBytes) {
 		dirty := false
-		if l, ok := h.l1.probe(a); ok && l.dirty {
-			l.dirty = false
+		if l, ok := h.l1.probe(a); ok && *l&lineDirty != 0 {
+			*l &^= lineDirty
 			dirty = true
 		}
-		if l, ok := h.l2.probe(a); ok && l.dirty {
-			l.dirty = false
+		if l, ok := h.l2.probe(a); ok && *l&lineDirty != 0 {
+			*l &^= lineDirty
 			dirty = true
 		}
 		cost += h.cfg.L1AccessCycles // probe cost even when clean
@@ -269,11 +253,11 @@ func (h *Hierarchy) InvalidateRange(addr uint64, n int) sim.Time {
 	var cost sim.Time
 	for a := addr &^ uint64(h.lineBytes-1); a < addr+uint64(n); a += uint64(h.lineBytes) {
 		if l, ok := h.l1.probe(a); ok {
-			l.valid = false
+			*l = 0
 			h.Stats.Invalidates++
 		}
 		if l, ok := h.l2.probe(a); ok {
-			l.valid = false
+			*l = 0
 			h.Stats.Invalidates++
 		}
 		cost += h.cfg.L1AccessCycles
