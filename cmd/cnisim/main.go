@@ -27,12 +27,12 @@
 //	cnisim -app jacobi -size 256 -procs 64 -topo torus -torusdims 4x4x4
 //
 // -shards N splits the simulation across N conservative-parallel
-// kernel shards advancing in lock-stepped lookahead windows. Results
-// are bit-identical at any shard count — only wall clock changes. Runs
-// whose model needs zero-lookahead cross-node access (DSM page copies)
-// clamp back to the single kernel and say so on stderr; -trace also
-// forces the single kernel, since the protocol trace is one globally
-// ordered stream:
+// kernel shards advancing in lock-stepped lookahead windows; 0 and 1
+// both run one shard. Results are bit-identical at any shard count —
+// only wall clock changes. Runs whose model needs zero-lookahead
+// cross-node access (DSM page copies) clamp back to one shard and say
+// so on stderr; -trace also forces one shard, since the protocol trace
+// is one globally ordered stream:
 //
 //	cnisim -rpc -nic cni -shards 4
 //
@@ -71,11 +71,11 @@ import (
 )
 
 // shardNote annotates a report header with the requested shard count.
-// The default single-kernel output stays byte-for-byte what it always
-// was; the annotation appears only when -shards asked for the parallel
-// driver (whose simulated results are identical anyway).
+// One-shard output stays byte-for-byte what it always was; the
+// annotation appears only when -shards asked for parallel shards
+// (whose simulated results are identical anyway).
 func shardNote(shards int) string {
-	if shards <= 0 {
+	if shards <= 1 {
 		return ""
 	}
 	return fmt.Sprintf(", %d kernel shard(s)", shards)
@@ -97,7 +97,7 @@ func main() {
 	unrestricted := flag.Bool("unrestricted-cell", false, "mythical ATM with unlimited cell size (Table 5)")
 	verify := flag.Bool("verify", false, "check the result against the sequential reference")
 	traceN := flag.Int("trace", 0, "print the first N protocol events")
-	shards := flag.Int("shards", 0, "split the simulation across N parallel kernel shards, bit-identical at any count (0 = single kernel)")
+	shards := flag.Int("shards", 0, "split the simulation across N parallel kernel shards, bit-identical at any count (0 or 1 = one shard)")
 	loss := flag.Float64("loss", 0, "cell loss probability per link (0 disables)")
 	corrupt := flag.Float64("corrupt", 0, "cell corruption probability per link")
 	dup := flag.Float64("dup", 0, "cell duplication probability per link")
@@ -130,11 +130,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cnisim: -shards must be >= 0\n")
 		os.Exit(2)
 	}
-	if *traceN > 0 && *shards != 0 {
-		// The protocol trace is one globally ordered event stream; the
-		// sharded driver has no single kernel clock to order it on.
-		fmt.Fprintln(os.Stderr, "cnisim: -trace needs the single ordered kernel; running with -shards 0")
-		*shards = 0
+	if *traceN > 0 && *shards > 1 {
+		// The protocol trace is one globally ordered event stream;
+		// parallel shards have no single kernel clock to order it on.
+		fmt.Fprintln(os.Stderr, "cnisim: -trace needs one ordered kernel; running with -shards 1")
+		*shards = 1
 	}
 
 	kind, ok := cni.NICKindByName(*nicName)
@@ -303,9 +303,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cnisim: %v\n", err)
 		os.Exit(2)
 	}
-	if *shards > 0 {
+	if *shards > 1 {
 		if c.ShardClamp != "" {
-			fmt.Fprintf(os.Stderr, "cnisim: -shards %d clamped to the single kernel: %s\n",
+			fmt.Fprintf(os.Stderr, "cnisim: -shards %d clamped to one shard: %s\n",
 				*shards, c.ShardClamp)
 		} else {
 			fmt.Fprintf(os.Stderr, "cnisim: simulating on %d parallel kernel shard(s)\n", c.Shards())

@@ -20,8 +20,9 @@
 // conservative-parallel kernel shards — a second, orthogonal axis of
 // parallelism that is also bit-identical at any count. The two axes
 // share the machine: jobs x shards is capped at GOMAXPROCS by reducing
-// jobs, never shards (the effective split is printed at startup). DSM
-// points clamp to the single kernel; serving and fabric points shard.
+// jobs, never shards (the effective split is printed at startup); 0
+// and 1 both run one shard. DSM points clamp to one shard; serving and
+// fabric points shard.
 //
 // -cpuprofile FILE and -memprofile FILE write pprof profiles of the
 // run (CPU over the whole run, live heap at exit) for digging into
@@ -81,7 +82,7 @@ func main() {
 	procs := flag.String("procs", "", "override processor counts for scaling figures (e.g. 1,2,4,8)")
 	jobs := flag.Int("j", 0, "simulation workers (0 = GOMAXPROCS; results identical at any value)")
 	progress := flag.Bool("progress", true, "stream live point counts to stderr")
-	shards := flag.Int("shards", 0, "kernel shards per simulation point (0 = single kernel; results identical at any count)")
+	shards := flag.Int("shards", 0, "kernel shards per simulation point (0 or 1 = one shard; results identical at any count)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()

@@ -24,8 +24,8 @@ const chaosShardOp = 0x5353 // "SS"
 
 // chaosShardRun drives paced all-to-all board traffic over a faulty
 // fabric and returns the per-node arrival traces plus the folded
-// fabric and reliability statistics. shards == 0 runs the plain
-// single-kernel path.
+// fabric and reliability statistics. shards == 0 runs the fabric on
+// the caller's kernel (atm.New).
 func chaosShardRun(t *testing.T, topo string, shards int) ([][]sim.Time, atm.Stats, nic.RelStats) {
 	t.Helper()
 	cfg := config.ForNIC(config.NICCNI)
@@ -94,7 +94,7 @@ func chaosShardRun(t *testing.T, topo string, shards int) ([][]sim.Time, atm.Sta
 
 // TestChaosShardedFabricBitIdentical is the sharded chaos gate on both
 // multi-switch topologies: the lossy, reordering run is bit-identical
-// between the plain kernel and shard counts 1 and 4 — and the faults
+// between the caller's kernel and shard counts 1 and 4 — and the faults
 // genuinely fired, so the parity covers the retransmit machinery, not
 // just clean traffic.
 func TestChaosShardedFabricBitIdentical(t *testing.T) {
@@ -110,7 +110,7 @@ func TestChaosShardedFabricBitIdentical(t *testing.T) {
 			for _, shards := range []int{1, 4} {
 				gotTrace, gotNet, gotRel := chaosShardRun(t, topo, shards)
 				if !reflect.DeepEqual(gotTrace, wantTrace) {
-					t.Fatalf("%s shards=%d: delivery traces diverge from the plain kernel", topo, shards)
+					t.Fatalf("%s shards=%d: delivery traces diverge from the caller's kernel", topo, shards)
 				}
 				if gotNet != wantNet {
 					t.Fatalf("%s shards=%d: fabric stats diverge:\n got %+v\nwant %+v", topo, shards, gotNet, wantNet)

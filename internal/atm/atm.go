@@ -23,8 +23,9 @@
 package atm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cni/internal/config"
 	"cni/internal/metrics"
@@ -74,15 +75,18 @@ type Stats struct {
 	Faults    FaultStats
 }
 
-// Network is the routed fabric plus the per-node access links.
+// Network is the routed fabric plus the per-node access links. It runs
+// on one kernel per shard, and one shard is the common case: every walk
+// a Send asks for waits in the sending shard's ledger until the window
+// barrier, which walks the ledgers in canonical order, so the fabric
+// realizes one order of events at every shard count.
 type Network struct {
-	k    *sim.Kernel
 	cfg  *config.Config
 	topo topo.Topology
 
 	rx    []func(pkt *Packet, at sim.Time)
 	inj   *injector  // nil on the (default) lossless fabric
-	route []topo.Hop // scratch, reused across Send calls
+	route []topo.Hop // scratch, reused across walks
 
 	// deliverFn is the pre-bound delivery event body handed to
 	// sim.Kernel.AtCall with the packet as argument, so scheduling a
@@ -90,12 +94,10 @@ type Network struct {
 	// allocation-free hot loop.
 	deliverFn func(any)
 
-	// Sharded-mode state (see NewSharded); all nil/unused on the plain
-	// single-kernel path.
-	ss       *sim.ShardSet
-	shardOf  []int       // node id -> shard id
-	perShard []*netShard // ledgers and send-phase counters, one per shard
-	drainBuf []walkItem  // barrier scratch, reused across windows
+	kernels  []*sim.Kernel // one per shard
+	shardOf  []int         // node id -> shard id
+	perShard []*netShard   // ledgers and send-phase counters, one per shard
+	drainBuf []walkItem    // barrier scratch for two or more shards
 
 	Stats Stats
 }
@@ -112,6 +114,15 @@ type walkItem struct {
 	pkt *Packet
 }
 
+// compareWalks orders walks canonically by (send time, source node);
+// a stable sort keeps each node's calls in call order.
+func compareWalks(a, b walkItem) int {
+	if c := cmp.Compare(a.now, b.now); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.pkt.Src, b.pkt.Src)
+}
+
 // netShard is the slice of fabric state one shard may touch during a
 // window without synchronization: its own ledger and its nodes'
 // send-phase counters (pure sums, folded into Stats by Finish).
@@ -120,11 +131,59 @@ type netShard struct {
 	sent   Stats
 }
 
-// New builds the fabric selected by cfg.Topology for n nodes. The node
-// count is user input, so an unaddressable n (more nodes than the
-// topology's geometry, or than the 16-bit VCI lanes, can carry) is an
-// error, not a panic.
+// New builds the fabric selected by cfg.Topology for n nodes on kernel
+// k, which becomes the fabric's window driver: k.Run executes
+// lock-stepped windows of Lookahead with the fabric's ledger drain as
+// the barrier (sim.Kernel.OnBarrier). The node count is user input, so
+// an unaddressable n (more nodes than the topology's geometry, or than
+// the 16-bit VCI lanes, can carry) is an error, not a panic.
 func New(k *sim.Kernel, cfg *config.Config, n int) (*Network, error) {
+	tp, err := newTopology(cfg, n)
+	if err != nil {
+		return nil, err
+	}
+	nw := newNetwork(cfg, tp, make([]int, n), []*sim.Kernel{k})
+	k.SetLookahead(nw.Lookahead())
+	k.OnBarrier(nw.drainLedger, nw.waiting)
+	return nw, nil
+}
+
+// NewSharded builds the same fabric split across conservative-parallel
+// kernel shards: the topology's Partition assigns every node to one of
+// at most shards shards (clamped by the geometry), each with its own
+// kernel, and the returned ShardSet drives them through lock-stepped
+// windows of width Lookahead. The barrier drains all ledgers
+// single-threaded in canonical (send time, source node) order, so port
+// reservations and fault draws replay one order at every shard count
+// and deliveries land on the destination's shard kernel. With one
+// shard the set's kernel runs those windows itself, as under New.
+//
+// Node components (boards, procs) must schedule exclusively on their
+// node's shard kernel — NodeKernel(i) — and must not touch another
+// node's state except through messages.
+func NewSharded(cfg *config.Config, n, shards int, engine sim.Engine) (*Network, *sim.ShardSet, error) {
+	tp, err := newTopology(cfg, n)
+	if err != nil {
+		return nil, nil, err
+	}
+	part := tp.Partition(shards)
+	eff := 0
+	for _, s := range part {
+		eff = max(eff, s+1)
+	}
+	ss := sim.NewShardSet(eff, engine)
+	kernels := make([]*sim.Kernel, eff)
+	for i := range kernels {
+		kernels[i] = ss.Kernel(i)
+	}
+	nw := newNetwork(cfg, tp, part, kernels)
+	ss.SetLookahead(nw.Lookahead())
+	ss.OnBarrier(nw.drainLedger, nw.waiting)
+	return nw, ss, nil
+}
+
+// newTopology validates the node count and builds the routed graph.
+func newTopology(cfg *config.Config, n int) (topo.Topology, error) {
 	if err := config.ValidateNodes(n); err != nil {
 		// More nodes than the 16-bit VCI lanes can address would
 		// silently collide virtual circuits in the nic layer.
@@ -134,53 +193,21 @@ func New(k *sim.Kernel, cfg *config.Config, n int) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("atm: %w", err)
 	}
-	nw := &Network{k: k, cfg: cfg, topo: tp}
-	nw.deliverFn = nw.deliver
-	nw.rx = make([]func(*Packet, sim.Time), n)
-	nw.inj = newInjector(cfg, tp.Edges())
-	return nw, nil
+	return tp, nil
 }
 
-// NewSharded builds the same fabric split across conservative-parallel
-// kernel shards: the topology's Partition assigns every node to one of
-// at most shards shards (clamped by the geometry), each with its own
-// kernel, and the returned ShardSet drives them through lock-stepped
-// windows of width Lookahead. During a window every fabric walk is
-// deferred into the sending shard's ledger; the barrier drains all
-// ledgers single-threaded in canonical (send time, source node) order,
-// so port reservations and fault draws replay the sequential fabric
-// exactly and deliveries land on the destination's shard kernel.
-//
-// Node components (boards, procs) must schedule exclusively on their
-// node's shard kernel — NodeKernel(i) — and must not touch another
-// node's state except through messages.
-func NewSharded(cfg *config.Config, n, shards int, engine sim.Engine) (*Network, *sim.ShardSet, error) {
-	if err := config.ValidateNodes(n); err != nil {
-		return nil, nil, fmt.Errorf("atm: %w", err)
-	}
-	tp, err := topo.New(cfg, n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("atm: %w", err)
-	}
-	part := tp.Partition(shards)
-	eff := 0
-	for _, s := range part {
-		if s+1 > eff {
-			eff = s + 1
-		}
-	}
-	ss := sim.NewShardSet(eff, engine)
-	nw := &Network{k: ss.Kernel(0), cfg: cfg, topo: tp, ss: ss, shardOf: part}
+// newNetwork builds the fabric over one kernel per shard, with node i
+// on kernels[shardOf[i]].
+func newNetwork(cfg *config.Config, tp topo.Topology, shardOf []int, kernels []*sim.Kernel) *Network {
+	nw := &Network{cfg: cfg, topo: tp, kernels: kernels, shardOf: shardOf}
 	nw.deliverFn = nw.shardDeliver
-	nw.rx = make([]func(*Packet, sim.Time), n)
+	nw.rx = make([]func(*Packet, sim.Time), len(shardOf))
 	nw.inj = newInjector(cfg, tp.Edges())
-	nw.perShard = make([]*netShard, eff)
+	nw.perShard = make([]*netShard, len(kernels))
 	for i := range nw.perShard {
 		nw.perShard[i] = &netShard{}
 	}
-	ss.SetLookahead(nw.Lookahead())
-	ss.OnBarrier(nw.drainLedger)
-	return nw, ss, nil
+	return nw
 }
 
 // Lookahead is the fabric's conservative window width: no Send made at
@@ -196,22 +223,12 @@ func (nw *Network) Lookahead() sim.Time {
 		nw.cfg.NSToCycles(nw.cfg.SwitchLatencyNS)
 }
 
-// Shards reports the effective shard count (1 on the plain path).
-func (nw *Network) Shards() int {
-	if nw.ss == nil {
-		return 1
-	}
-	return len(nw.perShard)
-}
+// Shards reports the effective shard count.
+func (nw *Network) Shards() int { return len(nw.kernels) }
 
 // NodeKernel returns the kernel node i's components must schedule on:
-// the shard kernel in sharded mode, the single kernel otherwise.
-func (nw *Network) NodeKernel(i int) *sim.Kernel {
-	if nw.ss == nil {
-		return nw.k
-	}
-	return nw.ss.Kernel(nw.shardOf[i])
-}
+// its shard's kernel.
+func (nw *Network) NodeKernel(i int) *sim.Kernel { return nw.kernels[nw.shardOf[i]] }
 
 // Faulty reports whether the fabric injects faults.
 func (nw *Network) Faulty() bool { return nw.inj != nil }
@@ -237,38 +254,29 @@ func (nw *Network) headCellCycles() sim.Time {
 }
 
 // Send injects pkt into the fabric at time at (the moment the source
-// NIC starts clocking the first cell out) and returns the delivery
-// time at which the destination's handler will run. Sending to self is
-// legal and bypasses the fabric.
-//
-// In sharded mode the walk is deferred to the next window barrier, so
-// the delivery time is not yet known and Send returns 0; callers must
-// not act on the return value (none in this repository do).
-func (nw *Network) Send(at sim.Time, pkt *Packet) sim.Time {
+// NIC starts clocking the first cell out). The sending shard counts it
+// and defers its walk to the next window barrier, so the delivery time
+// is known only then; the destination's handler runs at it. Sending to
+// self is legal and bypasses the fabric: the delivery is scheduled at
+// once, on the node's own kernel.
+func (nw *Network) Send(at sim.Time, pkt *Packet) {
 	if pkt.Dst < 0 || pkt.Dst >= len(nw.rx) || pkt.Src < 0 || pkt.Src >= len(nw.rx) {
 		panic(fmt.Sprintf("atm: packet %d->%d outside fabric of %d nodes", pkt.Src, pkt.Dst, len(nw.rx)))
 	}
-	if nw.ss != nil {
-		return nw.sendSharded(at, pkt)
-	}
-	nw.count(&nw.Stats, pkt)
+	shard := nw.shardOf[pkt.Src]
+	s := nw.perShard[shard]
+	nw.count(&s.sent, pkt)
 
+	k := nw.kernels[shard]
 	if pkt.Dst == pkt.Src {
-		// Loopback inside the board: no fabric involvement.
-		deliver := at + nw.headCellCycles()
-		nw.schedule(pkt, deliver)
-		return deliver
+		// Loopback inside the board: shard-local, no fabric state.
+		if nw.rx[pkt.Dst] == nil {
+			panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
+		}
+		k.AtCall(at+nw.headCellCycles(), nw.deliverFn, pkt)
+		return
 	}
-
-	deliver, redeliver, lost := nw.walk(at, pkt)
-	if lost {
-		return deliver
-	}
-	nw.schedule(pkt, deliver)
-	if redeliver != 0 {
-		nw.schedule(pkt, redeliver)
-	}
-	return deliver
+	s.ledger = append(s.ledger, walkItem{now: k.Now(), at: at, pkt: pkt})
 }
 
 // walk occupies the source access link for the whole serialization,
@@ -285,8 +293,7 @@ func (nw *Network) Send(at sim.Time, pkt *Packet) sim.Time {
 //
 // The walk order is the fabric's serialization point: ports are
 // contended resources, so calling walk in a different order changes
-// timings. The plain path walks in Send-call order; the sharded path
-// replays the identical order from its ledger.
+// timings. The barrier walks in the canonical order of the ledger.
 func (nw *Network) walk(at sim.Time, pkt *Packet) (deliver, redeliver sim.Time, lost bool) {
 	b := pkt.Bytes()
 	cells := nw.cfg.Cells(b)
@@ -352,113 +359,85 @@ func (nw *Network) count(st *Stats, pkt *Packet) {
 	st.Cells += uint64(nw.cfg.Cells(b))
 }
 
-// sendSharded is Send during a window: charge the sending shard's
-// counters, deliver loopbacks on the node's own kernel, and defer
-// everything that touches shared fabric state into the shard's ledger.
-func (nw *Network) sendSharded(at sim.Time, pkt *Packet) sim.Time {
-	shard := nw.shardOf[pkt.Src]
-	s := nw.perShard[shard]
-	nw.count(&s.sent, pkt)
-
-	k := nw.ss.Kernel(shard)
-	if pkt.Dst == pkt.Src {
-		// Loopback inside the board: shard-local, no fabric state.
-		deliver := at + nw.headCellCycles()
-		if nw.rx[pkt.Dst] == nil {
-			panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
+// waiting reports whether any shard's ledger holds a walk: the work
+// the window barrier has to do.
+func (nw *Network) waiting() bool {
+	for _, s := range nw.perShard {
+		if len(s.ledger) > 0 {
+			return true
 		}
-		k.AtCall(deliver, nw.deliverFn, pkt)
-		return deliver
 	}
-	s.ledger = append(s.ledger, walkItem{now: k.Now(), at: at, pkt: pkt})
-	return 0
+	return false
 }
 
-// drainLedger is the window barrier: it gathers every shard's deferred
-// walks, restores the canonical global order, and applies them
-// single-threaded. Stable sort by (send time, source node) plus the
+// drainLedger is the window barrier: it restores the canonical global
+// order of every shard's deferred walks and applies them
+// single-threaded. A stable sort by (send time, source node) over the
 // per-shard append order — each node's sends sit in one shard's ledger
 // in call order, and kernel time is monotone within a shard — yields
-// an order independent of the shard count, so the ports see the exact
-// reservation sequence of the sequential fabric.
-func (nw *Network) drainLedger() {
-	buf := nw.drainBuf[:0]
-	for _, s := range nw.perShard {
-		buf = append(buf, s.ledger...)
-		s.ledger = s.ledger[:0]
-	}
-	nw.drainBuf = buf[:0] // keep the (possibly grown) backing array
-	if len(buf) == 0 {
-		return
-	}
-	sort.SliceStable(buf, func(i, j int) bool {
-		if buf[i].now != buf[j].now {
-			return buf[i].now < buf[j].now
+// an order independent of the shard count, so the ports see one
+// reservation sequence at every shard count. One shard's ledger is
+// walked in place, and a ledger already in that order (the usual case
+// with a few walks per window) is not sorted.
+func (nw *Network) drainLedger(edge sim.Time) {
+	buf := nw.perShard[0].ledger
+	if len(nw.perShard) > 1 {
+		buf = nw.drainBuf[:0]
+		for _, s := range nw.perShard {
+			buf = append(buf, s.ledger...)
 		}
-		return buf[i].pkt.Src < buf[j].pkt.Src
-	})
+		nw.drainBuf = buf
+	}
+	if !slices.IsSortedFunc(buf, compareWalks) {
+		slices.SortStableFunc(buf, compareWalks)
+	}
 	for i := range buf {
 		it := &buf[i]
 		deliver, redeliver, lost := nw.walk(it.at, it.pkt)
 		if lost {
 			continue
 		}
-		nw.shardSchedule(it.pkt, deliver)
+		nw.shardSchedule(it.pkt, deliver, edge)
 		if redeliver != 0 {
-			nw.shardSchedule(it.pkt, redeliver)
+			nw.shardSchedule(it.pkt, redeliver, edge)
 		}
+	}
+	for _, s := range nw.perShard {
+		s.ledger = s.ledger[:0]
 	}
 }
 
 // shardSchedule lands a delivery on the destination node's shard
-// kernel. Every kernel's clock sits at the window edge during a
-// barrier, so a delivery at or before the edge would execute out of
-// causal order — that would mean the lookahead bound is wrong, and
-// nothing downstream could be trusted, hence the loud panic.
-func (nw *Network) shardSchedule(pkt *Packet, deliver sim.Time) {
-	if edge := nw.ss.WindowEdge(); deliver <= edge {
+// kernel. No kernel has run past the window edge during a barrier, so
+// a delivery at or before the edge would execute out of causal order —
+// that would mean the lookahead bound is wrong, and nothing downstream
+// could be trusted, hence the loud panic.
+func (nw *Network) shardSchedule(pkt *Packet, deliver, edge sim.Time) {
+	if deliver <= edge {
 		panic(fmt.Sprintf("atm: delivery %d->%d at t=%d not after window edge %d: lookahead %d is unsound",
 			pkt.Src, pkt.Dst, deliver, edge, nw.Lookahead()))
 	}
 	if nw.rx[pkt.Dst] == nil {
 		panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
 	}
-	nw.ss.Kernel(nw.shardOf[pkt.Dst]).AtCall(deliver, nw.deliverFn, pkt)
+	nw.NodeKernel(pkt.Dst).AtCall(deliver, nw.deliverFn, pkt)
 }
 
-// shardDeliver is the sharded delivery event body: it runs on the
-// destination's shard kernel and hands the packet to the node's
-// receive handler at that kernel's clock.
+// shardDeliver is the delivery event body: it runs on the
+// destination's shard kernel at the arrival time of the packet's last
+// cell and hands the packet to the node's receive handler.
 func (nw *Network) shardDeliver(arg any) {
 	pkt := arg.(*Packet)
-	nw.rx[pkt.Dst](pkt, nw.ss.Kernel(nw.shardOf[pkt.Dst]).Now())
+	nw.rx[pkt.Dst](pkt, nw.NodeKernel(pkt.Dst).Now())
 }
 
 // Finish folds the per-shard send-phase counters into Stats; call it
-// after the ShardSet has run and before reading Stats. The counters
-// are pure sums, so the fold is order-independent and the totals equal
-// the sequential fabric's exactly. No-op (and safe) on the plain path.
+// after the run and before reading Stats. The counters are pure sums,
+// so the fold is order-independent and the totals do not depend on the
+// shard count.
 func (nw *Network) Finish() {
-	if nw.ss == nil {
-		return
-	}
 	for _, s := range nw.perShard {
 		metrics.Fold(&nw.Stats, s.sent)
 		s.sent = Stats{}
 	}
-}
-
-func (nw *Network) schedule(pkt *Packet, deliver sim.Time) {
-	if nw.rx[pkt.Dst] == nil {
-		panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
-	}
-	nw.k.AtCall(deliver, nw.deliverFn, pkt)
-}
-
-// deliver is the delivery event body: it runs at the arrival time of
-// the packet's last cell and hands the packet to the destination's
-// receive handler.
-func (nw *Network) deliver(arg any) {
-	pkt := arg.(*Packet)
-	nw.rx[pkt.Dst](pkt, nw.k.Now())
 }

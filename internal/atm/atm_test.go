@@ -31,29 +31,36 @@ func TestSendDeliversOnce(t *testing.T) {
 		})
 	}
 	pkt := &Packet{Src: 0, Dst: 2, Size: 100}
-	want := nw.Send(0, pkt)
+	nw.Send(0, pkt)
 	k.Run()
 	if len(got) != 1 || got[0] != pkt {
 		t.Fatalf("delivered %d packets", len(got))
 	}
-	if at != want {
-		t.Fatalf("delivered at %d, Send predicted %d", at, want)
+	// Uncontended, the last cell lands one lookahead plus the
+	// serialization of the rest of the packet after the launch.
+	if want := nw.Lookahead() + nw.cfg.SerializeCycles(100); at != want {
+		t.Fatalf("delivered at %d, want %d", at, want)
 	}
 }
 
-func TestLatencyGrowsWithSize(t *testing.T) {
-	k, nw, _ := build(t, 2)
+// sendOne sends one packet from node 0 to node 1 of a fresh two-node
+// fabric at time 0 and returns the time the receive handler saw it,
+// with the fabric's stats.
+func sendOne(cfg config.Config, size int) (sim.Time, Stats) {
+	k := sim.NewKernel()
+	nw := mustNew(k, &cfg, 2)
+	var at sim.Time
 	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	small := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 48})
+	nw.Attach(1, func(_ *Packet, t sim.Time) { at = t })
+	nw.Send(0, &Packet{Src: 0, Dst: 1, Size: size})
 	k.Run()
-	k2 := sim.NewKernel()
-	cfg := config.Default()
-	nw2 := mustNew(k2, &cfg, 2)
-	nw2.Attach(0, func(*Packet, sim.Time) {})
-	nw2.Attach(1, func(*Packet, sim.Time) {})
-	large := nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
-	k2.Run()
+	nw.Finish()
+	return at, nw.Stats
+}
+
+func TestLatencyGrowsWithSize(t *testing.T) {
+	small, _ := sendOne(config.Default(), 48)
+	large, _ := sendOne(config.Default(), 4096)
 	if large <= small {
 		t.Fatalf("4KB latency %d <= 48B latency %d", large, small)
 	}
@@ -66,11 +73,8 @@ func TestLatencyGrowsWithSize(t *testing.T) {
 func TestCutThroughBeatsStoreAndForward(t *testing.T) {
 	// End-to-end latency of an uncontended message must be about one
 	// serialization time plus constants, not two.
-	k, nw, cfg := build(t, 2)
-	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	d := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
-	k.Run()
+	cfg := config.Default()
+	d, _ := sendOne(cfg, 4096)
 	ser := cfg.SerializeCycles(4096)
 	if d > ser+ser/4 {
 		t.Fatalf("delivery %d cycles for ser %d: looks store-and-forward", d, ser)
@@ -147,26 +151,15 @@ func TestLoopbackBypassesSwitch(t *testing.T) {
 }
 
 func TestUnrestrictedCellReducesWireBytes(t *testing.T) {
-	k := sim.NewKernel()
 	cfg := config.Default()
 	cfg.UnrestrictedCell = true
-	nw := mustNew(k, &cfg, 2)
-	nw.Attach(0, func(*Packet, sim.Time) {})
-	nw.Attach(1, func(*Packet, sim.Time) {})
-	d := nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
-	k.Run()
+	d, st := sendOne(cfg, 4096)
+	d2, st2 := sendOne(config.Default(), 4096)
 
-	k2, nw2, cfg2 := build(t, 2)
-	nw2.Attach(0, func(*Packet, sim.Time) {})
-	nw2.Attach(1, func(*Packet, sim.Time) {})
-	d2 := nw2.Send(0, &Packet{Src: 0, Dst: 1, Size: 4096})
-	k2.Run()
-	_ = cfg2
-
-	if nw.Stats.Cells != 1 {
-		t.Fatalf("unrestricted cells = %d, want 1", nw.Stats.Cells)
+	if st.Cells != 1 {
+		t.Fatalf("unrestricted cells = %d, want 1", st.Cells)
 	}
-	if nw.Stats.WireBytes >= nw2.Stats.WireBytes {
+	if st.WireBytes >= st2.WireBytes {
 		t.Fatal("unrestricted cell size must shed header overhead")
 	}
 	if d >= d2 {
@@ -192,6 +185,7 @@ func TestStatsAccounting(t *testing.T) {
 	nw.Send(0, &Packet{Src: 0, Dst: 1, Size: 100}) // 3 cells
 	nw.Send(0, &Packet{Src: 1, Dst: 0, Size: 48})  // 1 cell
 	k.Run()
+	nw.Finish()
 	if nw.Stats.Messages != 2 || nw.Stats.DataBytes != 148 {
 		t.Fatalf("stats = %+v", nw.Stats)
 	}

@@ -10,6 +10,8 @@ package atm
 // artifact byte-identical.
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"cni/internal/config"
@@ -52,11 +54,13 @@ func use(free *sim.Time, at, dur sim.Time) (sim.Time, sim.Time) {
 	return start, *free
 }
 
-func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
+// send returns the times at which one packet reaches its destination:
+// none when it is lost, two when its cell train is duplicated.
+func (r *refFabric) send(at sim.Time, src, dst, bytes int) []sim.Time {
 	ser := r.cfg.SerializeCycles(bytes)
 	cells := r.cfg.Cells(bytes)
 	if src == dst {
-		return at + r.headCell()
+		return []sim.Time{at + r.headCell()}
 	}
 	txStart, _ := use(&r.txFree[src], at, ser)
 	headAt := txStart + r.headCell() +
@@ -66,7 +70,7 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	r.portWaits += portStart - headAt
 	deliver := portEnd + r.cfg.NSToCycles(r.cfg.WirePropNS)
 	if r.rng == nil {
-		return deliver
+		return []sim.Time{deliver}
 	}
 	// The original per-packet judgement, verbatim.
 	rng := r.rng[src]
@@ -99,7 +103,7 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	}
 	if lost {
 		r.faults.PacketsLost++
-		return deliver
+		return nil
 	}
 	deliver += delay
 	if damaged {
@@ -107,10 +111,16 @@ func (r *refFabric) send(at sim.Time, src, dst, bytes int) sim.Time {
 	}
 	if duped {
 		r.faults.PacketsDuped++
+		return []sim.Time{deliver, deliver + ser}
 	}
-	return deliver
+	return []sim.Time{deliver}
 }
 
+// runParity sends seeded random traffic, each packet from an event at
+// its launch time, and compares the times the receive handlers see
+// with the reference. The fabric walks sends in canonical (send time,
+// source node) order, so the reference takes equal-time sends in that
+// order too.
 func runParity(t *testing.T, cfg config.Config, trafficSeed uint64) {
 	t.Helper()
 	const n, messages = 16, 4000
@@ -119,23 +129,46 @@ func runParity(t *testing.T, cfg config.Config, trafficSeed uint64) {
 	if nw.Topology().Kind() != config.TopoSingle {
 		t.Fatalf("default topology = %q, want single", nw.Topology().Kind())
 	}
+	got := make([][]sim.Time, messages)
 	for i := 0; i < n; i++ {
-		nw.Attach(i, func(*Packet, sim.Time) {})
+		nw.Attach(i, func(p *Packet, at sim.Time) { got[p.VCI] = append(got[p.VCI], at) })
 	}
-	ref := newRef(&cfg, n)
 
+	type message struct {
+		at         sim.Time
+		src, bytes int
+		pkt        *Packet
+	}
+	msgs := make([]message, messages)
 	rng := sim.NewRNG(trafficSeed)
 	var at sim.Time
-	for m := 0; m < messages; m++ {
+	for m := range msgs {
 		at += sim.Time(rng.Intn(300))
 		src := rng.Intn(n)
 		dst := rng.Intn(n)
 		bytes := 1 + rng.Intn(6000)
-		got := nw.Send(at, &Packet{Src: src, Dst: dst, Size: bytes})
-		want := ref.send(at, src, dst, bytes)
-		if got != want {
-			t.Fatalf("message %d (%d->%d, %d B at %d): deliver %d, reference %d",
-				m, src, dst, bytes, at, got, want)
+		pkt := &Packet{Src: src, Dst: dst, VCI: uint32(m), Size: bytes}
+		msgs[m] = message{at: at, src: src, bytes: bytes, pkt: pkt}
+		launch := at
+		k.At(launch, func() { nw.Send(launch, pkt) })
+	}
+	k.Run()
+
+	ref := newRef(&cfg, n)
+	order := make([]int, messages)
+	for m := range order {
+		order[m] = m
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := msgs[order[i]], msgs[order[j]]
+		return a.at < b.at || a.at == b.at && a.src < b.src
+	})
+	for _, m := range order {
+		mm := msgs[m]
+		want := ref.send(mm.at, mm.src, mm.pkt.Dst, mm.bytes)
+		if !slices.Equal(got[m], want) {
+			t.Fatalf("message %d (%d->%d, %d B at %d): delivered at %v, reference %v",
+				m, mm.src, mm.pkt.Dst, mm.bytes, mm.at, got[m], want)
 		}
 	}
 	if nw.Stats.PortWaits != ref.portWaits {

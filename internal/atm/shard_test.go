@@ -21,7 +21,7 @@ type delivery struct {
 // a periodic event chain sending to a rotating partner, with
 // intentional same-cycle ties across nodes — and returns the per-node
 // delivery traces plus the folded fabric stats. shards == 0 runs the
-// plain single-kernel fabric.
+// fabric on a caller's kernel (New), which runs its own windows.
 func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.Engine) ([][]delivery, Stats) {
 	t.Helper()
 	var nw *Network
@@ -54,9 +54,6 @@ func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.En
 			got[i] = append(got[i], delivery{Src: p.Src, Dst: p.Dst, At: at, Damaged: p.Damaged})
 		})
 	}
-	// Chains are installed in node order, so same-cycle sends execute
-	// in node order on the plain kernel — the canonical (time, source)
-	// tie-break the sharded ledger replays.
 	const rounds = 40
 	for i := 0; i < n; i++ {
 		i := i
@@ -81,9 +78,9 @@ func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.En
 }
 
 // TestShardedFabricParity pins the tentpole invariant at the fabric
-// layer: delivery traces and stats are bit-identical between the plain
-// kernel and every shard count, on every topology, with faults off and
-// on, for both engines.
+// layer: delivery traces and stats are bit-identical between a fabric
+// on the caller's kernel and every shard count, on every topology,
+// with faults off and on, for both engines.
 func TestShardedFabricParity(t *testing.T) {
 	for _, topoKind := range []string{config.TopoSingle, config.TopoClos, config.TopoTorus} {
 		for _, faulty := range []bool{false, true} {
@@ -106,7 +103,7 @@ func TestShardedFabricParity(t *testing.T) {
 					for _, shards := range []int{1, 2, 4, n} {
 						got, gotStats := shardTraffic(t, &cfg, n, shards, engine)
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("shards=%d: delivery traces diverge from plain kernel", shards)
+							t.Fatalf("shards=%d: delivery traces diverge from the caller's kernel", shards)
 						}
 						if gotStats != wantStats {
 							t.Fatalf("shards=%d: stats diverge:\n got %+v\nwant %+v", shards, gotStats, wantStats)
@@ -158,5 +155,50 @@ func TestShardedLookaheadHolds(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no deliveries")
+	}
+}
+
+// TestDrainLedgerSortsSameTimeSends issues same-instant sends to one
+// port in descending source order, so every ledger is out of canonical
+// order and the barrier must sort it: on one shard and on two, the
+// port serves the sources in ascending order, at the same times. The
+// usual ledger is already in order and skips the sort, so this test is
+// what reaches it.
+func TestDrainLedgerSortsSameTimeSends(t *testing.T) {
+	const n = 8
+	cfg := config.Default()
+	var want []delivery
+	for _, shards := range []int{1, 2} {
+		nw, ss, err := NewSharded(&cfg, n, shards, sim.EngineCalendar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss.Shards() != shards {
+			t.Fatalf("%d shards, want %d", ss.Shards(), shards)
+		}
+		var got []delivery
+		for i := 0; i < n; i++ {
+			nw.Attach(i, func(p *Packet, at sim.Time) {
+				got = append(got, delivery{Src: p.Src, Dst: p.Dst, At: at})
+			})
+		}
+		for src := n - 1; src > 0; src-- {
+			k := nw.NodeKernel(src)
+			k.At(1, func() { nw.Send(k.Now(), &Packet{Src: src, Dst: 0, Size: 480}) })
+		}
+		ss.Run()
+		if len(got) != n-1 {
+			t.Fatalf("shards=%d: %d deliveries, want %d", shards, len(got), n-1)
+		}
+		for i, d := range got {
+			if d.Src != i+1 {
+				t.Fatalf("shards=%d: delivery %d from node %d, want node %d (ascending sources)", shards, i, d.Src, i+1)
+			}
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shards=%d: deliveries %v, one shard %v", shards, got, want)
+		}
 	}
 }

@@ -41,19 +41,12 @@ type Node struct {
 	finish sim.Time
 }
 
-// engine is what drives a run: the single kernel, or the shard set of
-// a sharded run.
-type engine interface {
-	Run() sim.Time
-	Drain()
-	Executed() uint64
-	Now() sim.Time
-}
-
 // Cluster is the whole machine. Every node lives on the kernel
 // Net.NodeKernel returns for it.
 type Cluster struct {
-	SS *sim.ShardSet // non-nil when the run executes as parallel shards
+	// SS drives the run: one kernel per shard, and one shard unless
+	// SimShards asks for more.
+	SS *sim.ShardSet
 	// ShardClamp records why a SimShards request was reduced to one
 	// shard ("" when the request was honored as-is).
 	ShardClamp string
@@ -64,8 +57,6 @@ type Cluster struct {
 	RPC        *rpc.Engine
 	KV         *kv.Engine
 	Nodes      []*Node
-
-	eng engine
 }
 
 // Setup allocates the shared region (identically on every run).
@@ -93,29 +84,20 @@ func New(cfg *config.Config, n int, setup Setup) (*Cluster, error) {
 	c.G.Freeze(n)
 	// DSM page transfers read the serving node's live memory at delivery
 	// time (Runtime.copyPageFrom) — a zero-lookahead cross-node access no
-	// conservative window can order. Runs that allocate shared pages
-	// therefore execute on one kernel regardless of SimShards; everything
-	// else (boards, RPC, KV, collectives, DSM locks and barriers) is
+	// parallel window can order. Runs that allocate shared pages therefore
+	// execute on one shard regardless of SimShards; everything else
+	// (boards, RPC, KV, collectives, DSM locks and barriers) is
 	// message-carried and shards.
-	shards := cfg.SimShards
-	if shards >= 1 && c.G.Pages() > 0 {
-		shards = 0
+	shards := max(cfg.SimShards, 1)
+	if shards > 1 && c.G.Pages() > 0 {
+		shards = 1
 		c.ShardClamp = "DSM pages allocated: page transfers have zero lookahead"
 	}
-	if shards >= 1 {
-		net, ss, err := atm.NewSharded(cfg, n, shards, sim.EngineCalendar)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.Net, c.SS, c.eng = net, ss, ss
-	} else {
-		k := sim.NewKernel()
-		net, err := atm.New(k, cfg, n)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.Net, c.eng = net, k
+	net, ss, err := atm.NewSharded(cfg, n, shards, sim.EngineCalendar)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	c.Net, c.SS = net, ss
 	c.Coll = collective.NewEngine(cfg)
 	c.RPC = rpc.NewEngine(cfg)
 	c.KV = kv.NewEngine(cfg)
@@ -134,22 +116,17 @@ func New(cfg *config.Config, n int, setup Setup) (*Cluster, error) {
 }
 
 // Shards reports the effective shard count the run executes on.
-func (c *Cluster) Shards() int {
-	if c.SS != nil {
-		return c.SS.Shards()
-	}
-	return 1
-}
+func (c *Cluster) Shards() int { return c.SS.Shards() }
 
 // Executed reports the total number of simulation events executed, over
 // every shard kernel.
-func (c *Cluster) Executed() uint64 { return c.eng.Executed() }
+func (c *Cluster) Executed() uint64 { return c.SS.Executed() }
 
 // EnableTrace attaches a bounded protocol-event log (capacity cap
 // events) to every node and returns it; call before Run.
 func (c *Cluster) EnableTrace(cap int) *trace.Log {
-	if c.SS != nil {
-		panic("cluster: tracing needs a single-kernel run (the log is one ordered stream); build with SimShards <= 1")
+	if c.Shards() > 1 {
+		panic("cluster: tracing needs a one-shard run (the log is one ordered stream); build with SimShards <= 1")
 	}
 	l := trace.New(cap)
 	for _, n := range c.Nodes {
@@ -247,7 +224,7 @@ func (c *Cluster) Run(app App) *Result {
 			n.finish = p.Local()
 		})
 	}
-	c.eng.Run()
+	c.SS.Run()
 	c.Net.Finish()
 
 	res := &Result{Net: c.Net.Stats}
@@ -261,9 +238,9 @@ func (c *Cluster) Run(app App) *Result {
 					fmt.Fprintf(&states, " parkedHomeReqs=%d [%s]", cnt, sample)
 				}
 			}
-			c.eng.Drain()
+			c.SS.Drain()
 			panic(fmt.Sprintf("cluster: node %d never finished (deadlock at t=%d); tasks: %s%s",
-				n.ID, c.eng.Now(), c.G.TaskDebug(), states.String()))
+				n.ID, c.SS.Now(), c.G.TaskDebug(), states.String()))
 		}
 		overhead := n.R.Stats.Overhead + n.Proc.PenaltyTime
 		delay := n.Proc.BlockedTime

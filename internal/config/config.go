@@ -302,13 +302,12 @@ type Config struct {
 
 	// SimShards splits one run across this many conservative-parallel
 	// kernel shards advancing in lock-stepped lookahead windows (see
-	// DESIGN.md §2.2). 0 (the default) runs the plain single kernel;
-	// 1 runs the sharded driver with one shard, which isolates the
-	// windowing overhead from the parallelism. Sharding is a host-side
+	// DESIGN.md §2.2). 0 (the default) and 1 both mean one shard: one
+	// kernel running the windows inline. Sharding is a host-side
 	// execution strategy only: simulated behavior, all statistics, and
 	// rendered output are bit-identical at every shard count. Runs whose
 	// model needs zero-lookahead cross-node access (DSM page copies)
-	// clamp back to the single kernel.
+	// clamp back to one shard.
 	SimShards int
 }
 

@@ -417,6 +417,10 @@ type Runtime struct {
 	k     *sim.Kernel
 	cfg   *config.Config
 	board *nic.Board
+	// ops is the protocol's handler table, indexed by op - OpDiff:
+	// registered on the board, and called directly for messages this
+	// node addresses to itself (dispatchLocal).
+	ops [OpUpdate - OpDiff + 1]nic.Handler
 
 	pages []page // the page table: every per-page state, by page id
 	// view[p] is page p's words while the page is valid and nil
@@ -663,19 +667,14 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 	}
 	g.nodes = append(g.nodes, r)
 
+	r.ops = [...]nic.Handler{
+		r.onDiff, r.onPageReq, r.onPageReply, r.onLockAcq, r.onLockGrant, r.onLockRel,
+		r.onBarEnter, r.onBarRelease, r.onTaskReq, r.onTaskReply, r.onTaskPush, r.onUpdate,
+	}
 	onNIC := board.HandlersOnBoard()
-	board.Register(OpDiff, onNIC, r.onDiff)
-	board.Register(OpPageReq, onNIC, r.onPageReq)
-	board.Register(OpPageReply, onNIC, r.onPageReply)
-	board.Register(OpLockAcq, onNIC, r.onLockAcq)
-	board.Register(OpLockGrant, onNIC, r.onLockGrant)
-	board.Register(OpLockRel, onNIC, r.onLockRel)
-	board.Register(OpBarEnter, onNIC, r.onBarEnter)
-	board.Register(OpBarRelease, onNIC, r.onBarRelease)
-	board.Register(OpTaskReq, onNIC, r.onTaskReq)
-	board.Register(OpTaskReply, onNIC, r.onTaskReply)
-	board.Register(OpTaskPush, onNIC, r.onTaskPush)
-	board.Register(OpUpdate, onNIC, r.onUpdate)
+	for i, h := range r.ops {
+		board.Register(OpDiff+uint32(i), onNIC, h)
+	}
 	board.MapPages(SharedBase, g.Pages()*g.cfg.PageBytes)
 	return r
 }

@@ -15,35 +15,11 @@ import (
 // host protocol costs before invoking them on the host.
 
 // dispatchLocal routes a message addressed to this node without going
-// through the fabric (manager-is-self fast path). The caller has
-// already synchronized, so at is the current kernel time.
+// through the fabric (manager-is-self fast path): a direct call of the
+// op's handler. The caller has already synchronized, so at is the
+// current kernel time.
 func (r *Runtime) dispatchLocal(at sim.Time, m *nic.Message) {
-	switch m.Op {
-	case OpDiff:
-		r.onDiff(at, m)
-	case OpPageReq:
-		r.onPageReq(at, m)
-	case OpLockAcq:
-		r.onLockAcq(at, m)
-	case OpLockGrant:
-		r.onLockGrant(at, m)
-	case OpLockRel:
-		r.onLockRel(at, m)
-	case OpBarEnter:
-		r.onBarEnter(at, m)
-	case OpBarRelease:
-		r.onBarRelease(at, m)
-	case OpTaskReq:
-		r.onTaskReq(at, m)
-	case OpTaskReply:
-		r.onTaskReply(at, m)
-	case OpTaskPush:
-		r.onTaskPush(at, m)
-	case OpUpdate:
-		r.onUpdate(at, m)
-	default:
-		panic(fmt.Sprintf("dsm: local dispatch of op %d", m.Op))
-	}
+	r.ops[m.Op-OpDiff](at, m)
 }
 
 // send routes m: a direct handler call for self-addressed messages, the

@@ -383,18 +383,11 @@ func (w *Worker) Lock(id int) sim.Time {
 	mgr := id % len(r.G.nodes)
 	r.trace.Addf(w.proc.Local(), r.node, "lock", "acquire %d (manager %d)", id, mgr)
 	req := &lockAcqMsg{lock: id, from: r.node, vc: append([]int32(nil), r.vc...)}
-	m := &nic.Message{
+	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpLockAcq,
 		Size:    nic.HeaderBytes + 8 + 4*len(req.vc),
 		Payload: req,
-	}
-	if mgr == r.node {
-		w.charge(r.cfg.LocalOpCycles)
-		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
-	} else {
-		w.charge(r.board.Send(w.proc, m))
-	}
+	})
 	return w.block(waitLock)
 }
 
@@ -412,18 +405,11 @@ func (w *Worker) Unlock(id int) {
 	}
 	bundle := r.newIntervalBundleSince(sinceVC)
 	rel := &lockRelMsg{lock: id, from: r.node, vc: append([]int32(nil), r.vc...), notices: bundle}
-	m := &nic.Message{
+	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpLockRel,
 		Size:    nic.HeaderBytes + 8 + 4*len(rel.vc) + noticeBytes(bundle),
 		Payload: rel,
-	}
-	if mgr == r.node {
-		w.charge(r.cfg.LocalOpCycles)
-		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
-		return
-	}
-	w.charge(r.board.Send(w.proc, m))
+	})
 }
 
 // Barrier enters global barrier id and returns once every node has
@@ -448,18 +434,11 @@ func (w *Worker) Barrier(id int) sim.Time {
 	}
 	bundle := r.newIntervalBundleSince(r.lastBarVC)
 	e := &barEnterMsg{barrier: id, from: r.node, vc: append([]int32(nil), r.vc...), notices: bundle}
-	m := &nic.Message{
+	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpBarEnter,
 		Size:    nic.HeaderBytes + 8 + 4*len(e.vc) + noticeBytes(bundle),
 		Payload: e,
-	}
-	if mgr == r.node {
-		w.charge(r.cfg.LocalOpCycles)
-		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
-	} else {
-		w.charge(r.board.Send(w.proc, m))
-	}
+	})
 	return w.block(waitBarrier)
 }
 
@@ -467,20 +446,12 @@ func (w *Worker) Barrier(id int) sim.Time {
 // paradigm Cholesky uses), or -1 when the bag is empty.
 func (w *Worker) NextTask() int {
 	r := w.r
-	const mgr = 0
 	req := &taskReqMsg{from: r.node}
-	m := &nic.Message{
-		From: r.node, To: mgr, Op: OpTaskReq,
+	w.toManager(&nic.Message{
+		From: r.node, To: 0, Op: OpTaskReq, // node 0 manages the bag
 		Size:    nic.HeaderBytes + 8,
 		Payload: req,
-	}
-	if mgr == r.node {
-		w.charge(r.cfg.LocalOpCycles)
-		w.proc.Sync()
-		r.dispatchLocal(w.proc.Local(), m)
-	} else {
-		w.charge(r.board.Send(w.proc, m))
-	}
+	})
 	w.block(waitTask)
 	if w.taskResult >= 0 {
 		r.Stats.TasksTaken++
@@ -492,14 +463,20 @@ func (w *Worker) NextTask() int {
 // reports done completed tasks (either may be empty/zero).
 func (w *Worker) PushTask(done int, tasks ...int) {
 	r := w.r
-	const mgr = 0
 	push := &taskPushMsg{from: r.node, tasks: tasks, done: done}
-	m := &nic.Message{
-		From: r.node, To: mgr, Op: OpTaskPush,
+	w.toManager(&nic.Message{
+		From: r.node, To: 0, Op: OpTaskPush, // node 0 manages the bag
 		Size:    nic.HeaderBytes + 8 + 8*len(tasks),
 		Payload: push,
-	}
-	if mgr == r.node {
+	})
+}
+
+// toManager delivers a synchronization request to its manager, m.To:
+// a direct handler call after LocalOpCycles when this node manages it,
+// the board otherwise.
+func (w *Worker) toManager(m *nic.Message) {
+	r := w.r
+	if m.To == r.node {
 		w.charge(r.cfg.LocalOpCycles)
 		w.proc.Sync()
 		r.dispatchLocal(w.proc.Local(), m)

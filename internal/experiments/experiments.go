@@ -82,8 +82,8 @@ type Options struct {
 	// conservative-parallel kernel shards (Config.SimShards). Like
 	// Jobs it changes only wall-clock time, never results: rendered
 	// output is bit-identical at every shard count (the shard-parity
-	// golden test pins this). Runs whose model cannot shard (DSM page
-	// traffic) clamp back to a single kernel.
+	// golden test pins this); 0 and 1 both run one shard. Runs whose
+	// model cannot shard (DSM page traffic) clamp back to one shard.
 	Shards int
 
 	// Set by Runner.RunSpec: the pool points are submitted to and the
@@ -106,10 +106,7 @@ func (o Options) EffectiveParallelism() (Options, string) {
 	if jobs <= 0 {
 		jobs = procs
 	}
-	shards := o.Shards
-	if shards < 1 {
-		shards = 1
-	}
+	shards := max(o.Shards, 1)
 	if jobs*shards > procs {
 		jobs = procs / shards
 		if jobs < 1 {
@@ -117,11 +114,7 @@ func (o Options) EffectiveParallelism() (Options, string) {
 		}
 	}
 	o.Jobs = jobs
-	kernel := "single kernel per point"
-	if o.Shards >= 1 {
-		kernel = fmt.Sprintf("%d kernel shard(s) per point", shards)
-	}
-	return o, fmt.Sprintf("parallelism: %d point worker(s) x %s, GOMAXPROCS %d", jobs, kernel, procs)
+	return o, fmt.Sprintf("parallelism: %d point worker(s) x %d kernel shard(s) per point, GOMAXPROCS %d", jobs, shards, procs)
 }
 
 func (o Options) procs() []int {

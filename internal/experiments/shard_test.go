@@ -2,18 +2,21 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"cni/internal/cluster"
 	"cni/internal/config"
 	"cni/internal/dsm"
+	"cni/internal/rpc"
+	"cni/internal/sim"
 	"cni/internal/workload"
 )
 
 // TestShardSuiteParity is the golden parity gate of the sharded kernel:
 // the full suite, rendered with every simulation point split across
 // conservative-parallel shards, must be byte-identical to the
-// sequential single-kernel path at every shard count. Under -short
+// one-shard run at every shard count. Under -short
 // (CI's -race leg) one shard count covers the full suite; the long run
 // sweeps 1, 2 and 8.
 func TestShardSuiteParity(t *testing.T) {
@@ -36,7 +39,7 @@ func TestShardSuiteParity(t *testing.T) {
 		}
 		for i, s := range specs {
 			if outs[i] != base[i] {
-				t.Errorf("%s at shards=%d: output differs from single kernel\n--- single kernel ---\n%s\n--- shards=%d ---\n%s",
+				t.Errorf("%s at shards=%d: output differs from one shard\n--- one shard ---\n%s\n--- shards=%d ---\n%s",
 					s.ID, shards, base[i], shards, outs[i])
 			}
 		}
@@ -46,7 +49,7 @@ func TestShardSuiteParity(t *testing.T) {
 // TestShardClusterClampAndSpread pins the cluster layer's sharding
 // decision: a message-carried serving run spreads its nodes across the
 // requested shards, while a DSM run (shared pages, zero-lookahead page
-// copies) clamps back to the single kernel and says why.
+// copies) clamps back to one shard and says why.
 func TestShardClusterClampAndSpread(t *testing.T) {
 	cfg := config.ForNIC(config.NICCNI)
 	cfg.SimShards = 4
@@ -54,9 +57,9 @@ func TestShardClusterClampAndSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SS == nil || c.Shards() != 4 || c.ShardClamp != "" {
-		t.Fatalf("serving cluster: SS=%v shards=%d clamp=%q, want 4 shards unclamped",
-			c.SS != nil, c.Shards(), c.ShardClamp)
+	if c.Shards() != 4 || c.SS.Shards() != 4 || c.ShardClamp != "" {
+		t.Fatalf("serving cluster: shards=%d set=%d clamp=%q, want 4 shards unclamped",
+			c.Shards(), c.SS.Shards(), c.ShardClamp)
 	}
 
 	dsmCfg := config.ForNIC(config.NICCNI)
@@ -65,36 +68,84 @@ func TestShardClusterClampAndSpread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.SS != nil || d.Shards() != 1 || d.ShardClamp == "" {
-		t.Fatalf("DSM cluster: SS=%v shards=%d clamp=%q, want single kernel with a recorded reason",
-			d.SS != nil, d.Shards(), d.ShardClamp)
+	if d.Shards() != 1 || d.SS.Shards() != 1 || d.ShardClamp == "" {
+		t.Fatalf("DSM cluster: shards=%d set=%d clamp=%q, want one shard with a recorded reason",
+			d.Shards(), d.SS.Shards(), d.ShardClamp)
 	}
 }
 
-// TestShardWorkloadParity runs the RPC serving workload — the cluster
+// TestShardWorkloadParity runs the serving workloads — the cluster
 // path with live cross-shard request/response traffic, admission
-// control and exact latency samples — sharded and unsharded, and
-// requires identical results down to the percentile samples.
+// control and exact latency samples — at shards 0, 1, 2 and 5, and
+// requires identical per-node statistics, fabric statistics and
+// percentiles. The full-size cases are the serve-rpc and serve-kv
+// shapes of the benchmark at sizes where same-instant work is common:
+// that is where an order that depended on the shard count would show.
 func TestShardWorkloadParity(t *testing.T) {
-	spec := workload.Spec{
-		Servers: 1, Clients: 4, Seed: 7,
-		Open: true, Poisson: true, Rate: 10000, Requests: 120,
-		ReqBytes: 128, RespBytes: 1024, Service: 1000,
-		WorkQueue: 64, FreeBufs: 64,
+	type outcome struct {
+		res           *cluster.Result
+		p50, p99, max sim.Time
 	}
-	run := func(shards int) (uint64, float64, [3]int64) {
-		cfg := config.ForNIC(config.NICCNI)
-		cfg.SimShards = shards
-		rep := workload.Run(&cfg, spec)
-		return rep.Stats.Completed, rep.Sustained,
-			[3]int64{int64(rep.P50), int64(rep.P99), int64(rep.Res.Time)}
-	}
-	wc, ws, wp := run(0)
-	for _, shards := range []int{1, 2, 5} {
-		gc, gs, gp := run(shards)
-		if gc != wc || gs != ws || gp != wp {
-			t.Fatalf("shards=%d: completed=%d sustained=%g p50/p99/time=%v, want %d %g %v",
-				shards, gc, gs, gp, wc, ws, wp)
+	rpcRun := func(spec workload.Spec) func(*config.Config) outcome {
+		return func(cfg *config.Config) outcome {
+			rep := workload.Run(cfg, spec)
+			return outcome{rep.Res, rep.P50, rep.P99, rep.P999}
 		}
+	}
+	kvRun := func(spec workload.KVSpec) func(*config.Config) outcome {
+		return func(cfg *config.Config) outcome {
+			rep := workload.RunKV(cfg, spec)
+			return outcome{rep.Res, rep.P50, rep.P99, rep.P999}
+		}
+	}
+	kvTenant := workload.KVTenant{Rate: 10000, Requests: 500, GetFrac: 0.9}
+	cases := []struct {
+		name  string
+		short bool // small enough for -short
+		run   func(*config.Config) outcome
+	}{
+		{"rpc-120", true, rpcRun(workload.Spec{
+			Servers: 1, Clients: 4, Seed: 7,
+			Open: true, Poisson: true, Rate: 10000, Requests: 120,
+			ReqBytes: 128, RespBytes: 1024, Service: 1000,
+			WorkQueue: 64, FreeBufs: 64,
+		})},
+		{"serve-rpc-2000", false, rpcRun(workload.Spec{
+			Servers: 2, Clients: 8, Seed: 1,
+			Open: true, Poisson: true, Rate: 12000, Requests: 2000,
+			ReqBytes: 128, RespBytes: 1024, Service: 1000,
+			WorkQueue: 64, FreeBufs: 64, Policy: rpc.Delay,
+		})},
+		{"serve-kv-500", false, kvRun(workload.KVSpec{
+			Servers: 2, Clients: 8, Seed: 1, Keys: 1024, ZipfS: 1.1,
+			Tenants: []workload.KVTenant{kvTenant, kvTenant},
+		})},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if testing.Short() && !c.short {
+				t.Skip("full-size serving run")
+			}
+			var want outcome
+			for _, shards := range []int{0, 1, 2, 5} {
+				cfg := config.ForNIC(config.NICCNI)
+				cfg.SimShards = shards
+				got := c.run(&cfg)
+				if shards == 0 {
+					want = got
+					continue
+				}
+				if !reflect.DeepEqual(got.res.PerNode, want.res.PerNode) {
+					t.Errorf("shards=%d: per-node statistics differ from shards 0", shards)
+				}
+				if got.res.Net != want.res.Net {
+					t.Errorf("shards=%d: fabric %+v, shards 0 %+v", shards, got.res.Net, want.res.Net)
+				}
+				if got.p50 != want.p50 || got.p99 != want.p99 || got.max != want.max {
+					t.Errorf("shards=%d: p50/p99/p99.9 %d/%d/%d, shards 0 %d/%d/%d",
+						shards, got.p50, got.p99, got.max, want.p50, want.p99, want.max)
+				}
+			}
+		})
 	}
 }

@@ -180,23 +180,14 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), drv.Executed()
 }
 
-// mustFt1Net builds the fabric for one board-level run and what drives
-// it: the shard set when cfg.SimShards asks for one (>= 1; 1 exercises
-// the sharded driver on a single shard), the plain single kernel
-// otherwise.
-func mustFt1Net(cfg config.Config, n int, engine sim.Engine) (*atm.Network, interface {
-	Run() sim.Time
-	Executed() uint64
-}) {
-	if cfg.SimShards >= 1 {
-		net, ss, err := atm.NewSharded(&cfg, n, cfg.SimShards, engine)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		return net, ss
+// mustFt1Net builds the fabric for one board-level run and the shard
+// set that drives it: one shard unless cfg.SimShards asks for more.
+func mustFt1Net(cfg config.Config, n int, engine sim.Engine) (*atm.Network, *sim.ShardSet) {
+	net, ss, err := atm.NewSharded(&cfg, n, max(cfg.SimShards, 1), engine)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	k := sim.NewKernelWith(engine)
-	return mustNet(k, &cfg, n), k
+	return net, ss
 }
 
 // FigureTopology reproduces FT1: 18 series (2 fabrics x 3 patterns x

@@ -245,10 +245,11 @@ func (c *calendarQueue) settle() bool {
 	return true
 }
 
-func (c *calendarQueue) pop() (event, bool) {
-	if !c.settle() {
+func (c *calendarQueue) popUntil(h Time) (event, bool) {
+	if at, ok := c.peekAt(); !ok || at > h {
 		return event{}, false
 	}
+	c.settle()
 	b := c.buckets[c.curIdx]
 	var e event
 	if c.fifo {

@@ -15,6 +15,11 @@
 // Two runs of the same program therefore produce identical event orders,
 // identical statistics, and identical virtual end times.
 //
+// A kernel with a barrier (OnBarrier) is a one-shard window driver: it
+// runs the lock-stepped lookahead windows of a ShardSet (shard.go)
+// inline, so a model that defers cross-node work to the barrier sees
+// one order of events at every shard count.
+//
 // Two scheduler engines implement that contract. The default is a
 // two-tier calendar queue (calendar.go): events live by value in
 // width-2^5-cycle buckets that drain as FIFOs when already in order,
@@ -74,9 +79,10 @@ func (e *event) before(o *event) bool {
 type scheduler interface {
 	// push inserts one event.
 	push(e event)
-	// pop removes and returns the earliest event, or ok=false when
-	// empty.
-	pop() (e event, ok bool)
+	// popUntil removes and returns the earliest event if its timestamp
+	// is at most h, or ok=false when the queue is empty or its earliest
+	// event lies past h.
+	popUntil(h Time) (e event, ok bool)
 	// peekAt reports the earliest pending timestamp without removing
 	// the event, or ok=false when empty.
 	peekAt() (at Time, ok bool)
@@ -119,9 +125,12 @@ type Kernel struct {
 	// leaves now there, but RunUntil advances now to the window edge, so
 	// sharded drivers need the real end-of-activity time separately.
 	lastAt Time
-	// horizon is the latest timestamp the current Run or RunUntil may
-	// execute: unbounded under Run, t under RunUntil(t).
+	// horizon is the latest timestamp the current window may execute:
+	// unbounded under Run without a barrier, the window edge with one
+	// (-1 before the first window), t under RunUntil(t).
 	horizon Time
+
+	window // lookahead and barrier; without a barrier, one unbounded window
 }
 
 // NewKernel returns an empty kernel at time zero, backed by the default
@@ -134,9 +143,9 @@ func NewKernel() *Kernel { return NewKernelWith(EngineCalendar) }
 func NewKernelWith(engine Engine) *Kernel {
 	switch engine {
 	case EngineCalendar, "":
-		return &Kernel{q: newCalendarQueue()}
+		return &Kernel{q: newCalendarQueue(), horizon: -1}
 	case EngineHeap:
-		return &Kernel{q: &heapQueue{}}
+		return &Kernel{q: &heapQueue{}, horizon: -1}
 	default:
 		panic(fmt.Sprintf("sim: unknown kernel engine %q", engine))
 	}
@@ -198,38 +207,61 @@ func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 func (k *Kernel) Stop() { k.stopped = true }
 
 // Run executes events in timestamp order until the event queue is empty
-// or Stop is called. It returns the final virtual time.
+// or Stop is called. It returns the final virtual time: the timestamp
+// of the last event executed.
+//
+// With a barrier (OnBarrier), Run executes lock-stepped windows of the
+// lookahead, each from the earliest pending event to its edge, and
+// calls the barrier between two windows whenever it has work waiting:
+// the order of a ShardSet, on one shard. A Stop ends Run mid-window,
+// and the next Run finishes that window first.
 func (k *Kernel) Run() Time {
 	k.checkRunnable()
 	k.stopped = false
-	k.horizon = math.MaxInt64
-	for !k.stopped {
-		e, ok := k.q.pop()
+	if k.barrier == nil {
+		k.horizon = math.MaxInt64
+		k.runWindow()
+		return k.now
+	}
+	if k.lookahead < 1 {
+		panic("sim: Kernel.Run with a barrier before SetLookahead")
+	}
+	for k.runWindow() {
+		if k.waiting() {
+			k.barrier(k.horizon)
+		}
+		at, ok := k.q.peekAt()
 		if !ok {
 			break
 		}
-		k.now = e.at
-		k.lastAt = e.at
-		k.executed++
-		if k.limit != 0 && k.executed > k.limit {
-			panic(fmt.Sprintf("sim: event limit %d exceeded at t=%d", k.limit, k.now))
-		}
-		e.run()
+		k.horizon = at + k.lookahead - 1
 	}
 	return k.now
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// RunUntil executes events with timestamps <= t, then sets the clock to
+// t. It is a ShardSet worker's step, so a kernel with a barrier, which
+// runs its own windows, refuses it.
 func (k *Kernel) RunUntil(t Time) {
 	k.checkRunnable()
+	if k.barrier != nil {
+		panic("sim: RunUntil on a kernel that runs its own windows")
+	}
 	k.stopped = false
 	k.horizon = t
+	if k.runWindow() && k.now < t {
+		k.now = t
+	}
+}
+
+// runWindow executes the pending events up to the horizon. It reports
+// false when a Stop ended it first.
+func (k *Kernel) runWindow() bool {
 	for !k.stopped {
-		at, ok := k.q.peekAt()
-		if !ok || at > t {
-			break
+		e, ok := k.q.popUntil(k.horizon)
+		if !ok {
+			return true
 		}
-		e, _ := k.q.pop()
 		k.now = e.at
 		k.lastAt = e.at
 		k.executed++
@@ -238,33 +270,50 @@ func (k *Kernel) RunUntil(t Time) {
 		}
 		e.run()
 	}
-	if !k.stopped && k.now < t {
-		k.now = t
-	}
+	return false
 }
 
 // runInPlace runs the event at t that the running process would
 // otherwise schedule and yield to: its own resume (Proc.Sync). It does
-// so only when that event would be the next one Run or RunUntil pops,
+// so only when that event would be the next one the run loop pops,
 // which holds when nothing is pending at or before t (a pending event
-// at t was scheduled earlier and wins the tie), t is within the
-// horizon, no Stop is pending, and running it stays within the event
-// limit. It then accounts the event exactly as the run loop would —
-// the next sequence number, the clock, LastEventAt and Executed — but
-// pushes, pops and switches nothing, and reports true. Otherwise it
-// changes nothing and reports false, and the caller schedules the
-// event; Run raises the limit panic when it pops it.
-func (k *Kernel) runInPlace(t Time) bool {
-	if k.stopped || k.drained || t > k.horizon {
-		return false
-	}
-	if k.limit != 0 && k.executed >= k.limit {
+// at t was scheduled earlier and wins the tie), no Stop is pending,
+// running it stays within the event limit, and t is within the
+// current window or the process may cross into the next (below). It
+// then accounts the event exactly as the run loop would — the next
+// sequence number, the clock, LastEventAt and Executed — but pushes,
+// pops and switches nothing, and reports true. Otherwise it schedules
+// resume at t and reports false, and the caller yields; Run raises the
+// limit panic when it pops it.
+//
+// Crossing: past the edge of a kernel's own window, the window would
+// end, the barrier would run, and the next window would start at the
+// earliest pending event. So the kernel takes the resume's sequence
+// number, runs the barrier if work waits, and crosses in place into
+// the window that starts at t unless a delivery the barrier scheduled
+// lands before t; then it schedules the resume with that number, ahead
+// of any delivery at t, as the yielding process would have.
+func (k *Kernel) runInPlace(t Time, resume func()) bool {
+	if k.stopped || k.limit != 0 && k.executed >= k.limit || t > k.horizon && k.barrier == nil {
+		k.At(t, resume)
 		return false
 	}
 	if at, ok := k.q.peekAt(); ok && at <= t {
+		k.At(t, resume)
 		return false
 	}
 	k.seq++
+	if t > k.horizon {
+		if k.waiting() {
+			seq := k.seq
+			k.barrier(k.horizon)
+			if at, ok := k.q.peekAt(); ok && at < t {
+				k.q.push(event{at: t, seq: seq, fn: resume})
+				return false
+			}
+		}
+		k.horizon = t + k.lookahead - 1
+	}
 	k.now = t
 	k.lastAt = t
 	k.executed++
@@ -298,8 +347,9 @@ func (k *Kernel) Pending() int { return k.q.len() }
 // new Kernel instead.
 func (k *Kernel) Drain() {
 	// The processes unwind outside any run, so none may resume in
-	// place (a deferred Sync yields and unwinds instead).
-	k.horizon = math.MinInt64
+	// place or cross a window edge (a deferred Sync yields and unwinds
+	// instead).
+	k.stopped = true
 	for _, p := range k.procs {
 		p.kill()
 	}

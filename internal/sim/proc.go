@@ -174,8 +174,7 @@ func (p *Proc) Sync() {
 			p.local = p.k.now
 			return
 		}
-		if !p.k.runInPlace(p.local) {
-			p.k.At(p.local, p.resumeFn)
+		if !p.k.runInPlace(p.local, p.resumeFn) {
 			p.yield()
 		}
 		p.local = p.k.now

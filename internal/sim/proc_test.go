@@ -312,14 +312,26 @@ func TestProcPanicSurfacesFromRun(t *testing.T) {
 // starts no goroutine (a process's coroutine is created when it starts,
 // here at t=10), so the baseline is taken at t=0: on a ShardSet it then
 // counts the shard workers, which Run retires as it returns without
-// waiting for them to exit.
+// waiting for them to exit. It runs on a plain kernel, on a kernel with
+// a window and on two shards.
 func TestDrainReleasesGoroutines(t *testing.T) {
-	for _, shards := range []int{0, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		shards int
+		window bool
+	}{{"shards=0", 0, false}, {"shards=0+window", 0, true}, {"shards=2", 2, false}} {
+		shards := c.shards
+		t.Run(c.name, func(t *testing.T) {
 			var kernels []*Kernel
 			var run, drain func()
 			if shards == 0 {
+				// With a window the kernel runs its own windows, as
+				// on a fabric (atm.New installs one).
 				k := NewKernel()
+				if c.window {
+					k.SetLookahead(5)
+					k.OnBarrier(func(Time) {}, func() bool { return true })
+				}
 				kernels = []*Kernel{k}
 				run, drain = func() { k.Run() }, k.Drain
 			} else {
@@ -358,10 +370,57 @@ func TestDrainReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// pushCounter counts the events a kernel queues, so a test can tell a
+// resume run in place (nothing queued) from a queued one.
+type pushCounter struct {
+	scheduler
+	pushes int
+}
+
+func (c *pushCounter) push(e event) {
+	c.pushes++
+	c.scheduler.push(e)
+}
+
+// windowedKernel returns a kernel that will run windows of width w once
+// a barrier is registered, and the count of events it queues.
+func windowedKernel(w Time) (*Kernel, *int) {
+	k := NewKernel()
+	c := &pushCounter{scheduler: k.q}
+	k.q = c
+	k.SetLookahead(w)
+	return k, &c.pushes
+}
+
+// windowedWalks runs one process that leaves walks delivering at the
+// given times in its kernel's ledger and then syncs from 0 to 250,
+// past the window edge at 99, and reports the order of events.
+func windowedWalks(deliveries ...Time) string {
+	k, pushes := windowedKernel(100)
+	var ledger []Time
+	var order []string
+	k.OnBarrier(func(Time) {
+		for _, at := range ledger {
+			k.At(at, func() { order = append(order, fmt.Sprintf("delivery@%d", k.Now())) })
+		}
+		ledger = ledger[:0]
+	}, func() bool { return len(ledger) > 0 })
+	k.Spawn("p", func(p *Proc) {
+		ledger = append(ledger, deliveries...)
+		p.Advance(250)
+		p.Sync()
+		order = append(order, fmt.Sprintf("proc@%d", k.Now()))
+	})
+	end := k.Run()
+	return fmt.Sprintf("%v end=%d events=%d pushes=%d", order, end, k.Executed(), *pushes)
+}
+
 // TestSyncResumeInPlace pins the edge cases of Sync's in-place resume:
 // the kernel may run a process's own resume without queuing it only
 // when that event would have been the next one popped anyway, so every
-// case below observes exactly what the queued resume produces.
+// case below observes exactly what the queued resume produces. On a
+// kernel with a barrier that includes the crossing into the next
+// window, which the queued-event count tells apart.
 func TestSyncResumeInPlace(t *testing.T) {
 	cases := []struct {
 		name string
@@ -463,11 +522,92 @@ func TestSyncResumeInPlace(t *testing.T) {
 			return fmt.Sprintf("now=%d events=%d after=%v", k.Now(), k.Executed(), after)
 		}, "now=0 events=1 after=false"},
 
+		{"windowed kernel crosses an idle barrier in place", func() string {
+			k, pushes := windowedKernel(100)
+			barriers := 0
+			k.OnBarrier(func(Time) { barriers++ }, func() bool { return false })
+			var resumed []Time
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					p.Advance(250)
+					p.Sync()
+					resumed = append(resumed, k.Now())
+				}
+			})
+			end := k.Run()
+			return fmt.Sprintf("resumed=%v end=%d events=%d pushes=%d barriers=%d",
+				resumed, end, k.Executed(), *pushes, barriers)
+		}, "resumed=[250 500 750] end=750 events=4 pushes=1 barriers=0"},
+
+		{"windowed kernel yields to a walk that lands first", func() string {
+			return windowedWalks(150, 250)
+		}, "[delivery@150 proc@250 delivery@250] end=250 events=4 pushes=4"},
+
+		{"windowed kernel crosses past a walk that lands with it", func() string {
+			return windowedWalks(250)
+		}, "[proc@250 delivery@250] end=250 events=3 pushes=2"},
+
+		{"pending Stop on a windowed kernel", func() string {
+			k, _ := windowedKernel(5)
+			k.OnBarrier(func(Time) {}, func() bool { return false })
+			steps := 0
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 5; i++ {
+					if i == 2 {
+						k.Stop()
+					}
+					p.Advance(10)
+					p.Sync()
+					steps++
+				}
+			})
+			end := k.Run()
+			first := fmt.Sprintf("end=%d steps=%d events=%d", end, steps, k.Executed())
+			end = k.Run()
+			return fmt.Sprintf("%s; end=%d steps=%d events=%d", first, end, steps, k.Executed())
+		}, "end=20 steps=2 events=3; end=50 steps=5 events=6"},
+
+		{"event limit on a windowed kernel", func() string {
+			k, _ := windowedKernel(5)
+			k.OnBarrier(func(Time) {}, func() bool { return false })
+			k.SetEventLimit(50)
+			k.Spawn("p", func(p *Proc) {
+				for i := 0; i < 100; i++ {
+					p.Advance(10)
+					p.Sync()
+				}
+			})
+			defer k.Drain()
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				k.Run()
+			}()
+			return fmt.Sprintf("panic=%#v events=%d", got, k.Executed())
+		}, `panic="sim: event limit 50 exceeded at t=500" events=51`},
+
+		{"Drain unwinds a deferred Sync on a windowed kernel", func() string {
+			k, pushes := windowedKernel(100)
+			k.OnBarrier(func(Time) {}, func() bool { return false })
+			after := false
+			k.Spawn("p", func(p *Proc) {
+				defer func() {
+					p.Advance(1000)
+					p.Sync()
+					after = true
+				}()
+				p.Block()
+			})
+			k.Run()
+			k.Drain()
+			return fmt.Sprintf("now=%d events=%d pushes=%d after=%v", k.Now(), k.Executed(), *pushes, after)
+		}, "now=0 events=1 pushes=2 after=false"},
+
 		{"shard window edge", func() string {
 			ss := NewShardSet(2, EngineCalendar)
 			ss.SetLookahead(100)
 			window := 0
-			ss.OnBarrier(func() { window++ })
+			ss.OnBarrier(func(Time) { window++ }, func() bool { return true })
 			var got [2]string
 			for i, target := range []Time{250, 50} {
 				k := ss.Kernel(i)

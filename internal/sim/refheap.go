@@ -38,8 +38,8 @@ func (q *heapQueue) push(e event) {
 	heap.Push(&q.h, &boxed)
 }
 
-func (q *heapQueue) pop() (event, bool) {
-	if len(q.h) == 0 {
+func (q *heapQueue) popUntil(h Time) (event, bool) {
+	if len(q.h) == 0 || q.h[0].at > h {
 		return event{}, false
 	}
 	return *heap.Pop(&q.h).(*event), true

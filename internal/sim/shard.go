@@ -6,8 +6,9 @@
 // by the model into a ledger and applied single-threaded at the window
 // barrier, in a canonical order that does not depend on the shard
 // count. That discipline — not anything in this file — is what keeps
-// sharded runs bit-identical to the sequential kernel; this file only
-// supplies the window loop, the barrier hook, and the worker pool.
+// sharded runs bit-identical to one shard; this file only supplies the
+// window loop, the barrier hook, and the worker pool. One shard needs
+// no pool: its kernel runs the same windows inline (Kernel.Run).
 package sim
 
 import (
@@ -15,16 +16,46 @@ import (
 	"runtime"
 )
 
+// window is what a window driver, a Kernel or a ShardSet, runs its
+// windows by: their width, and the model's barrier between them.
+type window struct {
+	lookahead Time
+	barrier   func(edge Time)
+	waiting   func() bool
+}
+
+// SetLookahead fixes the window width: no event executed in a window
+// starting at T may cause an event on another node before T+w. The
+// model layer (the fabric) computes w from its minimum cross-node
+// delivery delay and must panic if a delivery ever lands at or before
+// a window edge.
+func (win *window) SetLookahead(w Time) {
+	if w < 1 {
+		panic(fmt.Sprintf("sim: shard lookahead %d", w))
+	}
+	win.lookahead = w
+}
+
+// OnBarrier registers the window barrier. fn runs single-threaded
+// between two windows, whenever waiting reports work, with edge the
+// last timestamp the finished window covered (-1 before the first):
+// the model drains its cross-node ledger there, scheduling deliveries
+// after edge.
+func (win *window) OnBarrier(fn func(edge Time), waiting func() bool) {
+	win.barrier, win.waiting = fn, waiting
+}
+
 // ShardSet drives a fixed set of per-shard kernels through
 // lock-stepped windows [T, T+lookahead): T is the earliest pending
 // timestamp across all shards, every kernel executes its events up to
 // the window edge in parallel, and the registered barrier runs
-// single-threaded between windows.
+// single-threaded between windows. A set of one kernel is that
+// kernel's own windows: its window settings are the kernel's, and Run
+// runs the kernel.
 type ShardSet struct {
-	kernels   []*Kernel
-	lookahead Time
-	barrier   func()
-	edge      Time // edge of the most recently executed window
+	*window
+	kernels []*Kernel
+	edge    Time // edge of the most recently executed window
 
 	start  []chan Time
 	done   chan struct{}
@@ -41,9 +72,12 @@ func NewShardSet(n int, engine Engine) *ShardSet {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: shard set of %d kernels", n))
 	}
-	ss := &ShardSet{kernels: make([]*Kernel, n), edge: -1}
+	ss := &ShardSet{kernels: make([]*Kernel, n), edge: -1, window: &window{}}
 	for i := range ss.kernels {
 		ss.kernels[i] = NewKernelWith(engine)
+	}
+	if n == 1 {
+		ss.window = &ss.kernels[0].window
 	}
 	return ss
 }
@@ -55,43 +89,22 @@ func (ss *ShardSet) Shards() int { return len(ss.kernels) }
 // node schedule exclusively on their node's shard kernel.
 func (ss *ShardSet) Kernel(i int) *Kernel { return ss.kernels[i] }
 
-// SetLookahead fixes the window width: no event executed in a window
-// starting at T may cause an event on another shard before T+w. The
-// model layer (the fabric) computes w from its minimum cross-shard
-// delivery delay and must panic if a delivery ever lands at or before
-// a window edge.
-func (ss *ShardSet) SetLookahead(w Time) {
-	if w < 1 {
-		panic(fmt.Sprintf("sim: shard lookahead %d", w))
-	}
-	ss.lookahead = w
-}
-
-// OnBarrier registers fn to run single-threaded before each window's
-// horizon is computed (and once more after the last window): the
-// model drains its cross-shard ledger here, scheduling deliveries on
-// destination kernels.
-func (ss *ShardSet) OnBarrier(fn func()) { ss.barrier = fn }
-
-// WindowEdge reports the edge of the most recently executed window
-// (-1 before the first). During a barrier every kernel's clock sits at
-// this edge, and any delivery scheduled at or before it would execute
-// out of causal order.
-func (ss *ShardSet) WindowEdge() Time { return ss.edge }
-
 // Run executes windows until every kernel is idle and the barrier
 // produces no further work, then returns the final virtual time (the
 // latest event timestamp executed on any shard, matching what
 // Kernel.Run would have returned for the merged run).
 func (ss *ShardSet) Run() Time {
+	if len(ss.kernels) == 1 {
+		return ss.kernels[0].Run()
+	}
 	if ss.lookahead < 1 {
 		panic("sim: ShardSet.Run before SetLookahead")
 	}
 	ss.startWorkers()
 	defer ss.stopWorkers()
 	for {
-		if ss.barrier != nil {
-			ss.barrier()
+		if ss.barrier != nil && ss.waiting() {
+			ss.barrier(ss.edge)
 		}
 		horizon, ok := ss.minPending()
 		if !ok {

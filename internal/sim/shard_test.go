@@ -23,13 +23,13 @@ func TestShardSetWindows(t *testing.T) {
 	delivered := 0
 	var lastAt Time
 
-	ss.OnBarrier(func() {
+	ss.OnBarrier(func(edge Time) {
 		for src := 0; src < 2; src++ {
 			for _, m := range ledger[src] {
 				m := m
 				deliver := m.at + lookahead // exactly one lookahead out
-				if deliver <= ss.WindowEdge() {
-					t.Fatalf("delivery at %d within window edge %d", deliver, ss.WindowEdge())
+				if deliver <= edge {
+					t.Fatalf("delivery at %d within window edge %d", deliver, edge)
 				}
 				ss.Kernel(m.dst).At(deliver, func() {
 					delivered++
@@ -45,7 +45,7 @@ func TestShardSetWindows(t *testing.T) {
 			}
 			ledger[src] = ledger[src][:0]
 		}
-	})
+	}, func() bool { return len(ledger[0])+len(ledger[1]) > 0 })
 
 	// Kick off: shard 0 posts the first message at t=3, 6 replies follow.
 	ss.Kernel(0).At(3, func() {
