@@ -210,6 +210,11 @@ type Result struct {
 	AvgOverhead    sim.Time
 	AvgDelay       sim.Time
 	AvgComputation sim.Time
+
+	// Windows and Barriers count the lookahead windows the run opened
+	// and the barriers it ran: the window driver's cost, the same at
+	// every shard count.
+	Windows, Barriers uint64
 }
 
 // Run executes app on every node and gathers the metrics. It may be
@@ -227,7 +232,7 @@ func (c *Cluster) Run(app App) *Result {
 	c.SS.Run()
 	c.Net.Finish()
 
-	res := &Result{Net: c.Net.Stats}
+	res := &Result{Net: c.Net.Stats, Windows: c.SS.Windows(), Barriers: c.SS.Barriers()}
 	for _, n := range c.Nodes {
 		if !n.Proc.Finished() {
 			var states strings.Builder

@@ -100,11 +100,7 @@ func (w *Worker) barrierColl(id int) sim.Time {
 	r.coll.Begin(w.proc, collective.KindBarrier, 0, 0, collective.OpSum, pay,
 		func(at sim.Time, _ float64, payload any) {
 			p := payload.(*barPayload)
-			fresh := r.absorbIntervals(p.notices)
-			r.applyWriteNotices(fresh)
-			copy(r.lastBarVC, p.vc)
-			w.pendingCharge += r.cfg.NoticeCycles * sim.Time(len(fresh))
-			r.wakeWorker(at, waitBarrier)
+			r.leaveBarrier(at, p.notices, p.vc)
 		})
 	return w.block(waitBarrier)
 }

@@ -488,6 +488,12 @@ type Globals struct {
 	taskTotal  int
 	taskDone   int
 	taskParked []*taskReqMsg
+
+	// onBarrier is a test hook, nil outside tests, that runs at the
+	// first release of every barrier (leaveBarrier); barriersReleased
+	// counts the barriers released while it is set.
+	onBarrier        func()
+	barriersReleased uint64
 }
 
 // NewGlobals prepares a cluster-wide DSM of n nodes. Homes are

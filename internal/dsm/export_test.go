@@ -7,7 +7,12 @@ import (
 	"unsafe"
 )
 
-// CheckOwnership verifies the ownership invariants of a finished run:
+// OnBarrier makes fn run at the first release of every barrier of g's
+// run, when every worker has arrived and none has resumed.
+func OnBarrier(g *Globals, fn func()) { g.onBarrier = fn }
+
+// CheckOwnership verifies the ownership invariants of a finished run,
+// or of one at a barrier release:
 // every page has exactly one owner, the owner's probable-owner pointer
 // names itself, and from every node the probable-owner pointers reach
 // the owner within one hop per node (so no chain cycles or dead-ends).

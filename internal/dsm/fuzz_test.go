@@ -1,6 +1,7 @@
 package dsm_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,16 @@ func runFuzz(t *testing.T, fp fuzzProgram) bool {
 	}
 
 	c := mustCluster(&cfg, nodes, func(g *dsm.Globals) { g.Alloc(fuzzWords) })
+	// The ownership invariants must hold at every barrier release, not
+	// only after the run.
+	barriers := 0
+	var barrierErr error
+	dsm.OnBarrier(c.G, func() {
+		barriers++
+		if err := dsm.CheckOwnership(c.G); err != nil && barrierErr == nil {
+			barrierErr = fmt.Errorf("at barrier %d: %v", barriers, err)
+		}
+	})
 	c.Run(func(w *dsm.Worker) {
 		for r := 0; r < rounds; r++ {
 			for _, o := range plan[w.Node()][r] {
@@ -120,6 +131,14 @@ func runFuzz(t *testing.T, fp fuzzProgram) bool {
 		}
 	})
 
+	if barrierErr != nil {
+		t.Logf("program %+v: %v", fp, barrierErr)
+		return false
+	}
+	if barriers != rounds {
+		t.Logf("program %+v: ownership checked at %d barriers of %d", fp, barriers, rounds)
+		return false
+	}
 	if err := dsm.CheckOwnership(c.G); err != nil {
 		t.Logf("program %+v: %v", fp, err)
 		return false

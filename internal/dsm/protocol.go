@@ -509,9 +509,23 @@ func (r *Runtime) onBarEnter(at sim.Time, m *nic.Message) {
 
 func (r *Runtime) onBarRelease(at sim.Time, m *nic.Message) {
 	rel := m.Payload.(*barReleaseMsg)
-	fresh := r.absorbIntervals(rel.notices)
+	r.leaveBarrier(at, rel.notices, rel.managerVC)
+}
+
+// leaveBarrier releases this node's worker from its barrier, through
+// the manager or the collective engine: it absorbs the write notices
+// the release carries, takes vc as the clock of the last barrier,
+// charges the notice handling and wakes the worker. The first release
+// of each barrier, when every worker has arrived and none has resumed,
+// runs the test hook Globals.onBarrier if one is set.
+func (r *Runtime) leaveBarrier(at sim.Time, notices []*Interval, vc []int32) {
+	if g := r.G; g.onBarrier != nil && r.Stats.BarrierOps > g.barriersReleased {
+		g.barriersReleased = r.Stats.BarrierOps
+		g.onBarrier()
+	}
+	fresh := r.absorbIntervals(notices)
 	r.applyWriteNotices(fresh)
-	copy(r.lastBarVC, rel.managerVC)
+	copy(r.lastBarVC, vc)
 	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(len(fresh))
 	r.wakeWorker(at, waitBarrier)
 }

@@ -99,24 +99,34 @@ func TestShardWorkloadParity(t *testing.T) {
 		}
 	}
 	kvTenant := workload.KVTenant{Rate: 10000, Requests: 500, GetFrac: 0.9}
+	kvTiny := workload.KVTenant{Rate: 10000, Requests: 50, GetFrac: 0.9}
+	// windows and barriers are the window driver's counts, which
+	// depend only on the simulated schedule: they are pinned at every
+	// shard count, so a change that narrows the windows, or runs
+	// barriers with nothing to do, fails here.
 	cases := []struct {
-		name  string
-		short bool // small enough for -short
-		run   func(*config.Config) outcome
+		name              string
+		short             bool // small enough for -short
+		windows, barriers uint64
+		run               func(*config.Config) outcome
 	}{
-		{"rpc-120", true, rpcRun(workload.Spec{
+		{"rpc-120", true, 2364, 896, rpcRun(workload.Spec{
 			Servers: 1, Clients: 4, Seed: 7,
 			Open: true, Poisson: true, Rate: 10000, Requests: 120,
 			ReqBytes: 128, RespBytes: 1024, Service: 1000,
 			WorkQueue: 64, FreeBufs: 64,
 		})},
-		{"serve-rpc-2000", false, rpcRun(workload.Spec{
+		{"kv-50", true, 1009, 364, kvRun(workload.KVSpec{
+			Servers: 1, Clients: 2, Seed: 1, Keys: 1024, ZipfS: 1.1,
+			Tenants: []workload.KVTenant{kvTiny, kvTiny},
+		})},
+		{"serve-rpc-2000", false, 55458, 26873, rpcRun(workload.Spec{
 			Servers: 2, Clients: 8, Seed: 1,
 			Open: true, Poisson: true, Rate: 12000, Requests: 2000,
 			ReqBytes: 128, RespBytes: 1024, Service: 1000,
 			WorkQueue: 64, FreeBufs: 64, Policy: rpc.Delay,
 		})},
-		{"serve-kv-500", false, kvRun(workload.KVSpec{
+		{"serve-kv-500", false, 19981, 11778, kvRun(workload.KVSpec{
 			Servers: 2, Clients: 8, Seed: 1, Keys: 1024, ZipfS: 1.1,
 			Tenants: []workload.KVTenant{kvTenant, kvTenant},
 		})},
@@ -131,6 +141,10 @@ func TestShardWorkloadParity(t *testing.T) {
 				cfg := config.ForNIC(config.NICCNI)
 				cfg.SimShards = shards
 				got := c.run(&cfg)
+				if w, b := got.res.Windows, got.res.Barriers; w != c.windows || b != c.barriers {
+					t.Errorf("shards=%d: %d windows and %d barriers, want %d and %d",
+						shards, w, b, c.windows, c.barriers)
+				}
 				if shards == 0 {
 					want = got
 					continue

@@ -101,23 +101,18 @@ func (o Options) ft1Point(kind config.NICKind, topoName, pattern string, n int, 
 	rounds := ft1Rounds(pattern, n, quick)
 	key := pointKey{cfg: cfg, n: n, what: fmt.Sprintf("ft1/%s/%d", pattern, rounds)}
 	return submitPoint(o, key, func() float64 {
-		us, _ := ft1Run(cfg, n, pattern, rounds)
+		us, _ := ft1RunEngine(cfg, n, pattern, rounds, sim.EngineCalendar)
 		return us
 	})
 }
 
-// ft1Run is the measurement proper: mean delivery latency in
-// microseconds over every message of the pattern, plus the kernel
-// event count.
-func ft1Run(cfg config.Config, n int, pattern string, rounds int) (float64, uint64) {
-	return ft1RunEngine(cfg, n, pattern, rounds, sim.EngineCalendar)
-}
-
-// ft1RunEngine is ft1Run on an explicit kernel engine.
-// TestFT1EngineEquivalence runs the same leg on the calendar queue and
-// on the reference heap to re-prove that the simulated result does not
-// depend on the engine.
-func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine sim.Engine) (float64, uint64) {
+// ft1RunEngine is the measurement proper: mean delivery latency in
+// microseconds over every message of the pattern, on the given kernel
+// engine, plus the window driver that ran it, for its event and window
+// counts. TestFT1EngineEquivalence runs the same leg on the calendar
+// queue and on the reference heap to re-prove that the simulated
+// result does not depend on the engine.
+func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine sim.Engine) (float64, *sim.ShardSet) {
 	net, drv := mustFt1Net(cfg, n, engine)
 	boards := make([]*nic.Board, n)
 	// Latency accumulators are per receiving node and folded in node
@@ -177,7 +172,7 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 		panic(fmt.Sprintf("experiments: ft1 %s/%d delivered no messages", pattern, n))
 	}
 	// cycles / MHz = microseconds.
-	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), drv.Executed()
+	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), drv
 }
 
 // mustFt1Net builds the fabric for one board-level run and the shard

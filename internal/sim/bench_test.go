@@ -7,12 +7,16 @@ package sim_test
 //   - FarFuture: timers landing beyond the calendar window, exercising
 //     the coarse ring of later windows (retransmit-timer pattern),
 //   - Burst: large same-time rounds, which the calendar drains as FIFOs
-//     (the torus all-to-all generators' pattern).
+//     (the torus all-to-all generators' pattern),
+//   - Lockstep: the fabric-torus's rounds, 1,024 same-instant resumes
+//     that each send a delivery into a later bucket or a ring slot.
 //
 // TestCalendarSteadyStateAllocs pins down the "allocation-free hot
 // loop" claim: after warm-up, scheduling and draining events on the
 // calendar engine allocates nothing. TestProcHandoffAllocs does the
-// same for the hand-off between the kernel and a process.
+// same for the hand-off between the kernel and a process, and
+// TestCalendarStorageBound bounds the calendar's memory by the events
+// pending.
 
 import (
 	"testing"
@@ -88,17 +92,105 @@ func BenchmarkKernelBurst(b *testing.B) {
 	})
 }
 
+// The fabric-torus's lockstep shape: every round lockstepGens
+// generators resume at one instant, one serialization time of a 1 KB
+// message apart, and each schedules what a torus message does: an
+// event 64 cycles on, one a round on, its next resume, and a delivery
+// that lands in a later bucket or, mostly, in a ring slot.
+const (
+	lockstepGens = 1024
+	lockstepPace = 2_500
+	calWindow    = 1 << 15 // cycles per calendar window
+)
+
+// lockstep is a kernel running the lockstep shape; round runs one
+// round of it. delay gives the n-th delivery's distance from now.
+type lockstep struct {
+	k      *sim.Kernel
+	delay  func(now, n sim.Time) sim.Time
+	sent   sim.Time
+	peak   int // most events pending after a resume
+	resume func(any)
+}
+
+// steadyDelay spreads deliveries evenly over the next eight windows,
+// so the shape repeats round after round.
+func steadyDelay(_, n sim.Time) sim.Time { return 1 + n*7919%(8*calWindow) }
+
+// torusDelay follows the fabric-torus's deliveries, whose delay grows
+// as queues build up across the torus: a message sent at cycle t is
+// delivered about 2.17t + 63,000 cycles later, give or take 150,000
+// (one 1,024-node pass at seed 1).
+func torusDelay(now, n sim.Time) sim.Time {
+	return max(1, now*13/6+63_000-150_000+n*7919%300_000)
+}
+
+func newLockstep(eng sim.Engine, delay func(now, n sim.Time) sim.Time) *lockstep {
+	ls := &lockstep{k: sim.NewKernelWith(eng), delay: delay}
+	nop := func(any) {}
+	ls.resume = func(any) {
+		k := ls.k
+		ls.sent++
+		k.AtCall(k.Now()+64, nop, nil)
+		k.AtCall(k.Now()+lockstepPace, nop, nil)
+		k.AtCall(k.Now()+ls.delay(k.Now(), ls.sent), nop, nil)
+		k.AtCall(k.Now()+lockstepPace, ls.resume, nil)
+		ls.peak = max(ls.peak, k.Pending())
+	}
+	for j := 0; j < lockstepGens; j++ {
+		ls.k.AtCall(lockstepPace, ls.resume, nil)
+	}
+	return ls
+}
+
+func (ls *lockstep) round() { ls.k.RunUntil(ls.k.Now() + lockstepPace) }
+
+// BenchmarkKernelLockstep runs the lockstep shape with steady delays.
+// One op is one round: 1,024 resumes, each scheduling four events.
+func BenchmarkKernelLockstep(b *testing.B) {
+	benchEngines(b, func(b *testing.B, eng sim.Engine) {
+		ls := newLockstep(eng, steadyDelay)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ls.round()
+		}
+		benchSink = ls.k.Now()
+	})
+}
+
+// TestCalendarStorageBound bounds the calendar's memory by the events
+// pending: over the fabric-torus's 256 rounds, the slabs the calendar
+// holds, in use and pooled, stay within twice the most events ever
+// pending. A calendar whose buckets each keep a slab sized to their own
+// all-time peak holds about six times as many.
+func TestCalendarStorageBound(t *testing.T) {
+	ls := newLockstep(sim.EngineCalendar, torusDelay)
+	for r := 0; r < 256; r++ {
+		ls.round()
+	}
+	capacity := sim.CalendarCapacity(ls.k)
+	t.Logf("slab capacity %d events for at most %d pending (%.2fx)",
+		capacity, ls.peak, float64(capacity)/float64(ls.peak))
+	if capacity > 2*ls.peak {
+		t.Errorf("calendar holds slabs for %d events, more than twice the %d ever pending", capacity, ls.peak)
+	}
+}
+
 // TestCalendarSteadyStateAllocs asserts the calendar engine's
 // schedule-and-run loop is allocation-free once its slabs are warm: for
-// near events in the plain and pre-bound scheduling forms, and for
-// far-future timers, whose slot slabs the spare list recycles.
+// near events in the plain and pre-bound scheduling forms, for
+// far-future timers, whose slot slabs go back to the pool, and for
+// lockstep bursts, whose slabs move up and down the size classes.
 func TestCalendarSteadyStateAllocs(t *testing.T) {
 	nopCall := func(any) {}
+	lockstep := newLockstep(sim.EngineCalendar, steadyDelay)
 	for _, leg := range []struct {
 		name string
+		k    *sim.Kernel
+		runs int
 		work func(k *sim.Kernel)
 	}{
-		{"near", func(k *sim.Kernel) {
+		{"near", sim.NewKernel(), 2000, func(k *sim.Kernel) {
 			now := k.Now()
 			for j := sim.Time(0); j < 16; j++ {
 				k.At(now+1+j*25, nopEvent)
@@ -106,24 +198,25 @@ func TestCalendarSteadyStateAllocs(t *testing.T) {
 			}
 			k.Run()
 		}},
-		{"far-future", func(k *sim.Kernel) { farFutureRound(k) }},
+		{"far-future", sim.NewKernel(), 2000, func(k *sim.Kernel) { farFutureRound(k) }},
+		{"lockstep-burst", lockstep.k, 50, func(*sim.Kernel) { lockstep.round() }},
 	} {
-		k := sim.NewKernel()
+		k := leg.k
 		work := func() { leg.work(k) }
-		// Warm the slabs. Slab capacities keep growing for a while: the
+		// Warm the slabs. The pool keeps growing for a while: the
 		// clock advance per run is not a multiple of the bucket width,
-		// so the event pattern cycles through alignment phases and each
-		// phase's worst-case bucket must be seen before its slab stops
-		// growing. Warm in rounds until a whole measured round
-		// allocates nothing, then hold the kernel to it.
+		// so the event pattern cycles through alignment phases, and
+		// each phase's worst case must be seen before the pool holds
+		// enough slabs of every class. Warm in rounds until a whole
+		// measured round allocates nothing, then hold the kernel to it.
 		avg := -1.0
 		for round := 0; round < 40 && avg != 0; round++ {
-			avg = testing.AllocsPerRun(2000, work)
+			avg = testing.AllocsPerRun(leg.runs, work)
 		}
 		if avg != 0 {
 			t.Fatalf("%s: calendar scheduling still allocating %.1f objects/run after warm-up, want 0", leg.name, avg)
 		}
-		if avg = testing.AllocsPerRun(2000, work); avg != 0 {
+		if avg = testing.AllocsPerRun(leg.runs, work); avg != 0 {
 			t.Fatalf("%s: calendar steady-state scheduling allocated %.1f objects/run, want 0", leg.name, avg)
 		}
 	}

@@ -44,12 +44,17 @@ import "math/bits"
 // its consumed prefix, is heapified, and drains as a heap from then on.
 // Insertions into later buckets just append.
 //
-// Events are stored by value in slabs whose backing arrays are reused
-// for the life of the kernel — buckets keep theirs, and a drained
-// slot's slab goes onto a spare list that the next slot to fill takes
-// from — so scheduling allocates nothing in steady state (the
-// free-list/pool of the classic recipe, realized as reusable slabs
-// instead of linked records).
+// Events are stored by value in slabs drawn from one pool of emptied
+// slabs by size class, shared by buckets and slots: an empty bucket or
+// slot takes a slab of the smallest class, a full slab moves its events
+// to a slab of the next class and goes back to the pool, and a bucket
+// or slot returns its slab when it drains (a bucket keeps one of the
+// smallest class). The classes are the powers of two from 4 events and
+// the midpoints between them, so a slab that grew is at least
+// two-thirds full. The calendar thus holds slabs in proportion to the
+// events pending, not to each bucket's all-time peak, and scheduling
+// allocates nothing in steady state (the free-list of the classic
+// recipe, realized as reusable slabs instead of linked records).
 
 const (
 	calLogWidth   = 5 // 32-cycle buckets: NSToCycles(150ns) = 25, rounded up
@@ -58,6 +63,7 @@ const (
 	calLogWindow  = calLogWidth + calLogBuckets // window = 32768 cycles
 	calWindow     = 1 << calLogWindow
 	calSlots      = 1024 // coarse ring: the windows 1..calSlots-1 past base
+	calClasses    = 64   // slab size classes (slabSize)
 )
 
 type calendarQueue struct {
@@ -75,7 +81,8 @@ type calendarQueue struct {
 	slots   [calSlots][]event // slots[w mod calSlots]: the events of window w, unordered
 	slotMin [calSlots]Time    // earliest timestamp in each non-empty slot
 	slotOcc occBits           // bit s set <=> slots[s] non-empty
-	spare   [][]event         // emptied slot slabs, for the next slot to fill
+
+	pool [calClasses][][]event // emptied slabs by size class
 
 	far []event // binary min-heap by (at, seq): calSlots or more windows past base
 }
@@ -128,7 +135,7 @@ func (c *calendarQueue) pushBucket(e event) {
 	c.inWin++
 	b := c.buckets[idx]
 	if idx != c.curIdx {
-		c.buckets[idx] = append(b, e)
+		c.buckets[idx] = c.add(b, e)
 		c.occ.set(idx)
 		c.rewind(idx)
 		return
@@ -137,7 +144,7 @@ func (c *calendarQueue) pushBucket(e event) {
 	// order.
 	if c.fifo {
 		if e.at >= b[len(b)-1].at {
-			c.buckets[idx] = append(b, e)
+			c.buckets[idx] = c.add(b, e)
 			return
 		}
 		n := copy(b, b[c.head:])
@@ -146,22 +153,68 @@ func (c *calendarQueue) pushBucket(e event) {
 		heapify(b)
 		c.head, c.fifo = 0, false
 	}
-	heapUp(append(b, e), &c.buckets[idx])
+	heapUp(c.add(b, e), &c.buckets[idx])
 }
 
 func (c *calendarQueue) pushSlot(e event) {
 	s := int(e.at>>calLogWindow) & (calSlots - 1)
 	if len(c.slots[s]) == 0 {
-		if k := len(c.spare); k > 0 {
-			c.slots[s] = c.spare[k-1]
-			c.spare = c.spare[:k-1]
-		}
 		c.slotMin[s] = e.at
 		c.slotOcc.set(s)
 	} else if e.at < c.slotMin[s] {
 		c.slotMin[s] = e.at
 	}
-	c.slots[s] = append(c.slots[s], e)
+	c.slots[s] = c.add(c.slots[s], e)
+}
+
+// add appends e to s, the slab of a bucket or slot, nil while it holds
+// none. A full slab moves its events to a slab of the next size class
+// from the pool and goes back to the pool itself, where append would
+// allocate.
+func (c *calendarQueue) add(s []event, e event) []event {
+	if s == nil {
+		s = c.take(0)
+	} else if len(s) == cap(s) {
+		bigger := append(c.take(slabClass(cap(s))+1), s...)
+		c.free(s)
+		s = bigger
+	}
+	return append(s, e)
+}
+
+// slabSize is the capacity of a slab of the given class: 4, 6, 8, 12,
+// 16, 24, … events.
+func slabSize(class int) int { return (4 + 2*(class&1)) << (class >> 1) }
+
+// slabClass is the class of a slab of n events, n one of the sizes.
+func slabClass(n int) int {
+	k := bits.Len(uint(n)) - 3 // n is 4<<k or 6<<k
+	if n == 4<<k {
+		return 2 * k
+	}
+	return 2*k + 1
+}
+
+// take returns an empty slab of the given size class, from the pool
+// when it has one.
+func (c *calendarQueue) take(class int) []event {
+	p := c.pool[class]
+	if k := len(p); k > 0 {
+		c.pool[class] = p[:k-1]
+		return p[k-1]
+	}
+	return make([]event, 0, slabSize(class))
+}
+
+// free zeroes s, so no executed closure stays reachable, and returns it
+// to the pool of its size class. A drained bucket's slab has length 0:
+// its pops zeroed it already.
+func (c *calendarQueue) free(s []event) {
+	if len(s) > 0 {
+		clear(s)
+	}
+	class := slabClass(cap(s))
+	c.pool[class] = append(c.pool[class], s[:0])
 }
 
 // rewind backs the cursor up when an insertion lands in a bucket the
@@ -197,7 +250,7 @@ func (c *calendarQueue) nearestSlot() int {
 // advance moves the window forward once every bucketed event has run:
 // base jumps to the window of the earliest pending event — the nearest
 // occupied slot's, or with the ring empty the far heap minimum's — that
-// slot's events go to their buckets and its slab to the spare list, and
+// slot's events go to their buckets and its slab to the pool, and
 // far-heap events that now fall inside the ring move to their slots.
 // Caller guarantees inWin == 0 and n > 0.
 func (c *calendarQueue) advance() {
@@ -206,13 +259,12 @@ func (c *calendarQueue) advance() {
 	if s := c.nearestSlot(); s >= 0 {
 		c.base = c.slotMin[s] &^ (calWindow - 1)
 		slab := c.slots[s]
+		c.slots[s] = nil
+		c.slotOcc.clr(s)
 		for i := range slab {
 			c.pushBucket(slab[i])
 		}
-		clear(slab)
-		c.spare = append(c.spare, slab[:0])
-		c.slots[s] = nil
-		c.slotOcc.clr(s)
+		c.free(slab)
 	} else {
 		c.base = c.far[0].at &^ (calWindow - 1)
 	}
@@ -222,18 +274,14 @@ func (c *calendarQueue) advance() {
 }
 
 // settle positions curIdx on the bucket holding the earliest event,
-// choosing its drain order if the cursor just arrived, and returns
-// false when the queue is empty. After settle returns true, the minimum
-// event is buckets[curIdx][head].
-func (c *calendarQueue) settle() bool {
-	if c.n == 0 {
-		return false
-	}
+// choosing its drain order if the cursor just arrived; then the minimum
+// event is buckets[curIdx][head]. Caller guarantees n > 0.
+func (c *calendarQueue) settle() {
 	if c.inWin == 0 {
 		c.advance()
 	}
 	if c.curIdx >= 0 {
-		return true
+		return
 	}
 	idx := c.occ.next(c.cursor)
 	c.cursor, c.curIdx, c.head = idx, idx, 0
@@ -242,7 +290,6 @@ func (c *calendarQueue) settle() bool {
 	if !c.fifo {
 		heapify(b)
 	}
-	return true
 }
 
 func (c *calendarQueue) popUntil(h Time) (event, bool) {
@@ -262,8 +309,18 @@ func (c *calendarQueue) popUntil(h Time) (event, bool) {
 	} else {
 		e = heapPop(&b)
 	}
-	c.buckets[c.curIdx] = b
-	if len(b) == 0 {
+	if len(b) > 0 {
+		c.buckets[c.curIdx] = b
+	} else {
+		// The drained bucket returns its slab, unless that is of the
+		// smallest class: keeping one costs at most 4 events a bucket
+		// and spares a bucket that holds an event or two at a time a
+		// trip to the pool on every use.
+		if cap(b) > slabSize(0) {
+			c.free(b)
+			b = nil
+		}
+		c.buckets[c.curIdx] = b
 		c.occ.clr(c.curIdx)
 		// Stay on this bucket index: the event about to run may
 		// schedule back into it (ties at now), re-entering via

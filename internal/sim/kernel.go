@@ -21,11 +21,13 @@
 // one order of events at every shard count.
 //
 // Two scheduler engines implement that contract. The default is a
-// two-tier calendar queue (calendar.go): events live by value in
-// width-2^5-cycle buckets that drain as FIFOs when already in order,
+// two-tier calendar queue (calendar.go): 40-byte events live by value
+// in width-2^5-cycle buckets that drain as FIFOs when already in order,
 // later windows wait in a coarse ring of window-wide slots, and only
 // timers over 2^25 cycles ahead go to a heap, so the hot loop neither
-// allocates nor chases heap pointers. The seed's binary
+// allocates nor chases heap pointers. Buckets and slots take their
+// slabs from one pool of size classes and return them when they drain,
+// so the queue's memory follows the events pending. The seed's binary
 // heap survives as EngineHeap (refheap.go), the reference
 // implementation the differential and fuzz tests replay every schedule
 // against — the two engines must agree on the exact (time, seq)
@@ -41,29 +43,27 @@ import (
 // Time is virtual time measured in host CPU cycles.
 type Time = int64
 
-// event is a scheduled activation. seq breaks timestamp ties so that the
-// execution order of simultaneous events is the order they were
-// scheduled. An event carries either a plain closure fn, or a pre-bound
-// call(arg) pair — the allocation-free form hot paths use so that
-// scheduling does not create a closure per event (see Kernel.AtCall).
-// Events are stored by value inside the scheduler engines; only the
-// reference heap engine boxes them.
+// event is a scheduled activation, 40 bytes. seq breaks timestamp ties
+// so that the execution order of simultaneous events is the order they
+// were scheduled. The activation is always a call(arg) pair: AtCall's
+// pre-bound function and argument, the allocation-free form hot paths
+// use (see Kernel.AtCall), or for At the shared callFn with the closure
+// as arg (a func value in an interface does not allocate). Events are
+// stored by value inside the scheduler engines; only the reference heap
+// engine boxes them.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
 }
 
 // run executes the event's activation.
-func (e *event) run() {
-	if e.fn != nil {
-		e.fn()
-		return
-	}
-	e.call(e.arg)
-}
+func (e *event) run() { e.call(e.arg) }
+
+// callFn is the call of every event scheduled with At: its arg is the
+// closure.
+func callFn(fn any) { fn.(func())() }
 
 // before reports whether e executes before o: (at, seq) lexicographic
 // order, the total order both engines must realize exactly.
@@ -182,11 +182,7 @@ func (k *Kernel) checkAt(t Time) {
 }
 
 // At schedules fn to run at absolute virtual time t.
-func (k *Kernel) At(t Time, fn func()) {
-	k.checkAt(t)
-	k.seq++
-	k.q.push(event{at: t, seq: k.seq, fn: fn})
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtCall(t, callFn, fn) }
 
 // AtCall schedules fn(arg) at absolute virtual time t. It is the
 // allocation-free form of At for hot paths: fn is a long-lived
@@ -228,13 +224,13 @@ func (k *Kernel) Run() Time {
 	}
 	for k.runWindow() {
 		if k.waiting() {
-			k.barrier(k.horizon)
+			k.runBarrier(k.horizon)
 		}
 		at, ok := k.q.peekAt()
 		if !ok {
 			break
 		}
-		k.horizon = at + k.lookahead - 1
+		k.horizon = k.open(at)
 	}
 	return k.now
 }
@@ -306,13 +302,13 @@ func (k *Kernel) runInPlace(t Time, resume func()) bool {
 	if t > k.horizon {
 		if k.waiting() {
 			seq := k.seq
-			k.barrier(k.horizon)
+			k.runBarrier(k.horizon)
 			if at, ok := k.q.peekAt(); ok && at < t {
-				k.q.push(event{at: t, seq: seq, fn: resume})
+				k.q.push(event{at: t, seq: seq, call: callFn, arg: resume})
 				return false
 			}
 		}
-		k.horizon = t + k.lookahead - 1
+		k.horizon = k.open(t)
 	}
 	k.now = t
 	k.lastAt = t

@@ -3,7 +3,16 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventSize pins the event record the calendar stores by value:
+// time, sequence number, and one call(arg) pair.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("event is %d bytes, want 40", got)
+	}
+}
 
 func TestKernelRunsEventsInTimeOrder(t *testing.T) {
 	k := NewKernel()

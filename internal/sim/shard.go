@@ -17,11 +17,36 @@ import (
 )
 
 // window is what a window driver, a Kernel or a ShardSet, runs its
-// windows by: their width, and the model's barrier between them.
+// windows by: their width, and the model's barrier between them. It
+// also counts the windows opened and the barriers run, which depend
+// only on the simulated schedule, so they are the same on every run
+// and at every shard count.
 type window struct {
 	lookahead Time
 	barrier   func(edge Time)
 	waiting   func() bool
+
+	windows, barriers uint64
+}
+
+// Windows reports how many lookahead windows the driver has opened.
+func (win *window) Windows() uint64 { return win.windows }
+
+// Barriers reports how many times the driver has run the barrier.
+func (win *window) Barriers() uint64 { return win.barriers }
+
+// open counts a window starting at start and returns its edge, the
+// last timestamp it covers.
+func (win *window) open(start Time) Time {
+	win.windows++
+	return start + win.lookahead - 1
+}
+
+// runBarrier counts and runs the barrier after the window that ended
+// at edge.
+func (win *window) runBarrier(edge Time) {
+	win.barriers++
+	win.barrier(edge)
 }
 
 // SetLookahead fixes the window width: no event executed in a window
@@ -104,13 +129,13 @@ func (ss *ShardSet) Run() Time {
 	defer ss.stopWorkers()
 	for {
 		if ss.barrier != nil && ss.waiting() {
-			ss.barrier(ss.edge)
+			ss.runBarrier(ss.edge)
 		}
-		horizon, ok := ss.minPending()
+		start, ok := ss.minPending()
 		if !ok {
 			break
 		}
-		ss.runWindow(horizon + ss.lookahead - 1)
+		ss.runWindow(ss.open(start))
 	}
 	return ss.Now()
 }

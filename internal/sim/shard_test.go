@@ -5,62 +5,71 @@ import (
 	"testing"
 )
 
-// TestShardSetWindows drives a toy cross-shard model: two shards play
+// TestShardSetWindows drives a toy cross-shard model: two nodes play
 // ping-pong through a barrier-drained ledger, exactly the discipline
-// the fabric layer uses. The run must terminate, deliver every
-// message, and report the final time of the last delivery.
+// the fabric layer uses, on one shard (the kernel's own windows) and on
+// two. The run must terminate, deliver every message, report the final
+// time of the last delivery, and open the same windows and run the
+// same barriers at both shard counts: one window per message and one
+// more for the kick-off, one barrier per send.
 func TestShardSetWindows(t *testing.T) {
 	const lookahead = 10
-	ss := NewShardSet(2, EngineCalendar)
-	ss.SetLookahead(lookahead)
+	for _, shards := range []int{1, 2} {
+		ss := NewShardSet(shards, EngineCalendar)
+		ss.SetLookahead(lookahead)
+		kernelOf := func(node int) *Kernel { return ss.Kernel(node % shards) }
 
-	type msg struct {
-		at   Time // send time
-		dst  int
-		hops int // replies left after this delivery
-	}
-	ledger := make([][]msg, 2) // one slice per source shard
-	delivered := 0
-	var lastAt Time
-
-	ss.OnBarrier(func(edge Time) {
-		for src := 0; src < 2; src++ {
-			for _, m := range ledger[src] {
-				m := m
-				deliver := m.at + lookahead // exactly one lookahead out
-				if deliver <= edge {
-					t.Fatalf("delivery at %d within window edge %d", deliver, edge)
-				}
-				ss.Kernel(m.dst).At(deliver, func() {
-					delivered++
-					if m.hops > 0 {
-						k := ss.Kernel(m.dst)
-						ledger[m.dst] = append(ledger[m.dst],
-							msg{at: k.Now(), dst: 1 - m.dst, hops: m.hops - 1})
-					}
-				})
-				if deliver > lastAt {
-					lastAt = deliver
-				}
-			}
-			ledger[src] = ledger[src][:0]
+		type msg struct {
+			at   Time // send time
+			dst  int
+			hops int // replies left after this delivery
 		}
-	}, func() bool { return len(ledger[0])+len(ledger[1]) > 0 })
+		ledger := make([][]msg, 2) // one slice per source node
+		delivered := 0
+		var lastAt Time
 
-	// Kick off: shard 0 posts the first message at t=3, 6 replies follow.
-	ss.Kernel(0).At(3, func() {
-		ledger[0] = append(ledger[0], msg{at: ss.Kernel(0).Now(), dst: 1, hops: 6})
-	})
+		ss.OnBarrier(func(edge Time) {
+			for src := 0; src < 2; src++ {
+				for _, m := range ledger[src] {
+					m := m
+					deliver := m.at + lookahead // exactly one lookahead out
+					if deliver <= edge {
+						t.Fatalf("delivery at %d within window edge %d", deliver, edge)
+					}
+					kernelOf(m.dst).At(deliver, func() {
+						delivered++
+						if m.hops > 0 {
+							k := kernelOf(m.dst)
+							ledger[m.dst] = append(ledger[m.dst],
+								msg{at: k.Now(), dst: 1 - m.dst, hops: m.hops - 1})
+						}
+					})
+					if deliver > lastAt {
+						lastAt = deliver
+					}
+				}
+				ledger[src] = ledger[src][:0]
+			}
+		}, func() bool { return len(ledger[0])+len(ledger[1]) > 0 })
 
-	end := ss.Run()
-	if delivered != 7 {
-		t.Fatalf("delivered %d messages, want 7", delivered)
-	}
-	if end != lastAt {
-		t.Fatalf("final time %d, want %d", end, lastAt)
-	}
-	if ss.Pending() != 0 {
-		t.Fatalf("%d events still pending after Run", ss.Pending())
+		// Kick off: node 0 posts the first message at t=3, 6 replies follow.
+		kernelOf(0).At(3, func() {
+			ledger[0] = append(ledger[0], msg{at: kernelOf(0).Now(), dst: 1, hops: 6})
+		})
+
+		end := ss.Run()
+		if delivered != 7 {
+			t.Fatalf("shards=%d: delivered %d messages, want 7", shards, delivered)
+		}
+		if end != lastAt {
+			t.Fatalf("shards=%d: final time %d, want %d", shards, end, lastAt)
+		}
+		if ss.Pending() != 0 {
+			t.Fatalf("shards=%d: %d events still pending after Run", shards, ss.Pending())
+		}
+		if ss.Windows() != 8 || ss.Barriers() != 7 {
+			t.Errorf("shards=%d: %d windows and %d barriers, want 8 and 7", shards, ss.Windows(), ss.Barriers())
+		}
 	}
 }
 
