@@ -31,8 +31,9 @@
 // both run one shard. Results are bit-identical at any shard count —
 // only wall clock changes. Runs whose model needs zero-lookahead
 // cross-node access (DSM page copies) clamp back to one shard and say
-// so on stderr; -trace also forces one shard, since the protocol trace
-// is one globally ordered stream:
+// so on stderr; -trace, which traces an application run and is
+// refused with -rpc and -kv, also forces one shard, since the protocol
+// trace is one globally ordered stream:
 //
 //	cnisim -rpc -nic cni -shards 4
 //
@@ -96,7 +97,7 @@ func main() {
 	cacheSize := flag.Int("cachesize", 0, "Message Cache size in bytes (default 32768)")
 	unrestricted := flag.Bool("unrestricted-cell", false, "mythical ATM with unlimited cell size (Table 5)")
 	verify := flag.Bool("verify", false, "check the result against the sequential reference")
-	traceN := flag.Int("trace", 0, "print the first N protocol events")
+	traceN := flag.Int("trace", 0, "print the first N protocol events of the application run (not with -rpc or -kv)")
 	shards := flag.Int("shards", 0, "split the simulation across N parallel kernel shards, bit-identical at any count (0 or 1 = one shard)")
 	loss := flag.Float64("loss", 0, "cell loss probability per link (0 disables)")
 	corrupt := flag.Float64("corrupt", 0, "cell corruption probability per link")
@@ -128,6 +129,12 @@ func main() {
 
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "cnisim: -shards must be >= 0\n")
+		os.Exit(2)
+	}
+	if *traceN > 0 && (*kvMode || *rpcMode) {
+		// The protocol trace records the DSM application's events; the
+		// serving workloads have none to print.
+		fmt.Fprintln(os.Stderr, "cnisim: -trace traces a DSM application run (-app); it does not apply to -kv or -rpc")
 		os.Exit(2)
 	}
 	if *traceN > 0 && *shards > 1 {

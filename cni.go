@@ -341,15 +341,6 @@ const (
 	ReduceMax  = collective.OpMax
 )
 
-// CollTopo selects the collective schedule; the two topologies the
-// engine implements.
-type CollTopo = config.CollTopo
-
-const (
-	CollDissemination = config.CollDissemination
-	CollBinomial      = config.CollBinomial
-)
-
 // --- request serving ---
 
 // RPCSpec describes one synthetic request-serving run: server and

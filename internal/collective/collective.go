@@ -13,8 +13,8 @@
 //
 // Two schedules are provided: a dissemination exchange (shortest
 // critical path, ceil(log2 n) rounds) and a binomial tree (reduce up,
-// broadcast down). Rooted operations always use the tree; barriers
-// follow Config.CollTopology; the dissemination all-reduce is only
+// broadcast down). Barriers always disseminate and rooted operations
+// always use the tree; the dissemination all-reduce is only
 // algebraically valid for power-of-two node counts and falls back to
 // the tree otherwise.
 //
@@ -307,7 +307,7 @@ func (n *Node) episode(kind Kind, seq uint64, root int) *episode {
 	}
 	size := len(n.eng.nodes)
 	ep := &episode{kind: kind, seq: seq, root: root, parent: -1}
-	ep.dissem = useDissem(kind, n.eng.cfg.CollTopology == config.CollDissemination, size)
+	ep.dissem = useDissem(kind, size)
 	if ep.dissem {
 		ep.got = make(map[int]*contrib)
 	} else {

@@ -13,71 +13,59 @@ import (
 // configs returns the three interface modes the engine distinguishes:
 // AIH combining on the board, the same CNI with collectives forced onto
 // the host, and the standard interface.
-func configs(topo config.CollTopo) map[string]config.Config {
+func configs() map[string]config.Config {
 	cni := config.Default()
-	cni.CollTopology = topo
 	cniHost := cni
 	cniHost.NICCollectives = false
-	std := config.Standard()
-	std.CollTopology = topo
-	return map[string]config.Config{"cni": cni, "cni-host": cniHost, "standard": std}
-}
-
-var topos = map[string]config.CollTopo{
-	"dissemination": config.CollDissemination,
-	"binomial":      config.CollBinomial,
+	return map[string]config.Config{"cni": cni, "cni-host": cniHost, "standard": config.Standard()}
 }
 
 func TestBarrierSynchronizesAllSizes(t *testing.T) {
-	for tname, topo := range topos {
-		for cname, cfg := range configs(topo) {
-			for _, n := range []int{1, 2, 3, 5, 6, 7, 8, 12} {
-				c := cfg
-				f := mustFabric(&c, n)
-				phase := make([]int, n)
-				ok := true
-				f.Run(func(ep *msgpass.Endpoint) {
-					for it := 0; it < 4; it++ {
-						ep.Compute(sim.Time(700 * (ep.Node() + 1)))
-						phase[ep.Node()] = it
-						ep.Barrier()
-						for i := 0; i < n; i++ {
-							if phase[i] != it {
-								ok = false
-							}
+	for cname, cfg := range configs() {
+		for _, n := range []int{1, 2, 3, 5, 6, 7, 8, 12} {
+			c := cfg
+			f := mustFabric(&c, n)
+			phase := make([]int, n)
+			ok := true
+			f.Run(func(ep *msgpass.Endpoint) {
+				for it := 0; it < 4; it++ {
+					ep.Compute(sim.Time(700 * (ep.Node() + 1)))
+					phase[ep.Node()] = it
+					ep.Barrier()
+					for i := 0; i < n; i++ {
+						if phase[i] != it {
+							ok = false
 						}
-						ep.Barrier()
 					}
-				})
-				if !ok {
-					t.Fatalf("%s/%s n=%d: barrier let a node run ahead", tname, cname, n)
+					ep.Barrier()
 				}
+			})
+			if !ok {
+				t.Fatalf("%s n=%d: barrier let a node run ahead", cname, n)
 			}
 		}
 	}
 }
 
 func TestAllReduceValues(t *testing.T) {
-	for tname, topo := range topos {
-		for cname, cfg := range configs(topo) {
-			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
-				c := cfg
-				f := mustFabric(&c, n)
-				sums := make([]float64, n)
-				maxs := make([]float64, n)
-				f.Run(func(ep *msgpass.Endpoint) {
-					v := float64(ep.Node() + 1)
-					sums[ep.Node()] = ep.AllReduceF64(v, msgpass.OpSum)
-					maxs[ep.Node()] = ep.AllReduceF64(v, msgpass.OpMax)
-				})
-				wantSum := float64(n*(n+1)) / 2
-				for i := 0; i < n; i++ {
-					if sums[i] != wantSum {
-						t.Fatalf("%s/%s n=%d node %d: sum = %v, want %v", tname, cname, n, i, sums[i], wantSum)
-					}
-					if maxs[i] != float64(n) {
-						t.Fatalf("%s/%s n=%d node %d: max = %v, want %v", tname, cname, n, i, maxs[i], float64(n))
-					}
+	for cname, cfg := range configs() {
+		for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
+			c := cfg
+			f := mustFabric(&c, n)
+			sums := make([]float64, n)
+			maxs := make([]float64, n)
+			f.Run(func(ep *msgpass.Endpoint) {
+				v := float64(ep.Node() + 1)
+				sums[ep.Node()] = ep.AllReduceF64(v, msgpass.OpSum)
+				maxs[ep.Node()] = ep.AllReduceF64(v, msgpass.OpMax)
+			})
+			wantSum := float64(n*(n+1)) / 2
+			for i := 0; i < n; i++ {
+				if sums[i] != wantSum {
+					t.Fatalf("%s n=%d node %d: sum = %v, want %v", cname, n, i, sums[i], wantSum)
+				}
+				if maxs[i] != float64(n) {
+					t.Fatalf("%s n=%d node %d: max = %v, want %v", cname, n, i, maxs[i], float64(n))
 				}
 			}
 		}
@@ -85,7 +73,7 @@ func TestAllReduceValues(t *testing.T) {
 }
 
 func TestReduceAndBroadcast(t *testing.T) {
-	for cname, cfg := range configs(config.CollDissemination) {
+	for cname, cfg := range configs() {
 		for _, n := range []int{1, 3, 4, 6} {
 			for root := 0; root < n; root++ {
 				c := cfg
@@ -121,29 +109,27 @@ func TestReduceAndBroadcast(t *testing.T) {
 // reductions — where the fold order matters in the last ulp — give
 // bit-identical results on every interface mode.
 func TestNICHostBitIdentical(t *testing.T) {
-	for tname, topo := range topos {
-		for _, n := range []int{2, 3, 4, 7, 8} {
-			var ref []uint64
-			var refName string
-			for cname, cfg := range configs(topo) {
-				c := cfg
-				f := mustFabric(&c, n)
-				got := make([]uint64, n)
-				f.Run(func(ep *msgpass.Endpoint) {
-					// Values chosen so that a+b+c rounds differently from
-					// a different association order.
-					v := 0.1 + 1.0/float64(3*(ep.Node()+1))
-					got[ep.Node()] = math.Float64bits(ep.AllReduceF64(v, msgpass.OpSum))
-				})
-				if ref == nil {
-					ref, refName = got, cname
-					continue
-				}
-				for i := 0; i < n; i++ {
-					if got[i] != ref[i] {
-						t.Fatalf("%s n=%d node %d: %s result %x != %s result %x",
-							tname, n, i, cname, got[i], refName, ref[i])
-					}
+	for _, n := range []int{2, 3, 4, 7, 8} {
+		var ref []uint64
+		var refName string
+		for cname, cfg := range configs() {
+			c := cfg
+			f := mustFabric(&c, n)
+			got := make([]uint64, n)
+			f.Run(func(ep *msgpass.Endpoint) {
+				// Values chosen so that a+b+c rounds differently from
+				// a different association order.
+				v := 0.1 + 1.0/float64(3*(ep.Node()+1))
+				got[ep.Node()] = math.Float64bits(ep.AllReduceF64(v, msgpass.OpSum))
+			})
+			if ref == nil {
+				ref, refName = got, cname
+				continue
+			}
+			for i := 0; i < n; i++ {
+				if got[i] != ref[i] {
+					t.Fatalf("n=%d node %d: %s result %x != %s result %x",
+						n, i, cname, got[i], refName, ref[i])
 				}
 			}
 		}
@@ -154,26 +140,24 @@ func TestNICHostBitIdentical(t *testing.T) {
 // compute, a fast node's round-0 contribution to episode k+1 reaches a
 // slow node still inside episode k, exercising the parking path.
 func TestBackToBackEpisodes(t *testing.T) {
-	for tname, topo := range topos {
-		for cname, cfg := range configs(topo) {
-			for _, n := range []int{3, 4, 8} {
-				c := cfg
-				f := mustFabric(&c, n)
-				bad := -1.0
-				f.Run(func(ep *msgpass.Endpoint) {
-					for it := 0; it < 12; it++ {
-						// No barrier between iterations: the only ordering
-						// is the engine's own sequencing.
-						ep.Compute(sim.Time(500 * ((ep.Node() + it) % n)))
-						got := ep.AllReduceF64(float64(it), msgpass.OpSum)
-						if got != float64(it*n) {
-							bad = got
-						}
+	for cname, cfg := range configs() {
+		for _, n := range []int{3, 4, 8} {
+			c := cfg
+			f := mustFabric(&c, n)
+			bad := -1.0
+			f.Run(func(ep *msgpass.Endpoint) {
+				for it := 0; it < 12; it++ {
+					// No barrier between iterations: the only ordering
+					// is the engine's own sequencing.
+					ep.Compute(sim.Time(500 * ((ep.Node() + it) % n)))
+					got := ep.AllReduceF64(float64(it), msgpass.OpSum)
+					if got != float64(it*n) {
+						bad = got
 					}
-				})
-				if bad >= 0 {
-					t.Fatalf("%s/%s n=%d: cross-episode contamination, got %v", tname, cname, n, bad)
 				}
+			})
+			if bad >= 0 {
+				t.Fatalf("%s n=%d: cross-episode contamination, got %v", cname, n, bad)
 			}
 		}
 	}
@@ -220,7 +204,7 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestSingleNodeCompletesImmediately(t *testing.T) {
-	for _, cfg := range configs(config.CollDissemination) {
+	for _, cfg := range configs() {
 		c := cfg
 		f := mustFabric(&c, 1)
 		var sum float64

@@ -52,16 +52,17 @@ func TreeChildren(rank, root, n int) []int {
 }
 
 // useDissem decides whether an episode runs the dissemination schedule
-// (symmetric, no root) or the binomial tree. Rooted kinds are always
-// trees. The dissemination all-reduce combines each contribution
-// exactly once only when n is a power of two; otherwise it would
-// double-count, so general n falls back to the tree.
-func useDissem(kind Kind, dissemination bool, n int) bool {
+// (symmetric, no root) or the binomial tree. Barriers always
+// disseminate; rooted kinds are always trees. The dissemination
+// all-reduce combines each contribution exactly once only when n is a
+// power of two; otherwise it would double-count, so general n falls
+// back to the tree.
+func useDissem(kind Kind, n int) bool {
 	switch kind {
 	case KindBarrier:
-		return dissemination
+		return true
 	case KindAllReduce:
-		return dissemination && ispow2(n)
+		return ispow2(n)
 	default:
 		return false
 	}

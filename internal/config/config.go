@@ -21,32 +21,6 @@ import (
 // NICKind selects the network interface model under test.
 type NICKind int
 
-// CollTopo selects the schedule the collective engine forwards
-// contributions along (internal/collective).
-type CollTopo int
-
-const (
-	// CollDissemination is the symmetric log-round schedule: in round r
-	// every node signals rank+2^r and combines the contribution from
-	// rank-2^r. Shortest critical path; N messages per round.
-	CollDissemination CollTopo = iota
-	// CollBinomial is a binomial tree: contributions combine up to a
-	// root and the result broadcasts back down. 2(N-1) messages total.
-	CollBinomial
-)
-
-// String implements fmt.Stringer.
-func (t CollTopo) String() string {
-	switch t {
-	case CollDissemination:
-		return "dissemination"
-	case CollBinomial:
-		return "binomial"
-	default:
-		return fmt.Sprintf("CollTopo(%d)", int(t))
-	}
-}
-
 const (
 	// NICStandard is the baseline of the paper: a kernel-mediated board
 	// without Application Device Channels, Message Cache or Application
@@ -236,8 +210,6 @@ type Config struct {
 	TransmitCaching     bool // CNI transmit caching
 	ConsistencySnooping bool // CNI bus snooping into the Message Cache
 
-	// --- Collective engine (internal/collective) ---
-
 	// --- NIC-resident KV response cache (internal/kv) ---
 
 	// NICResponseCache lets the KV service keep recently served GET
@@ -247,10 +219,8 @@ type Config struct {
 	// board-resident handlers, so the OSIRIS and standard models turn
 	// it off and always pay the host path.
 	NICResponseCache bool
-	// ResponseCacheFrames caps how many Message Cache frames the
-	// response cache may pin at once (0 = a quarter of the MC frames),
-	// bounding how much of the cache serving can steal from messaging.
-	ResponseCacheFrames int
+
+	// --- Collective engine (internal/collective) ---
 
 	// NICCollectives runs barrier/broadcast/reduce/all-reduce as
 	// Application Interrupt Handlers on the CNI board: arriving
@@ -260,9 +230,6 @@ type Config struct {
 	// standard interface) the identical schedule runs through host
 	// interrupts and host handlers.
 	NICCollectives bool
-	// CollTopology is the schedule barriers and power-of-two
-	// all-reduces follow; reduce and broadcast are always binomial.
-	CollTopology CollTopo
 
 	// --- Fault injection (internal/atm) and per-VC reliability ---
 
@@ -297,8 +264,7 @@ type Config struct {
 
 	// --- Simulation ---
 
-	NIC  NICKind
-	Seed uint64
+	NIC NICKind
 
 	// SimShards splits one run across this many conservative-parallel
 	// kernel shards advancing in lock-stepped lookahead windows (see
@@ -393,7 +359,6 @@ func ForNIC(kind NICKind) Config {
 		NICResponseCache: true,
 
 		NICCollectives: true,
-		CollTopology:   CollDissemination,
 
 		FaultSeed:           1,
 		RetransmitWindow:    8,
@@ -401,8 +366,7 @@ func ForNIC(kind NICKind) Config {
 		RetransmitBackoff:   16,
 		NICRetransmitCycles: 24,
 
-		NIC:  NICCNI,
-		Seed: 1,
+		NIC: NICCNI,
 	}
 	if !Registered(kind) {
 		panic(fmt.Sprintf("config: ForNIC(%v): unknown NIC kind", kind))
@@ -506,8 +470,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: cell %d bytes with %d payload", c.CellBytes, c.CellPayloadBytes)
 	case c.MessageCacheByte < 0 || c.MessageCacheByte > c.BoardMemoryBytes:
 		return fmt.Errorf("config: message cache %d bytes exceeds board memory %d", c.MessageCacheByte, c.BoardMemoryBytes)
-	case c.ResponseCacheFrames < 0:
-		return fmt.Errorf("config: response cache frames %d negative", c.ResponseCacheFrames)
 	case c.NICResponseCache && c.MessageCacheByte <= 0:
 		return fmt.Errorf("config: NIC response cache needs a Message Cache")
 	case c.LinkMbps <= 0:
@@ -521,8 +483,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: clos radix %d must be an even number >= 4", c.ClosRadix)
 	case c.TorusDims != [3]int{} && (c.TorusDims[0] < 1 || c.TorusDims[1] < 1 || c.TorusDims[2] < 1):
 		return fmt.Errorf("config: torus dimensions %v must all be >= 1", c.TorusDims)
-	case c.CollTopology != CollDissemination && c.CollTopology != CollBinomial:
-		return fmt.Errorf("config: unknown collective topology %d", int(c.CollTopology))
 	case c.DSMOwnershipOrDefault() != DSMCentral && c.DSMOwnershipOrDefault() != DSMDistributed:
 		return fmt.Errorf("config: unknown DSM ownership %q (%s)", c.DSMOwnership, strings.Join(DSMOwnershipNames(), " | "))
 	case c.UpdateProtocol && c.DSMOwnershipOrDefault() == DSMDistributed:

@@ -75,9 +75,10 @@ func barPayloadBytes(p any) int {
 	return noticeBytes(bp.notices) + 4*len(bp.vc)
 }
 
-// SetCollective points the runtime's barrier at cn. The offload is
-// still gated at call time on Config.NICCollectives, so a wired cluster
-// can still run the legacy manager path for comparison.
+// SetCollective attaches the runtime to its node of the collective
+// engine; cluster.New calls it for every node before the run. Barriers
+// ride the engine only under Config.NICCollectives and take the
+// manager path otherwise.
 func (r *Runtime) SetCollective(cn *collective.Node) {
 	r.coll = cn
 	cn.SetPayload(mergeBarPayloads, barPayloadBytes)

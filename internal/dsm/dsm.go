@@ -132,7 +132,6 @@ type pageReqMsg struct {
 
 type pageReplyMsg struct {
 	page int32
-	to   int
 	// from is the node that served the request — the static home under
 	// central ownership, the current owner under distributed ownership.
 	// The requester installs the page from this node's copy and updates
@@ -160,7 +159,6 @@ type lockAcqMsg struct {
 
 type lockGrantMsg struct {
 	lock      int
-	to        int
 	notices   []*Interval
 	managerVC []int32
 }
@@ -168,7 +166,6 @@ type lockGrantMsg struct {
 type lockRelMsg struct {
 	lock    int
 	from    int
-	vc      []int32
 	notices []*Interval // releaser intervals the manager hasn't seen
 }
 
@@ -180,8 +177,6 @@ type barEnterMsg struct {
 }
 
 type barReleaseMsg struct {
-	barrier   int
-	to        int
 	notices   []*Interval
 	managerVC []int32
 }
@@ -189,7 +184,6 @@ type barReleaseMsg struct {
 type taskReqMsg struct{ from int }
 
 type taskReplyMsg struct {
-	to   int
 	task int // -1 when all tasks are done
 }
 
@@ -197,7 +191,6 @@ type taskReplyMsg struct {
 // (the right-looking Cholesky fan-out pushes a column once its last
 // update lands, and reports each finished column).
 type taskPushMsg struct {
-	from  int
 	tasks []int
 	done  int
 }

@@ -326,7 +326,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		DeliverBytes: r.cfg.PageBytes,
 		CacheRx:      req.write,
 		Payload: &pageReplyMsg{
-			page: req.page, to: req.from, from: r.node, own: own, req: req,
+			page: req.page, from: r.node, own: own, req: req,
 			applied: append([]int32(nil), b.applied...),
 		},
 	})
@@ -433,7 +433,7 @@ func (r *Runtime) sendGrant(at sim.Time, req *lockAcqMsg) {
 	size := nic.HeaderBytes + 4*len(mvc) + nb
 	msg := &nic.Message{
 		From: r.node, To: req.from, Op: OpLockGrant, Size: size,
-		Payload: &lockGrantMsg{lock: req.lock, to: req.from, notices: bundle, managerVC: mvc},
+		Payload: &lockGrantMsg{lock: req.lock, notices: bundle, managerVC: mvc},
 	}
 	if nb > 0 && req.from != r.node {
 		msg.DeliverVAddr = MailboxBase
@@ -496,7 +496,7 @@ func (r *Runtime) onBarEnter(at sim.Time, m *nic.Message) {
 		msg := &nic.Message{
 			From: r.node, To: enter.from, Op: OpBarRelease,
 			Size:    nic.HeaderBytes + 4*len(mvc) + nb,
-			Payload: &barReleaseMsg{barrier: e.barrier, to: enter.from, notices: bundle, managerVC: mvc},
+			Payload: &barReleaseMsg{notices: bundle, managerVC: mvc},
 		}
 		if nb > 0 && enter.from != r.node {
 			msg.DeliverVAddr = MailboxBase
@@ -555,7 +555,7 @@ func (r *Runtime) replyTask(at sim.Time, to, task int) {
 	r.send(at, &nic.Message{
 		From: r.node, To: to, Op: OpTaskReply,
 		Size:    nic.HeaderBytes + 8,
-		Payload: &taskReplyMsg{to: to, task: task},
+		Payload: &taskReplyMsg{task: task},
 	})
 }
 

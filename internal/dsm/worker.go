@@ -404,25 +404,23 @@ func (w *Worker) Unlock(id int) {
 		sinceVC = make([]int32, len(r.vc))
 	}
 	bundle := r.newIntervalBundleSince(sinceVC)
-	rel := &lockRelMsg{lock: id, from: r.node, vc: append([]int32(nil), r.vc...), notices: bundle}
 	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpLockRel,
-		Size:    nic.HeaderBytes + 8 + 4*len(rel.vc) + noticeBytes(bundle),
-		Payload: rel,
+		Size:    nic.HeaderBytes + 8 + 4*len(r.vc) + noticeBytes(bundle),
+		Payload: &lockRelMsg{lock: id, from: r.node, notices: bundle},
 	})
 }
 
 // Barrier enters global barrier id and returns once every node has
 // arrived and the write notices have been exchanged. Returns the
-// cycles spent blocked. With Config.NICCollectives (and an attached
-// engine) the barrier rides the collective engine; otherwise it goes
-// through a manager node — node 0 under central ownership, rotating
-// with the barrier id under distributed ownership so no single host
-// absorbs every entry message (locks already hash their managers the
-// same way).
+// cycles spent blocked. With Config.NICCollectives the barrier rides
+// the collective engine; otherwise it goes through a manager node —
+// node 0 under central ownership, rotating with the barrier id under
+// distributed ownership so no single host absorbs every entry message
+// (locks already hash their managers the same way).
 func (w *Worker) Barrier(id int) sim.Time {
 	r := w.r
-	if r.coll != nil && r.cfg.NICCollectives {
+	if r.cfg.NICCollectives {
 		return w.barrierColl(id)
 	}
 	r.Stats.BarrierOps++
@@ -463,11 +461,10 @@ func (w *Worker) NextTask() int {
 // reports done completed tasks (either may be empty/zero).
 func (w *Worker) PushTask(done int, tasks ...int) {
 	r := w.r
-	push := &taskPushMsg{from: r.node, tasks: tasks, done: done}
 	w.toManager(&nic.Message{
 		From: r.node, To: 0, Op: OpTaskPush, // node 0 manages the bag
 		Size:    nic.HeaderBytes + 8 + 8*len(tasks),
-		Payload: push,
+		Payload: &taskPushMsg{tasks: tasks, done: done},
 	})
 }
 

@@ -1,43 +1,10 @@
 package experiments
 
 import (
-	"fmt"
-
 	"cni/internal/config"
 	"cni/internal/msgpass"
 	"cni/internal/sim"
 )
-
-// bandwidthCfg builds the fully-mutated Config of one bandwidth point.
-func bandwidthCfg(kind config.NICKind, mutate func(*config.Config)) config.Config {
-	cfg := config.ForNIC(kind)
-	cfg.PollSwitchRate = 1200 // streaming receiver sits in its poll loop
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return cfg
-}
-
-// MeasureBandwidth streams messages of the given size from node 0 to
-// node 1 (same buffer every time, so the CNI's Message Cache is hot)
-// and returns the achieved application-to-application bandwidth in
-// megabytes per second of simulated time.
-//
-// The paper's premise (Section 1) is that contemporary interfaces
-// already delivered high bandwidth and latency was the open problem:
-// at page-sized messages both interfaces approach the 622 Mb/s link
-// rate, while at small messages the standard interface's per-message
-// kernel and interrupt costs cap its throughput well below the CNI's.
-func MeasureBandwidth(kind config.NICKind, size int, mutate func(*config.Config)) float64 {
-	return measureBandwidthCfg(bandwidthCfg(kind, mutate), size)
-}
-
-// bandwidthPoint submits one bandwidth measurement as a harness point.
-func (o Options) bandwidthPoint(kind config.NICKind, size int, mutate func(*config.Config)) Future[float64] {
-	cfg := bandwidthCfg(kind, mutate)
-	key := pointKey{cfg: cfg, n: 2, what: fmt.Sprintf("bandwidth/%d", size)}
-	return submitPoint(o, key, func() float64 { return measureBandwidthCfg(cfg, size) })
-}
 
 // FigureBandwidth produces FB1, an artifact beyond the paper's
 // figures: achieved application-to-application bandwidth versus
@@ -59,7 +26,7 @@ func FigureBandwidth(o Options) Figure {
 	for i, kind := range sweepKinds {
 		futs[i] = make([]Future[float64], len(sizes))
 		for j, size := range sizes {
-			futs[i][j] = o.bandwidthPoint(kind, size, nil)
+			futs[i][j] = o.probePoint(kind, Probe{Metric: MetricBandwidth, Size: size})
 		}
 	}
 	for i, kind := range sweepKinds {
@@ -73,7 +40,17 @@ func FigureBandwidth(o Options) Figure {
 	return f
 }
 
-func measureBandwidthCfg(cfg config.Config, size int) float64 {
+// measureBandwidth streams messages of the given size from node 0 to
+// node 1 (same buffer every time, so the CNI's Message Cache is hot)
+// and returns the achieved application-to-application bandwidth in
+// megabytes per second of simulated time.
+//
+// The paper's premise (Section 1) is that contemporary interfaces
+// already delivered high bandwidth and latency was the open problem:
+// at page-sized messages both interfaces approach the 622 Mb/s link
+// rate, while at small messages the standard interface's per-message
+// kernel and interrupt costs cap its throughput well below the CNI's.
+func measureBandwidth(cfg config.Config, size int) float64 {
 	const messages = 64
 	f := mustFabric(&cfg, 2)
 	var start, end sim.Time

@@ -21,35 +21,10 @@ import (
 // deterministic), so a short run suffices.
 const collIters = 16
 
-// MeasureCollective returns the mean per-episode latency in
-// nanoseconds of the given collective on n nodes. op is "barrier",
-// "allreduce", or "allreduce-ring".
-func MeasureCollective(kind config.NICKind, n int, op string) int64 {
-	return measureCollectiveCfg(kind, n, op, nil)
-}
-
-// measureCollectiveCfg is MeasureCollective with a config mutator
-// (experiment FR1 injects fabric faults through it).
-func measureCollectiveCfg(kind config.NICKind, n int, op string, mutate func(*config.Config)) int64 {
-	cfg := config.ForNIC(kind)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return measureCollectiveWithCfg(cfg, n, op)
-}
-
-// collectivePoint submits one collective measurement as a harness
-// point.
-func (o Options) collectivePoint(kind config.NICKind, n int, op string, mutate func(*config.Config)) Future[int64] {
-	cfg := config.ForNIC(kind)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	key := pointKey{cfg: cfg, n: n, what: "collective/" + op}
-	return submitPoint(o, key, func() int64 { return measureCollectiveWithCfg(cfg, n, op) })
-}
-
-func measureCollectiveWithCfg(cfg config.Config, n int, op string) int64 {
+// measureCollective returns the mean per-episode latency in
+// nanoseconds of collective op on n nodes: "barrier", "allreduce", or
+// "allreduce-ring".
+func measureCollective(cfg config.Config, n int, op string) int64 {
 	f := mustFabric(&cfg, n)
 	var stats collective.Stats
 	var ringCycles int64
@@ -114,18 +89,18 @@ func FigureCollective(o Options) Figure {
 		{"Standard-allreduce-ring", config.NICStandard, "allreduce-ring"},
 	}
 	nodes := collNodes(o.Quick)
-	points := make([][]Future[int64], len(series))
+	points := make([][]Future[float64], len(series))
 	for i, sp := range series {
-		points[i] = make([]Future[int64], len(nodes))
+		points[i] = make([]Future[float64], len(nodes))
 		for j, n := range nodes {
-			points[i][j] = o.collectivePoint(sp.kind, n, sp.op, nil)
+			points[i][j] = o.probePoint(sp.kind, Probe{Metric: MetricCollective, Nodes: n, Op: sp.op})
 		}
 	}
 	for i, sp := range series {
 		s := Series{Label: sp.label}
 		for j, n := range nodes {
 			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, float64(points[i][j].Wait())/1000)
+			s.Y = append(s.Y, points[i][j].Wait()/1000)
 		}
 		f.Series = append(f.Series, s)
 	}

@@ -11,6 +11,16 @@ import (
 
 var quick = Options{Quick: true, Procs: []int{1, 2, 4}}
 
+// latency and bandwidth run one point-to-point probe inline, as the
+// F14 and FB1 points do.
+func latency(kind config.NICKind, size int) float64 {
+	return Options{}.probePoint(kind, Probe{Metric: MetricLatency, Size: size}).Wait()
+}
+
+func bandwidth(kind config.NICKind, size int) float64 {
+	return Options{}.probePoint(kind, Probe{Metric: MetricBandwidth, Size: size}).Wait()
+}
+
 func TestLatencyReductionMatchesHeadline(t *testing.T) {
 	// "the communication latency is lower for the CNI architecture by
 	// as much as 33%" at a 4 KB page transfer.
@@ -21,12 +31,12 @@ func TestLatencyReductionMatchesHeadline(t *testing.T) {
 }
 
 func TestLatencyMonotoneAndOrdered(t *testing.T) {
-	var prevC, prevS int64
+	var prevC, prevS float64
 	for _, size := range []int{0, 512, 1024, 2048, 4096} {
-		c := MeasureLatency(config.NICCNI, size, nil)
-		s := MeasureLatency(config.NICStandard, size, nil)
+		c := latency(config.NICCNI, size)
+		s := latency(config.NICStandard, size)
 		if c >= s {
-			t.Fatalf("size %d: CNI %d ns >= standard %d ns", size, c, s)
+			t.Fatalf("size %d: CNI %.0f ns >= standard %.0f ns", size, c, s)
 		}
 		if c < prevC || s < prevS {
 			t.Fatalf("latency not monotone in size at %d", size)
@@ -39,13 +49,13 @@ func TestLatencyScaleIsPlausible(t *testing.T) {
 	// 4 KB on the standard interface: the paper's figure tops out
 	// around 200 (us); the model should be within a loose band of
 	// 100-400 us, and far above the 0-byte latency.
-	s := MeasureLatency(config.NICStandard, 4096, nil)
+	s := latency(config.NICStandard, 4096)
 	if s < 100_000 || s > 400_000 {
-		t.Fatalf("standard 4KB latency = %d ns, want 100-400 us", s)
+		t.Fatalf("standard 4KB latency = %.0f ns, want 100-400 us", s)
 	}
-	s0 := MeasureLatency(config.NICStandard, 0, nil)
+	s0 := latency(config.NICStandard, 0)
 	if s0 >= s/2 {
-		t.Fatalf("0-byte latency %d ns implausibly close to 4KB latency %d ns", s0, s)
+		t.Fatalf("0-byte latency %.0f ns implausibly close to 4KB latency %.0f ns", s0, s)
 	}
 }
 
@@ -258,7 +268,7 @@ func TestBandwidthApproachesLinkRate(t *testing.T) {
 	// At page-sized messages both interfaces should approach (and never
 	// exceed) the 622 Mb/s link: ~77 MB/s.
 	for _, kind := range []config.NICKind{config.NICCNI, config.NICStandard} {
-		bw := MeasureBandwidth(kind, 4096, nil)
+		bw := bandwidth(kind, 4096)
 		if bw > 78 {
 			t.Fatalf("%v: bandwidth %.1f MB/s exceeds the link rate", kind, bw)
 		}
@@ -271,8 +281,8 @@ func TestBandwidthApproachesLinkRate(t *testing.T) {
 func TestSmallMessageBandwidthGap(t *testing.T) {
 	// At small messages the standard interface's per-message costs cap
 	// throughput; the CNI must be clearly faster.
-	cni := MeasureBandwidth(config.NICCNI, 256, nil)
-	std := MeasureBandwidth(config.NICStandard, 256, nil)
+	cni := bandwidth(config.NICCNI, 256)
+	std := bandwidth(config.NICStandard, 256)
 	if cni <= std {
 		t.Fatalf("small-message bandwidth: cni %.2f <= std %.2f MB/s", cni, std)
 	}
@@ -331,11 +341,11 @@ func TestOsirisLatencyBetween(t *testing.T) {
 	// interrupt and a DMA per message, so its latency lands strictly
 	// between the CNI and the standard interface.
 	for _, size := range []int{1024, 4096} {
-		c := MeasureLatency(config.NICCNI, size, nil)
-		o := MeasureLatency(config.NICOsiris, size, nil)
-		s := MeasureLatency(config.NICStandard, size, nil)
+		c := latency(config.NICCNI, size)
+		o := latency(config.NICOsiris, size)
+		s := latency(config.NICStandard, size)
 		if !(c < o && o < s) {
-			t.Fatalf("size %d: want cni < osiris < standard, got %d / %d / %d ns", size, c, o, s)
+			t.Fatalf("size %d: want cni < osiris < standard, got %.0f / %.0f / %.0f ns", size, c, o, s)
 		}
 	}
 }

@@ -142,29 +142,35 @@ func FigureFaults(o Options) Figure {
 	// Plan every point of every interface up front so the whole figure
 	// fans across the worker pool at once.
 	type ratePoints struct {
-		lat    Future[int64]
+		lat    Future[float64]
 		jac    Future[fr1Run]
-		red    Future[int64]
+		red    Future[float64]
 		stress Future[nic.RelStats]
 	}
 	type kindPoints struct {
-		rtt0  Future[int64]
+		rtt0  Future[float64]
 		jac0  Future[fr1Run]
-		red0  Future[int64]
+		red0  Future[float64]
 		rates []ratePoints
+	}
+	latProbe := func(tweak func(*config.Config)) Probe {
+		return Probe{Metric: MetricLatency, Size: 4096, Tweak: tweak}
+	}
+	redProbe := func(tweak func(*config.Config)) Probe {
+		return Probe{Metric: MetricCollective, Nodes: 4, Op: "allreduce", Tweak: tweak}
 	}
 	points := make([]kindPoints, len(sweepKinds))
 	for i, kind := range sweepKinds {
 		points[i] = kindPoints{
-			rtt0: o.latencyPoint(kind, 4096, nil),
+			rtt0: o.probePoint(kind, latProbe(nil)),
 			jac0: o.fr1JacobiPoint(kind, 0),
-			red0: o.collectivePoint(kind, 4, "allreduce", nil),
+			red0: o.probePoint(kind, redProbe(nil)),
 		}
 		for _, rate := range FaultRates {
 			points[i].rates = append(points[i].rates, ratePoints{
-				lat:    o.latencyPoint(kind, 4096, faultCfg(rate)),
+				lat:    o.probePoint(kind, latProbe(faultCfg(rate))),
 				jac:    o.fr1JacobiPoint(kind, rate),
-				red:    o.collectivePoint(kind, 4, "allreduce", faultCfg(rate)),
+				red:    o.probePoint(kind, redProbe(faultCfg(rate))),
 				stress: o.fr1StressPoint(kind, rate),
 			})
 		}
@@ -190,11 +196,11 @@ func FigureFaults(o Options) Figure {
 			}
 
 			rtt.X = append(rtt.X, rate)
-			rtt.Y = append(rtt.Y, float64(lat)/float64(rtt0))
+			rtt.Y = append(rtt.Y, lat/rtt0)
 			jac.X = append(jac.X, rate)
 			jac.Y = append(jac.Y, float64(jr.Time)/float64(jac0))
 			red.X = append(red.X, rate)
-			red.Y = append(red.Y, float64(rl)/float64(red0))
+			red.Y = append(red.Y, rl/red0)
 			rtx.X = append(rtx.X, rate)
 			rtx.Y = append(rtx.Y, float64(srel.Retransmits))
 		}

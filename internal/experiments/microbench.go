@@ -3,8 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"cni/internal/cluster"
 	"cni/internal/config"
-	"cni/internal/memsys"
+	"cni/internal/dsm"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -18,48 +19,20 @@ import (
 
 const microOp = 0x4242
 
-// latencyCfg builds the fully-mutated Config of one latency point; it
-// doubles as the point's memoization identity.
-func latencyCfg(kind config.NICKind, mutate func(*config.Config)) config.Config {
-	cfg := config.ForNIC(kind)
-	// The paper's best-case measurement has the receiving application
-	// in its poll loop; widen the hybrid's poll window so the warmed
-	// rounds stay in polling mode while the fabric drains between
-	// rounds. (The standard interface always interrupts regardless.)
-	cfg.PollSwitchRate = 1200
-	if mutate != nil {
-		mutate(&cfg)
+// measureLatency is the measurement proper: the warmed node-to-node
+// latency in nanoseconds of one size-byte message on a two-node
+// cluster. Node 0 sends the same buffer several times first, so the
+// CNI's Message Cache is bound (the "assuming a 100% network cache hit
+// ratio" condition of Section 3.3) and the arrivals are frequent
+// enough that the hybrid receive path is in polling mode; the last
+// round is timed. Node 1's processor has nothing to run: the receiving
+// application is the handler plus its receive-queue pop.
+func measureLatency(cfg config.Config, size int) int64 {
+	c, err := cluster.New(&cfg, 2, nil)
+	if err != nil {
+		panic(err)
 	}
-	return cfg
-}
-
-// MeasureLatency returns the warmed node-to-node latency in
-// nanoseconds for one message of the given size. The buffer is sent
-// several times first so the CNI's Message Cache is bound (the
-// "assuming a 100% network cache hit ratio" condition of Section 3.3)
-// and the arrivals are frequent enough that the hybrid receive path is
-// in polling mode.
-func MeasureLatency(kind config.NICKind, size int, mutate func(*config.Config)) int64 {
-	cfg := latencyCfg(kind, mutate)
-	return measureLatencyCfg(cfg, size)
-}
-
-// latencyPoint submits one latency measurement as a harness point.
-func (o Options) latencyPoint(kind config.NICKind, size int, mutate func(*config.Config)) Future[int64] {
-	cfg := latencyCfg(kind, mutate)
-	key := pointKey{cfg: cfg, n: 2, what: fmt.Sprintf("latency/%d", size)}
-	return submitPoint(o, key, func() int64 { return measureLatencyCfg(cfg, size) })
-}
-
-// measureLatencyCfg is the measurement proper: one two-node fabric,
-// warmed rounds, last round timed.
-func measureLatencyCfg(cfg config.Config, size int) int64 {
-	k := sim.NewKernel()
-	net := mustNet(k, &cfg, 2)
-	memA := memsys.New(&cfg)
-	memB := memsys.New(&cfg)
-	src := nic.NewBoard(k, &cfg, 0, net, memA)
-	dst := nic.NewBoard(k, &cfg, 1, net, memB)
+	src, dst := c.Nodes[0].Board, c.Nodes[1].Board
 	src.MapPages(0x10000, 1<<16)
 	dst.MapPages(0x40000, 1<<16)
 
@@ -76,7 +49,11 @@ func measureLatencyCfg(cfg config.Config, size int) int64 {
 	// Rounds are spaced far enough apart that links, ports and DMA
 	// engines are idle again; the measured round sees no queueing.
 	gap := cfg.NSToCycles(500_000)
-	k.Spawn("sender", func(p *sim.Proc) {
+	c.Run(func(w *dsm.Worker) {
+		if w.Node() != 0 {
+			return
+		}
+		p := w.Proc()
 		for i := 0; i < rounds; i++ {
 			p.Sync()
 			sent = append(sent, p.Local())
@@ -94,7 +71,6 @@ func measureLatencyCfg(cfg config.Config, size int) int64 {
 			p.Advance(gap)
 		}
 	})
-	k.Run()
 	if len(got) != rounds {
 		panic(fmt.Sprintf("experiments: %d of %d pings arrived", len(got), rounds))
 	}
@@ -115,18 +91,18 @@ func FigureLatency(o Options) Figure {
 	for size := 0; size <= 4096; size += step {
 		sizes = append(sizes, size)
 	}
-	futs := make([][]Future[int64], len(sweepKinds))
+	futs := make([][]Future[float64], len(sweepKinds))
 	for i, kind := range sweepKinds {
-		futs[i] = make([]Future[int64], len(sizes))
+		futs[i] = make([]Future[float64], len(sizes))
 		for j, size := range sizes {
-			futs[i][j] = o.latencyPoint(kind, size, nil)
+			futs[i][j] = o.probePoint(kind, Probe{Metric: MetricLatency, Size: size})
 		}
 	}
 	for i, kind := range sweepKinds {
 		s := Series{Label: kind.Display()}
 		for j, size := range sizes {
 			s.X = append(s.X, float64(size))
-			s.Y = append(s.Y, float64(futs[i][j].Wait())/1000)
+			s.Y = append(s.Y, futs[i][j].Wait()/1000)
 		}
 		f.Series = append(f.Series, s)
 	}
@@ -137,7 +113,8 @@ func FigureLatency(o Options) Figure {
 // the standard interface at the given message size (the paper's
 // headline is ~33% at a 4 KB page).
 func LatencyReduction(size int) float64 {
-	c := MeasureLatency(config.NICCNI, size, nil)
-	s := MeasureLatency(config.NICStandard, size, nil)
-	return 100 * float64(s-c) / float64(s)
+	p := Probe{Metric: MetricLatency, Size: size}
+	c := Options{}.probePoint(config.NICCNI, p).Wait()
+	s := Options{}.probePoint(config.NICStandard, p).Wait()
+	return 100 * (s - c) / s
 }

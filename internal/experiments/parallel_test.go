@@ -175,45 +175,32 @@ func TestRunSpecPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestMeasureUnifiedEntryPoint checks the consolidated Measure against
-// the legacy entry points it wraps, and its argument validation.
+// TestMeasureUnifiedEntryPoint checks Measure against the harness
+// point the figures submit for the same probe — run here at two kernel
+// shards, so the defaults, the probe's Config and the shard count all
+// have to agree — and checks its argument validation.
 func TestMeasureUnifiedEntryPoint(t *testing.T) {
-	lat, err := Measure(config.NICCNI, Probe{Metric: MetricLatency, Size: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MeasureLatency(config.NICCNI, 1024, nil); int64(lat) != want {
-		t.Fatalf("Measure latency %v != MeasureLatency %v", lat, want)
-	}
 	tweak := func(c *config.Config) { c.TransmitCaching = false }
-	latT, err := Measure(config.NICCNI, Probe{Metric: MetricLatency, Size: 1024, Tweak: tweak})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MeasureLatency(config.NICCNI, 1024, tweak); int64(latT) != want {
-		t.Fatalf("Measure tweaked latency %v != MeasureLatencyWith %v", latT, want)
-	}
-	bw, err := Measure(config.NICStandard, Probe{Metric: MetricBandwidth, Size: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MeasureBandwidth(config.NICStandard, 256, nil); bw != want {
-		t.Fatalf("Measure bandwidth %v != MeasureBandwidth %v", bw, want)
-	}
-	coll, err := Measure(config.NICCNI, Probe{Metric: MetricCollective, Nodes: 4, Op: "allreduce"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MeasureCollective(config.NICCNI, 4, "allreduce"); int64(coll) != want {
-		t.Fatalf("Measure collective %v != MeasureCollective %v", coll, want)
-	}
-	// Defaults: collective with zero Nodes/Op is a 2-node barrier.
-	def, err := Measure(config.NICCNI, Probe{Metric: MetricCollective})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := MeasureCollective(config.NICCNI, 2, "barrier"); int64(def) != want {
-		t.Fatalf("Measure default collective %v != 2-node barrier %v", def, want)
+	o := Options{Shards: 2}
+	for _, tc := range []struct {
+		kind  config.NICKind
+		probe Probe // what Measure is given
+		point Probe // the figure point's spelling of the same probe
+	}{
+		{config.NICCNI, Probe{Metric: MetricLatency, Size: 1024}, Probe{Metric: MetricLatency, Size: 1024}},
+		{config.NICCNI, Probe{Metric: MetricLatency, Size: 1024, Tweak: tweak}, Probe{Metric: MetricLatency, Size: 1024, Nodes: 2, Tweak: tweak}},
+		{config.NICStandard, Probe{Metric: MetricBandwidth, Size: 256}, Probe{Metric: MetricBandwidth, Size: 256}},
+		{config.NICCNI, Probe{Metric: MetricCollective, Nodes: 4, Op: "allreduce"}, Probe{Metric: MetricCollective, Nodes: 4, Op: "allreduce"}},
+		// Defaults: a collective with zero Nodes/Op is a 2-node barrier.
+		{config.NICCNI, Probe{Metric: MetricCollective}, Probe{Metric: MetricCollective, Nodes: 2, Op: "barrier"}},
+	} {
+		got, err := Measure(tc.kind, tc.probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.probePoint(tc.kind, tc.point).Wait(); got != want {
+			t.Fatalf("%v %+v: Measure %v != harness point %v", tc.kind, tc.probe, got, want)
+		}
 	}
 	for _, bad := range []Probe{
 		{Metric: MetricLatency, Size: -1},

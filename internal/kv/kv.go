@@ -276,17 +276,13 @@ func (n *Node) StartServer(sc ServerConfig) {
 		}
 	}
 
-	// The response cache and its slots, where the board can run it.
+	// The response cache and its slots, where the board can run it. Its
+	// pin budget is half the Message Cache frames, leaving at least two
+	// to messaging.
 	nslots := 0
 	if n.b.HandlersOnBoard() && n.e.cfg.NICResponseCache && n.b.MC != nil &&
 		n.sc.ValueBytes <= int(n.pageBytes()) {
-		frames := n.e.cfg.ResponseCacheFrames
-		if frames <= 0 {
-			frames = n.b.MC.Frames() / 2
-		}
-		if limit := n.b.MC.Frames() - 2; frames > limit {
-			frames = limit
-		}
+		frames := min(n.b.MC.Frames()/2, n.b.MC.Frames()-2)
 		if frames > 0 {
 			nslots = 4 * frames
 			if nslots < 64 {

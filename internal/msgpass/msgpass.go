@@ -14,18 +14,19 @@
 //     dissemination barrier and an all-reduce, both implemented purely
 //     with messages.
 //
-// Everything runs over the same boards, fabric and cost model as the
-// DSM; a Fabric is the message-passing analogue of cluster.Cluster.
+// Everything runs on the machine the DSM runs on: a Fabric is a
+// cluster.Cluster — the same boards, fabric, collective engine, kernel
+// shards, run loop and deadlock check — with an Endpoint on every node.
 package msgpass
 
 import (
 	"fmt"
 	"math"
 
-	"cni/internal/atm"
+	"cni/internal/cluster"
 	"cni/internal/collective"
 	"cni/internal/config"
-	"cni/internal/memsys"
+	"cni/internal/dsm"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -84,13 +85,11 @@ type AMHandler func(c AMContext, args []uint64)
 
 // Fabric is a message-passing cluster.
 type Fabric struct {
-	K      *sim.Kernel
-	Cfg    *config.Config
-	Net    *atm.Network
-	Boards []*nic.Board
-	Mems   []*memsys.Hierarchy
-	Coll   *collective.Engine
-	eps    []*Endpoint
+	// Cluster is the machine the endpoints run on; its Net carries the
+	// fabric counters, folded at the end of Run.
+	Cluster *cluster.Cluster
+	Boards  []*nic.Board
+	eps     []*Endpoint
 }
 
 // Endpoint is one node's message-passing interface.
@@ -126,27 +125,20 @@ func f64from(b uint64) float64 { return math.Float64frombits(b) }
 // node count are user input, so an invalid combination is an error,
 // not a panic.
 func NewFabric(cfg *config.Config, n int) (*Fabric, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("msgpass: %w", err)
-	}
-	f := &Fabric{K: sim.NewKernel(), Cfg: cfg}
-	net, err := atm.New(f.K, cfg, n)
+	c, err := cluster.New(cfg, n, nil)
 	if err != nil {
 		return nil, fmt.Errorf("msgpass: %w", err)
 	}
-	f.Net = net
-	f.Coll = collective.NewEngine(cfg)
-	for i := 0; i < n; i++ {
-		mem := memsys.New(cfg)
-		b := nic.NewBoard(f.K, cfg, i, f.Net, mem)
+	f := &Fabric{Cluster: c}
+	for i, node := range c.Nodes {
+		b := node.Board
 		b.MapPages(HeapBase, HeapBytes)
-		f.Mems = append(f.Mems, mem)
 		f.Boards = append(f.Boards, b)
 		ep := &Endpoint{
 			f: f, node: i,
 			inbox:    make(map[int][]*Packet),
 			handlers: make(map[int]AMHandler),
-			coll:     f.Coll.Attach(b),
+			coll:     c.Coll.Node(i),
 		}
 		f.eps = append(f.eps, ep)
 		ep.install(b)
@@ -175,29 +167,16 @@ func (ep *Endpoint) install(b *nic.Board) {
 	})
 }
 
-// Run spawns one process per node executing body and runs the
-// simulation to completion. It returns the wall time.
+// Run executes body on every node's processor with Cluster.Run, which
+// panics with a per-node dump if a node never finishes (a deadlocked
+// receive). It returns the wall time. It may be called once per
+// Fabric.
 func (f *Fabric) Run(body func(ep *Endpoint)) sim.Time {
-	var end sim.Time
-	for i := range f.eps {
-		ep := f.eps[i]
-		ep.proc = f.K.Spawn(fmt.Sprintf("mp%d", i), func(p *sim.Proc) {
-			body(ep)
-			p.Sync()
-			if p.Local() > end {
-				end = p.Local()
-			}
-		})
-		f.Boards[i].SetHostProc(ep.proc)
-	}
-	f.K.Run()
-	for i, ep := range f.eps {
-		if !ep.proc.Finished() {
-			f.K.Drain()
-			panic(fmt.Sprintf("msgpass: node %d never finished (deadlocked receive?)", i))
-		}
-	}
-	return end
+	return f.Cluster.Run(func(w *dsm.Worker) {
+		ep := f.eps[w.Node()]
+		ep.proc = w.Proc()
+		body(ep)
+	}).Time
 }
 
 // Node reports this endpoint's rank; Nodes the cluster size.
@@ -228,7 +207,7 @@ func (ep *Endpoint) Send(to, tag, bytes int, inline ...uint64) {
 	}
 	if bytes > 0 {
 		// Buffer transfers stream from the heap slot for this tag.
-		m.VAddr = HeapBase + uint64(tag%64)*uint64(ep.f.Cfg.PageBytes)
+		m.VAddr = HeapBase + uint64(tag%64)*uint64(ep.f.Cluster.Cfg.PageBytes)
 		m.CacheTx = true
 		m.DeliverVAddr = m.VAddr
 		m.DeliverBytes = bytes
@@ -305,8 +284,8 @@ func (ep *Endpoint) Barrier() {
 
 // AllReduceF64 combines one float64 from every node with op and
 // returns the result on all of them, in O(log n) rounds on the
-// collective engine (dissemination exchange for power-of-two clusters
-// under the default topology, binomial reduce+broadcast otherwise).
+// collective engine (dissemination exchange for power-of-two clusters,
+// binomial reduce+broadcast otherwise).
 func (ep *Endpoint) AllReduceF64(v float64, op ReduceOp) float64 {
 	return ep.coll.AllReduce(ep.proc, v, op)
 }

@@ -2,9 +2,12 @@ package msgpass
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"cni/internal/atm"
 	"cni/internal/config"
+	"cni/internal/nic"
 	"cni/internal/sim"
 )
 
@@ -259,6 +262,94 @@ func TestArrivalsConsumeFreeQueue(t *testing.T) {
 	})
 	if got := f.Boards[1].Stats.FreeConsumed; got != 5 {
 		t.Fatalf("FreeConsumed = %d, want 5", got)
+	}
+}
+
+// mixedRun is what TestShardParity compares across shard counts.
+type mixedRun struct {
+	end      sim.Time
+	executed uint64
+	boards   []nic.Stats
+	net      atm.Stats
+}
+
+// runMixed runs one program over every endpoint primitive — matched
+// Send/Recv, an active message and its board-side reply, Barrier,
+// AllReduceF64 and the host-message AllReduceF64Ring — on eight nodes
+// at the given shard count, and checks its answers. Every handler
+// writes only its own node's slot, so the program is race-free at any
+// shard count.
+func runMixed(t *testing.T, kind config.NICKind, shards int) mixedRun {
+	const n = 8
+	cfg := config.ForNIC(kind)
+	cfg.SimShards = shards
+	f := mustFabric(&cfg, n)
+	if got := f.Cluster.Shards(); got != max(shards, 1) {
+		t.Fatalf("%v shards=%d: fabric runs on %d shards", kind, shards, got)
+	}
+	from := make([]uint64, n)
+	echo := make([]uint64, n)
+	sum := make([]float64, n)
+	ring := make([]float64, n)
+	end := f.Run(func(ep *Endpoint) {
+		me := ep.Node()
+		ep.RegisterAM(1, func(c AMContext, args []uint64) { c.Reply(2, args[0]+100) })
+		ep.RegisterAM(2, func(c AMContext, args []uint64) { echo[me] = args[0] })
+		ep.Barrier() // every handler is registered before the first AM
+		ep.Compute(sim.Time(300 * (me + 1)))
+		ep.Send((me+1)%n, 7, 512, uint64(me))
+		ep.SendAM((me+3)%n, 1, uint64(me))
+		from[me] = ep.Recv(7).Data[0]
+		sum[me] = ep.AllReduceF64(float64(me), OpSum)
+		ring[me] = ep.AllReduceF64Ring(1000, float64(me), func(a, b float64) float64 { return a + b })
+		ep.Barrier()
+	})
+	for i := 0; i < n; i++ {
+		if from[i] != uint64((i+n-1)%n) || echo[i] != uint64(i+100) || sum[i] != 28 || ring[i] != 28 {
+			t.Fatalf("%v shards=%d node %d: recv from %d, echo %d, sum %v, ring %v",
+				kind, shards, i, from[i], echo[i], sum[i], ring[i])
+		}
+	}
+	r := mixedRun{end: end, executed: f.Cluster.Executed(), net: f.Cluster.Net.Stats}
+	for _, b := range f.Boards {
+		r.boards = append(r.boards, b.Stats)
+	}
+	return r
+}
+
+// TestShardParity runs the mixed program at shards 0, 2, 4 and 8 and
+// requires the same end time, events executed, per-board statistics
+// and fabric statistics as the one-shard run.
+func TestShardParity(t *testing.T) {
+	for _, kind := range []config.NICKind{config.NICCNI, config.NICStandard} {
+		base := runMixed(t, kind, 0)
+		for _, shards := range []int{2, 4, 8} {
+			if got := runMixed(t, kind, shards); !reflect.DeepEqual(got, base) {
+				t.Fatalf("%v shards=%d differs from one shard:\n got %+v\nwant %+v", kind, shards, got, base)
+			}
+		}
+	}
+}
+
+// TestFabricCountersFolded checks that Run folds the fabric counters:
+// after a run of plain sends, the fabric has counted every one.
+func TestFabricCountersFolded(t *testing.T) {
+	cfg := config.Default()
+	f := mustFabric(&cfg, 2)
+	f.Run(func(ep *Endpoint) {
+		if ep.Node() == 0 {
+			ep.Send(1, 1, 1024)
+			ep.Send(1, 1, 0, 42)
+			ep.Recv(2)
+		} else {
+			ep.Recv(1)
+			ep.Recv(1)
+			ep.Send(0, 2, 0)
+		}
+	})
+	sent := f.eps[0].Sent + f.eps[1].Sent
+	if got := f.Cluster.Net.Stats.Messages; sent != 3 || got != sent {
+		t.Fatalf("fabric counted %d messages, endpoints sent %d (want 3)", got, sent)
 	}
 }
 
