@@ -1,8 +1,6 @@
 package dsm
 
 import (
-	"sort"
-
 	"cni/internal/collective"
 	"cni/internal/sim"
 )
@@ -17,56 +15,50 @@ import (
 // Yu et al., PAPERS.md, applied to LRC metadata).
 
 // barPayload is the engine payload of one barrier: the intervals this
-// side knows beyond the last barrier, plus its vector clock.
+// side knows beyond the last barrier, as a bundle, plus its vector
+// clock.
 type barPayload struct {
-	notices []*Interval
+	notices [][]*Interval
 	vc      []int32
 }
 
 // mergeBarPayloads combines two barrier payloads. Every node's bundle
-// for a writer w is a contiguous run starting at lastBarVC[w]+1 —
-// lastBarVC is copied from the same release vector on every node — and
-// runs for the same writer are prefixes of one interval sequence, so
-// the union is simply the run reaching furthest. That also makes the
-// merge idempotent, which the dissemination schedule requires on
-// non-power-of-two clusters (a contribution can arrive via two paths).
-// The result lists writers in ascending order: the merge is
-// order-insensitive, so every node ends the episode with an identical
-// payload.
+// holds, for a writer w, one contiguous run starting at lastBarVC[w]+1
+// — lastBarVC is copied from the same release vector on every node —
+// and runs for the same writer are prefixes of one interval sequence,
+// so the union is simply the run reaching furthest. Both bundles list
+// writers in ascending order, so the merge is one linear pass over the
+// two run lists. It is idempotent, which the dissemination schedule
+// requires on non-power-of-two clusters (a contribution can arrive via
+// two paths), and order-insensitive, so every node ends the episode
+// with an identical payload. The runs are capped subslices of their
+// senders' logs (newIntervalBundleSince), passed on without copying an
+// interval, so a sender's log must stay append-only while a barrier is
+// in flight: a log reclamation must reslice or reallocate, never
+// compact in place.
 func mergeBarPayloads(a, b any) any {
 	pa, pb := a.(*barPayload), b.(*barPayload)
 	out := &barPayload{vc: make([]int32, len(pa.vc))}
 	for i := range out.vc {
-		out.vc[i] = pa.vc[i]
-		if pb.vc[i] > out.vc[i] {
-			out.vc[i] = pb.vc[i]
+		out.vc[i] = max(pa.vc[i], pb.vc[i])
+	}
+	ra, rb := pa.notices, pb.notices
+	out.notices = make([][]*Interval, 0, len(ra)+len(rb))
+	for len(ra) > 0 && len(rb) > 0 {
+		x, y := ra[0], rb[0]
+		switch wx, wy := x[0].Node, y[0].Node; {
+		case wx < wy:
+			out.notices, ra = append(out.notices, x), ra[1:]
+		case wy < wx:
+			out.notices, rb = append(out.notices, y), rb[1:]
+		default:
+			if y[len(y)-1].Idx > x[len(x)-1].Idx {
+				x = y
+			}
+			out.notices, ra, rb = append(out.notices, x), ra[1:], rb[1:]
 		}
 	}
-	runs := make(map[int][]*Interval)
-	bucket := func(ivs []*Interval) {
-		for start := 0; start < len(ivs); {
-			end := start + 1
-			for end < len(ivs) && ivs[end].Node == ivs[start].Node {
-				end++
-			}
-			run := ivs[start:end]
-			w := ivs[start].Node
-			if cur := runs[w]; cur == nil || run[len(run)-1].Idx > cur[len(cur)-1].Idx {
-				runs[w] = run
-			}
-			start = end
-		}
-	}
-	bucket(pa.notices)
-	bucket(pb.notices)
-	writers := make([]int, 0, len(runs))
-	for w := range runs {
-		writers = append(writers, w)
-	}
-	sort.Ints(writers)
-	for _, w := range writers {
-		out.notices = append(out.notices, runs[w]...)
-	}
+	out.notices = append(append(out.notices, ra...), rb...)
 	return out
 }
 

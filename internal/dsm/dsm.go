@@ -40,8 +40,10 @@
 package dsm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"cni/internal/collective"
 	"cni/internal/config"
@@ -86,13 +88,29 @@ type Interval struct {
 // bytes is the modeled wire size of an interval record.
 func (iv *Interval) bytes() int { return 12 + 4*len(iv.Pages) }
 
-func noticeBytes(ivs []*Interval) int {
+// noticeBytes is the modeled wire size of a notice bundle.
+func noticeBytes(bundle [][]*Interval) int {
 	n := 0
-	for _, iv := range ivs {
-		n += iv.bytes()
+	for _, run := range bundle {
+		for _, iv := range run {
+			n += iv.bytes()
+		}
 	}
 	return n
 }
+
+// intervalCount reports the number of intervals in a bundle.
+func intervalCount(bundle [][]*Interval) int {
+	n := 0
+	for _, run := range bundle {
+		n += len(run)
+	}
+	return n
+}
+
+// notice is one pending write notice of a page: writer's interval idx
+// must be applied before the node's copy is current.
+type notice struct{ writer, idx int32 }
 
 // --- wire payloads (carried by reference through the simulated fabric) ---
 
@@ -123,8 +141,9 @@ type pageReqMsg struct {
 	// for pages that will actually be retransmitted.
 	write bool
 	// need lists the (writer, interval) pairs the home must have
-	// applied before replying, sorted by writer for determinism.
-	need []Interval // Pages unused here
+	// applied before replying: a copy of the requester's notice list,
+	// sorted by writer.
+	need []notice
 	// hops counts probable-owner chain forwards (distributed ownership
 	// only); the requester folds it into its chain histogram.
 	hops int
@@ -143,7 +162,8 @@ type pageReplyMsg struct {
 	own bool
 	// applied snapshots the home's per-writer applied vector at reply
 	// time, seeding the member's own tracking under the update
-	// protocol (and the new owner's under distributed ownership).
+	// protocol (and the new owner's under distributed ownership). It
+	// is nil on every other reply, which never reads it.
 	applied []int32
 	// req is the request this reply answers; the requester clears only
 	// the requirements the reply was gated on, because write notices
@@ -159,25 +179,25 @@ type lockAcqMsg struct {
 
 type lockGrantMsg struct {
 	lock      int
-	notices   []*Interval
+	notices   [][]*Interval
 	managerVC []int32
 }
 
 type lockRelMsg struct {
 	lock    int
 	from    int
-	notices []*Interval // releaser intervals the manager hasn't seen
+	notices [][]*Interval // releaser intervals the manager hasn't seen
 }
 
 type barEnterMsg struct {
 	barrier int
 	from    int
 	vc      []int32
-	notices []*Interval
+	notices [][]*Interval
 }
 
 type barReleaseMsg struct {
-	notices   []*Interval
+	notices   [][]*Interval
 	managerVC []int32
 }
 
@@ -293,12 +313,13 @@ const (
 // page is one node's record for one shared page; Runtime.pages holds
 // one per page, indexed by page id. It is the per-page state machine of
 // the Li/Hudak manager in IVY: access state, ownership, the
-// probable-owner pointer and the node's copy of the page's words here,
-// the rest in a pageBook made on first use (Runtime.book), so the table
-// stays small over pages a node never touches. Central ownership is the
-// case in which ownership never migrates: every page stays owned by its
-// static home, where every node's probable-owner pointer starts and
-// stays.
+// probable-owner pointer, the pending write notices and the node's copy
+// of the page's words here, the rest in a pageBook (Runtime.book) made
+// only for pages the node owns, holds, writes or parks traffic for, so
+// the table stays small over pages a node is merely told about. Central
+// ownership is the case in which ownership never migrates: every page
+// stays owned by its static home, where every node's probable-owner
+// pointer starts and stays.
 type page struct {
 	// words is this node's copy of the page, nil until the page
 	// materializes: at NewRuntime for the pages the node owns, at the
@@ -323,12 +344,71 @@ type page struct {
 	// probOwner is this node's best guess at the page's owner: the
 	// static home at first, itself while it owns the page.
 	probOwner int
-	book      *pageBook
+	// notices lists the write notices still to be observed: for each
+	// writer with one pending, the highest interval whose diff this
+	// node must see applied before its copy is current. It is sorted
+	// by writer, at most one entry a writer, every index at least 1.
+	notices []notice
+	book    *pageBook
 }
 
-// pageBook is the part of a page record made on first use: the
-// interval's twin and preserved writes, the write notices still to be
-// observed, and the manager bookkeeping.
+// need records that writer w's interval idx must be applied before the
+// page is current. Bundles arrive in writer order, so the writer
+// usually sorts last and the notice appends; otherwise a binary search
+// finds its place.
+func (pg *page) need(w int, idx int32) {
+	ns, wr := pg.notices, int32(w)
+	if n := len(ns); n == 0 || ns[n-1].writer < wr {
+		pg.notices = append(ns, notice{wr, idx})
+		return
+	}
+	i, found := slices.BinarySearchFunc(ns, wr, func(nt notice, w int32) int { return cmp.Compare(nt.writer, w) })
+	switch {
+	case !found:
+		pg.notices = slices.Insert(ns, i, notice{wr, idx})
+	case idx > ns[i].idx:
+		ns[i].idx = idx
+	}
+}
+
+// caughtUp reports whether every noticed interval has been applied to
+// this copy. A page without a book has applied nothing.
+func (pg *page) caughtUp() bool {
+	if len(pg.notices) == 0 {
+		return true
+	}
+	b := pg.book
+	if b == nil {
+		return false
+	}
+	for _, nt := range pg.notices {
+		if b.applied[nt.writer] < nt.idx {
+			return false
+		}
+	}
+	return true
+}
+
+// dropCovered clears the notices a fetch was gated on: each whose
+// writer's interval the reply covers. Notices that raced the fetch
+// stay. met is sorted by writer, as the notice list is.
+func (pg *page) dropCovered(met []notice) {
+	keep, j := pg.notices[:0], 0
+	for _, nt := range pg.notices {
+		for j < len(met) && met[j].writer < nt.writer {
+			j++
+		}
+		if j < len(met) && met[j].writer == nt.writer && nt.idx <= met[j].idx {
+			continue
+		}
+		keep = append(keep, nt)
+	}
+	pg.notices = keep
+}
+
+// pageBook is the part of a page record made only where the node owns,
+// holds, writes or parks traffic for the page: the interval's twin and
+// preserved writes, and the manager bookkeeping.
 type pageBook struct {
 	// twin is the page as of its first write in the interval, the base
 	// the next diff is taken against; nil when the page is not twinned.
@@ -336,9 +416,6 @@ type pageBook struct {
 	// local holds the uncommitted writes a fault preserves across the
 	// refetch; onPageReply reapplies them over the fetched base.
 	local []diffEntry
-	// needs[w] is the interval of writer w whose diff this node must
-	// see applied before its copy is current; zero means none.
-	needs []int32
 	// pendingOwn parks requests and diffs that arrive while this node
 	// has a write fetch outstanding for the page: the requester is the
 	// probable future owner, so racing traffic funnels here instead of
@@ -360,26 +437,6 @@ type pageBook struct {
 	// update protocol the home forwards every diff to them. Maintained
 	// only at the home.
 	copyset map[int]bool
-}
-
-// need records that writer w's interval idx must be applied before the
-// page is current.
-func (b *pageBook) need(w int, idx int32) {
-	if idx > b.needs[w] {
-		b.needs[w] = idx
-	}
-}
-
-// pendingNeeds counts the writers whose noticed intervals are still
-// required.
-func (b *pageBook) pendingNeeds() int {
-	n := 0
-	for _, idx := range b.needs {
-		if idx != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 type waitReq struct {
@@ -422,9 +479,13 @@ type Runtime struct {
 	view [][]uint64
 	// dirtied lists the pages written since the last release, in the
 	// order of their first write; release sorts them.
-	dirtied   []int32
-	vc        []int32
-	log       [][]*Interval // per node, contiguous by interval index
+	dirtied []int32
+	vc      []int32
+	// log[n] is every interval of node n this node knows, contiguous by
+	// index (log[n][k].Idx == k+1). Notice bundles are capped subslices
+	// of it, so it is append-only while they are in flight: a
+	// reclamation must reslice or reallocate, never compact in place.
+	log       [][]*Interval
 	locks     map[int]*lockState
 	bars      map[int]*barrierState
 	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
@@ -756,52 +817,71 @@ func (r *Runtime) copyPageFrom(page int32, from int) {
 }
 
 // newIntervalBundleSince returns this node's known intervals newer than
-// the given vector clock, per node, in a deterministic order. Because
-// log[n] is contiguous (log[n][k].Idx == k+1), the result is a suffix
-// per node — O(len(output)), which matters: bundles are computed on
-// every grant, release and barrier.
-func (r *Runtime) newIntervalBundleSince(vc []int32) []*Interval {
-	var out []*Interval
-	for n := range r.log {
-		start := 0
-		if n < len(vc) {
-			start = int(vc[n])
+// the given vector clock as a bundle: per writer, in writer order, the
+// suffix of its log the clock does not cover. Because log[n] is
+// contiguous (log[n][k].Idx == k+1), each suffix is a capped subslice
+// log[n][vc[n]:len:len] that shares the log and copies no interval;
+// the cap makes an append to a run reallocate instead of writing into
+// the log. Bundles are computed on every grant, release and barrier;
+// the runs are counted first so the bundle is allocated once.
+func (r *Runtime) newIntervalBundleSince(vc []int32) [][]*Interval {
+	runs := 0
+	for n, l := range r.log {
+		if int(vc[n]) < len(l) {
+			runs++
 		}
-		if start < len(r.log[n]) {
-			out = append(out, r.log[n][start:]...)
+	}
+	if runs == 0 {
+		return nil
+	}
+	out := make([][]*Interval, 0, runs)
+	for n, l := range r.log {
+		if start := int(vc[n]); start < len(l) {
+			out = append(out, l[start:len(l):len(l)])
 		}
 	}
 	return out
 }
 
-// absorbIntervals merges foreign intervals into the log and vector
-// clock, returning the ones that were actually new. Under central
-// ownership every bundle splices contiguously by construction (the
-// fixed managers' clocks only grow), so a gap is a protocol bug and
-// panics. Under distributed ownership a rotating barrier manager can
-// legitimately receive a bundle ahead of its own release from the
-// previous barrier; the ahead-of-gap suffix is parked and spliced when
-// the release lands. Applying those write notices late is LRC-sound:
-// the manager only needs them at its next acquire, and its own
-// release — which closes the gap — precedes its own barrier enter.
-func (r *Runtime) absorbIntervals(ivs []*Interval) []*Interval {
-	var fresh []*Interval
-	for _, iv := range ivs {
-		if iv.Idx <= r.vc[iv.Node] {
-			continue
-		}
-		if want := int32(len(r.log[iv.Node])) + 1; iv.Idx != want {
-			if !r.distributed {
-				panic(fmt.Sprintf("dsm: node %d got interval (%d,%d), want idx %d — bundle not contiguous",
-					r.node, iv.Node, iv.Idx, want))
+// absorbIntervals merges a foreign bundle into the log and vector
+// clock and returns what was actually new, as a bundle: for each writer
+// whose log it extended, the capped run log[w][before:] that it added,
+// parked splices included. Under central ownership every bundle splices
+// contiguously by construction (the fixed managers' clocks only grow),
+// so a gap is a protocol bug and panics. Under distributed ownership a
+// rotating barrier manager can legitimately receive a bundle ahead of
+// its own release from the previous barrier; the ahead-of-gap suffix is
+// parked and spliced when the release lands. Applying those write
+// notices late is LRC-sound: the manager only needs them at its next
+// acquire, and its own release — which closes the gap — precedes its
+// own barrier enter.
+func (r *Runtime) absorbIntervals(bundle [][]*Interval) [][]*Interval {
+	var fresh [][]*Interval
+	for i, run := range bundle {
+		w := run[0].Node
+		before := len(r.log[w])
+		for _, iv := range run {
+			if iv.Idx <= r.vc[w] {
+				continue
 			}
-			r.parkInterval(iv)
-			continue
+			if want := int32(len(r.log[w])) + 1; iv.Idx != want {
+				if !r.distributed {
+					panic(fmt.Sprintf("dsm: node %d got interval (%d,%d), want idx %d — bundle not contiguous",
+						r.node, w, iv.Idx, want))
+				}
+				r.parkInterval(iv)
+				continue
+			}
+			r.log[w] = append(r.log[w], iv)
+			r.vc[w] = iv.Idx
+			r.spliceParked(w)
 		}
-		r.log[iv.Node] = append(r.log[iv.Node], iv)
-		r.vc[iv.Node] = iv.Idx
-		fresh = append(fresh, iv)
-		fresh = append(fresh, r.spliceParked(iv.Node)...)
+		if l := r.log[w]; len(l) > before {
+			if fresh == nil {
+				fresh = make([][]*Interval, 0, len(bundle)-i)
+			}
+			fresh = append(fresh, l[before:len(l):len(l)])
+		}
 	}
 	return fresh
 }
@@ -826,14 +906,13 @@ func (r *Runtime) parkInterval(iv *Interval) {
 	}
 }
 
-// spliceParked appends any parked intervals for node n that are now
-// contiguous with the log, returning them in index order.
-func (r *Runtime) spliceParked(n int) []*Interval {
+// spliceParked appends to the log any parked intervals of node n that
+// are now contiguous with it, in index order.
+func (r *Runtime) spliceParked(n int) {
 	pend := r.pendingIv[n]
 	if len(pend) == 0 {
-		return nil
+		return
 	}
-	var out []*Interval
 	for {
 		next := r.vc[n] + 1
 		iv, ok := pend[next]
@@ -843,66 +922,53 @@ func (r *Runtime) spliceParked(n int) []*Interval {
 		delete(pend, next)
 		r.log[n] = append(r.log[n], iv)
 		r.vc[n] = next
-		out = append(out, iv)
 	}
 	if len(pend) == 0 {
 		delete(r.pendingIv, n)
 	}
-	return out
 }
 
-// applyWriteNotices processes the pages named by fresh intervals. A
-// node ignores notices about its own writes. Non-home pages are
-// invalidated; for its own home pages the node records that diffs are
-// in flight (pageHomeStale) so its next access waits for them — the
-// home copy stays mapped but must not be read-modify-written early.
-func (r *Runtime) applyWriteNotices(ivs []*Interval) int {
-	invalidated := 0
-	for _, iv := range ivs {
-		if iv.Node == r.node {
+// applyWriteNotices processes the pages named by a fresh bundle, in
+// writer then index order. A node ignores notices about its own writes.
+// Each notice joins the page record's list and makes no book.
+// Non-home pages are invalidated; for its own home pages the node
+// records that diffs are in flight (pageHomeStale) so its next access
+// waits for them — the home copy stays mapped but must not be
+// read-modify-written early.
+func (r *Runtime) applyWriteNotices(fresh [][]*Interval) {
+	for _, run := range fresh {
+		if run[0].Node == r.node {
 			continue
 		}
-		for _, p := range iv.Pages {
-			pg, b := &r.pages[p], r.book(p)
-			b.need(iv.Node, iv.Idx)
-			if pg.owned || (r.cfg.UpdateProtocol && pg.state != pageInvalid) {
-				// The copy stays mapped: the owner always, and any copy
-				// holder under the update protocol (the diff is on its
-				// way). Accesses stall until the diffs land.
-				if !b.satisfiedNeeds() {
-					r.setState(p, pageHomeStale)
+		for _, iv := range run {
+			for _, p := range iv.Pages {
+				pg := &r.pages[p]
+				pg.need(iv.Node, iv.Idx)
+				if pg.owned || (r.cfg.UpdateProtocol && pg.state != pageInvalid) {
+					// The copy stays mapped: the owner always, and any copy
+					// holder under the update protocol (the diff is on its
+					// way). Accesses stall until the diffs land.
+					if !pg.caughtUp() {
+						r.setState(p, pageHomeStale)
+					}
+					continue
 				}
-				continue
-			}
-			if pg.state == pageValid {
-				r.setState(p, pageInvalid)
-				invalidated++
-				r.Stats.Invalidates++
+				if pg.state == pageValid {
+					r.setState(p, pageInvalid)
+					r.Stats.Invalidates++
+				}
 			}
 		}
 	}
-	return invalidated
-}
-
-// satisfiedNeeds reports whether every noticed (writer, interval)
-// requirement has been applied to this copy.
-func (b *pageBook) satisfiedNeeds() bool {
-	for w, idx := range b.needs {
-		if b.applied[w] < idx {
-			return false
-		}
-	}
-	return true
 }
 
 // book returns the bookkeeping part of a page's record, making it on
-// first use.
+// first use. Call it only for a page this node owns, holds, writes or
+// parks traffic for.
 func (r *Runtime) book(page int32) *pageBook {
 	pg := &r.pages[page]
 	if pg.book == nil {
-		n := len(r.vc)
-		vecs := make([]int32, 2*n) // needs and applied, one allocation
-		pg.book = &pageBook{needs: vecs[:n:n], applied: vecs[n:]}
+		pg.book = &pageBook{applied: make([]int32, len(r.vc))}
 	}
 	return pg.book
 }
@@ -910,8 +976,8 @@ func (r *Runtime) book(page int32) *pageBook {
 // satisfied reports whether the owner has applied every diff the
 // request requires.
 func (b *pageBook) satisfied(req *pageReqMsg) bool {
-	for _, need := range req.need {
-		if b.applied[need.Node] < need.Idx {
+	for _, nt := range req.need {
+		if b.applied[nt.writer] < nt.idx {
 			return false
 		}
 	}

@@ -76,6 +76,31 @@ func CheckTwins(g *Globals) error {
 	return nil
 }
 
+// CheckNotices verifies the write-notice invariants of a finished run:
+// every page's notice list is strictly ascending by writer and names
+// intervals from 1 up; and a node keeps a book only for the pages it
+// owns or holds words for, so notices alone never make one.
+func CheckNotices(g *Globals) error {
+	for n, r := range g.nodes {
+		for p := range r.pages {
+			pg := &r.pages[p]
+			for i, nt := range pg.notices {
+				if nt.idx < 1 {
+					return fmt.Errorf("node %d page %d: notice %d names interval %d of writer %d",
+						n, p, i, nt.idx, nt.writer)
+				}
+				if i > 0 && nt.writer <= pg.notices[i-1].writer {
+					return fmt.Errorf("node %d page %d: notices out of writer order: %v", n, p, pg.notices)
+				}
+			}
+			if pg.book != nil && !pg.owned && pg.words == nil {
+				return fmt.Errorf("node %d page %d: a book for a page it neither owns nor holds", n, p)
+			}
+		}
+	}
+	return nil
+}
+
 // CheckRegion verifies the page-granular memory of a finished run. On
 // every node and page: the view is non-nil exactly when the page is
 // valid, and then it is the page's words; every owned page is
@@ -122,11 +147,12 @@ func CheckRegion(g *Globals) error {
 	return nil
 }
 
-// Residency reports, per node, the pages it owns and the pages it
-// holds words for, and the size of the page table (one region).
-func Residency(g *Globals) (owned, resident []int, region int) {
+// Residency reports, per node, the pages it owns, the pages it holds
+// words for and the pages it keeps a book for, and the size of the
+// page table (one region).
+func Residency(g *Globals) (owned, resident, books []int, region int) {
 	for _, r := range g.nodes {
-		o, h := 0, 0
+		o, h, b := 0, 0, 0
 		for p := range r.pages {
 			if r.pages[p].owned {
 				o++
@@ -134,8 +160,11 @@ func Residency(g *Globals) (owned, resident []int, region int) {
 			if r.pages[p].words != nil {
 				h++
 			}
+			if r.pages[p].book != nil {
+				b++
+			}
 		}
-		owned, resident = append(owned, o), append(resident, h)
+		owned, resident, books = append(owned, o), append(resident, h), append(books, b)
 	}
-	return owned, resident, len(g.nodes[0].pages)
+	return owned, resident, books, len(g.nodes[0].pages)
 }

@@ -147,6 +147,10 @@ func runFuzz(t *testing.T, fp fuzzProgram) bool {
 		t.Logf("program %+v: %v", fp, err)
 		return false
 	}
+	if err := dsm.CheckNotices(c.G); err != nil {
+		t.Logf("program %+v: %v", fp, err)
+		return false
+	}
 	if err := dsm.CheckRegion(c.G); err != nil {
 		t.Logf("program %+v: %v", fp, err)
 		return false

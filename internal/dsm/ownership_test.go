@@ -37,13 +37,17 @@ func ownershipWorkload(words, rounds int) cluster.App {
 
 // checkOwnership fails the test when a finished run breaks an
 // ownership invariant (dsm.CheckOwnership), a twin invariant
-// (dsm.CheckTwins) or a region invariant (dsm.CheckRegion).
+// (dsm.CheckTwins), a write-notice invariant (dsm.CheckNotices) or a
+// region invariant (dsm.CheckRegion).
 func checkOwnership(t *testing.T, c *cluster.Cluster) {
 	t.Helper()
 	if err := dsm.CheckOwnership(c.G); err != nil {
 		t.Fatal(err)
 	}
 	if err := dsm.CheckTwins(c.G); err != nil {
+		t.Fatal(err)
+	}
+	if err := dsm.CheckNotices(c.G); err != nil {
 		t.Fatal(err)
 	}
 	if err := dsm.CheckRegion(c.G); err != nil {

@@ -20,13 +20,22 @@ func parkRuntime(nodes int, distributed bool) *Runtime {
 	}
 }
 
+// flat lists a bundle's intervals in order.
+func flat(bundle [][]*Interval) []*Interval {
+	var out []*Interval
+	for _, run := range bundle {
+		out = append(out, run...)
+	}
+	return out
+}
+
 func TestAbsorbParksAheadOfGap(t *testing.T) {
 	r := parkRuntime(3, true)
 	iv2 := &Interval{Node: 1, Idx: 2, Pages: []int32{7}}
 	iv3 := &Interval{Node: 1, Idx: 3, Pages: []int32{9}}
 
 	// The enter bundle arrives first: nothing splices, nothing is lost.
-	if fresh := r.absorbIntervals([]*Interval{iv2, iv3}); len(fresh) != 0 {
+	if fresh := flat(r.absorbIntervals([][]*Interval{{iv2, iv3}})); len(fresh) != 0 {
 		t.Fatalf("ahead-of-gap absorb returned %d fresh intervals, want 0", len(fresh))
 	}
 	if r.vc[1] != 0 || len(r.log[1]) != 0 {
@@ -36,7 +45,7 @@ func TestAbsorbParksAheadOfGap(t *testing.T) {
 	// The in-flight release lands: the parked run splices in order and
 	// every interval is reported fresh exactly once.
 	iv1 := &Interval{Node: 1, Idx: 1, Pages: []int32{3}}
-	fresh := r.absorbIntervals([]*Interval{iv1})
+	fresh := flat(r.absorbIntervals([][]*Interval{{iv1}}))
 	if len(fresh) != 3 {
 		t.Fatalf("gap-closing absorb returned %d fresh intervals, want 3", len(fresh))
 	}
@@ -53,7 +62,7 @@ func TestAbsorbParksAheadOfGap(t *testing.T) {
 	}
 
 	// Re-absorbing the same bundle is a no-op.
-	if fresh := r.absorbIntervals([]*Interval{iv2, iv3}); len(fresh) != 0 {
+	if fresh := flat(r.absorbIntervals([][]*Interval{{iv2, iv3}})); len(fresh) != 0 {
 		t.Fatalf("duplicate absorb returned %d fresh intervals, want 0", len(fresh))
 	}
 }
@@ -65,5 +74,5 @@ func TestAbsorbGapPanicsUnderCentral(t *testing.T) {
 			t.Fatal("central-ownership gap did not panic")
 		}
 	}()
-	r.absorbIntervals([]*Interval{{Node: 1, Idx: 2}})
+	r.absorbIntervals([][]*Interval{{{Node: 1, Idx: 2}}})
 }

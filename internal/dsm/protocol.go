@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cni/internal/nic"
@@ -96,7 +97,10 @@ func (r *Runtime) forwardOwn(at sim.Time, m *nic.Message) {
 // write fetch: locally when the fetch won ownership, down the chain to
 // the node that served us when the owner declined to migrate.
 func (r *Runtime) drainPendingOwn(at sim.Time, page int32) {
-	b := r.book(page)
+	b := r.pages[page].book
+	if b == nil {
+		return
+	}
 	parked := b.pendingOwn
 	b.pendingOwn = nil
 	for _, pm := range parked {
@@ -176,12 +180,13 @@ func sortedMembers(set map[int]bool) []int {
 func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	u := m.Payload.(*updateMsg)
 	d := u.diff
-	pg, b := &r.pages[d.page], r.book(d.page)
+	pg := &r.pages[d.page]
 	if pg.state == pageInvalid {
 		// The copy was dropped; the next access refetches, so the
 		// update is moot.
 		return
 	}
+	b := r.book(d.page)
 	// Write-ordering guard: if this node has written the page more
 	// recently than the home had seen when it sent the push, or holds
 	// uncommitted writes to it, the pushed values may roll this node's
@@ -190,7 +195,7 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 	if u.seenOfMember < pg.lastWrote || pg.dirty {
 		r.setState(d.page, pageInvalid)
 		r.Stats.Invalidates++
-		b.need(d.writer, d.idx)
+		pg.need(d.writer, d.idx)
 		if b.homeStalled {
 			// The worker was waiting for this push; wake it so its
 			// access loop refaults instead.
@@ -222,7 +227,7 @@ func (r *Runtime) onUpdate(at sim.Time, m *nic.Message) {
 // drainWaiting replies to parked page requests that are now satisfied
 // and unstalls the home's own worker if its requirements are met.
 func (r *Runtime) drainWaiting(at sim.Time, page int32) {
-	b := r.book(page)
+	pg, b := &r.pages[page], r.book(page)
 	var still []waitReq
 	for _, w := range b.waiting {
 		if b.satisfied(w.req) {
@@ -232,10 +237,10 @@ func (r *Runtime) drainWaiting(at sim.Time, page int32) {
 		}
 	}
 	b.waiting = still
-	if b.homeStalled && b.satisfiedNeeds() {
+	if b.homeStalled && pg.caughtUp() {
 		b.homeStalled = false
 		r.setState(page, pageValid)
-		clear(b.needs)
+		pg.notices = pg.notices[:0]
 		r.wakeWorker(at, waitPage)
 	}
 }
@@ -275,7 +280,7 @@ func (r *Runtime) canGrant(req *pageReqMsg) bool {
 	}
 	pg, b := &r.pages[req.page], r.book(req.page)
 	return pg.state == pageValid && !pg.dirty && !b.homeStalled &&
-		len(b.waiting) == 0 && b.satisfiedNeeds()
+		len(b.waiting) == 0 && pg.caughtUp()
 }
 
 // sendPageReply ships the owner's (flushed-at-release) copy of the
@@ -314,6 +319,12 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		pg.owned = false
 		pg.probOwner = req.from
 	}
+	// The requester reads the applied snapshot only under the update
+	// protocol or on a grant.
+	var applied []int32
+	if r.cfg.UpdateProtocol || own {
+		applied = slices.Clone(b.applied)
+	}
 	r.send(at, &nic.Message{
 		From:         r.node,
 		To:           req.from,
@@ -326,8 +337,7 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 		DeliverBytes: r.cfg.PageBytes,
 		CacheRx:      req.write,
 		Payload: &pageReplyMsg{
-			page: req.page, from: r.node, own: own, req: req,
-			applied: append([]int32(nil), b.applied...),
+			page: req.page, from: r.node, own: own, req: req, applied: applied,
 		},
 	})
 }
@@ -340,14 +350,16 @@ func (r *Runtime) sendPageReply(at sim.Time, req *pageReqMsg) {
 func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	rep := m.Payload.(*pageReplyMsg)
 	page := rep.page
-	pg, b := &r.pages[page], r.book(page)
+	pg := &r.pages[page]
 	r.copyPageFrom(page, rep.from)
 	// Preserve this node's own uncommitted writes over the fetched base:
-	// fault saved them in b.local because the page is twinned.
-	if tw := b.twin; tw != nil {
+	// fault saved them in b.local because the page is twinned. An
+	// untwinned page may have no book: an invalidate-protocol reply
+	// without a grant makes none.
+	if b := pg.book; b != nil && b.twin != nil {
 		// New twin is the fetched base, so the next diff still carries
 		// the local writes forward.
-		copy(tw, pg.words)
+		copy(b.twin, pg.words)
 		for _, e := range b.local {
 			pg.words[e.off] = e.val
 		}
@@ -356,16 +368,13 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 	// Clear only the requirements this reply was gated on. Notices that
 	// raced the fetch stay pending, the page stays invalid, and the
 	// worker's access loop refaults with the updated requirements.
-	for _, nd := range rep.req.need {
-		if b.needs[nd.Node] <= nd.Idx {
-			b.needs[nd.Node] = 0
-		}
-	}
+	pg.dropCovered(rep.req.need)
 	if r.cfg.UpdateProtocol || rep.own {
 		// Seed this copy's applied tracking with the server's at reply
 		// time. Under the update protocol, diffs already folded into the
 		// fetched copy will never be forwarded again; on a grant, this
 		// is the old owner's manager state passing to the new owner.
+		b := r.book(page)
 		for n, idx := range rep.applied {
 			if idx > b.applied[n] {
 				b.applied[n] = idx
@@ -384,17 +393,17 @@ func (r *Runtime) onPageReply(at sim.Time, m *nic.Message) {
 		r.Stats.Migrations++
 		pg.owned = true
 		pg.probOwner = r.node
-		b.exported = true
+		pg.book.exported = true
 	}
-	if b.pendingNeeds() == 0 {
+	if len(pg.notices) == 0 {
 		r.setState(page, pageValid)
 	} else if pg.owned {
 		// A new owner never refaults: with noticed diffs still in
 		// flight (they are chasing the chain toward us) the page goes
 		// home-stale and the worker stalls until they land.
-		if b.satisfiedNeeds() {
+		if pg.caughtUp() {
 			r.setState(page, pageValid)
-			clear(b.needs)
+			pg.notices = pg.notices[:0]
 		} else {
 			r.setState(page, pageHomeStale)
 		}
@@ -447,7 +456,7 @@ func (r *Runtime) onLockGrant(at sim.Time, m *nic.Message) {
 	fresh := r.absorbIntervals(g.notices)
 	r.applyWriteNotices(fresh)
 	r.grantVC[g.lock] = g.managerVC
-	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(len(fresh))
+	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(intervalCount(fresh))
 	r.wakeWorker(at, waitLock)
 }
 
@@ -518,7 +527,7 @@ func (r *Runtime) onBarRelease(at sim.Time, m *nic.Message) {
 // charges the notice handling and wakes the worker. The first release
 // of each barrier, when every worker has arrived and none has resumed,
 // runs the test hook Globals.onBarrier if one is set.
-func (r *Runtime) leaveBarrier(at sim.Time, notices []*Interval, vc []int32) {
+func (r *Runtime) leaveBarrier(at sim.Time, notices [][]*Interval, vc []int32) {
 	if g := r.G; g.onBarrier != nil && r.Stats.BarrierOps > g.barriersReleased {
 		g.barriersReleased = r.Stats.BarrierOps
 		g.onBarrier()
@@ -526,7 +535,7 @@ func (r *Runtime) leaveBarrier(at sim.Time, notices []*Interval, vc []int32) {
 	fresh := r.absorbIntervals(notices)
 	r.applyWriteNotices(fresh)
 	copy(r.lastBarVC, vc)
-	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(len(fresh))
+	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(intervalCount(fresh))
 	r.wakeWorker(at, waitBarrier)
 }
 
@@ -611,20 +620,4 @@ func (r *Runtime) wakeWorker(at sim.Time, why waitKind) {
 	}
 	at += r.board.WakeDelay()
 	w.proc.WakeAt(at)
-}
-
-// sortedNeeds renders a page's pending write notices as a requirement
-// list for a version-gated fetch, in writer order.
-func (b *pageBook) sortedNeeds() []Interval {
-	n := b.pendingNeeds()
-	if n == 0 {
-		return nil
-	}
-	out := make([]Interval, 0, n)
-	for w, idx := range b.needs {
-		if idx != 0 {
-			out = append(out, Interval{Node: w, Idx: idx})
-		}
-	}
-	return out
 }

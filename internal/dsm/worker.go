@@ -197,14 +197,14 @@ func (w *Worker) slowPath(page int32, write bool) {
 // value into a read-modify-write and silently lose a remote update.
 func (w *Worker) stallHome(page int32) {
 	r := w.r
-	b := r.book(page)
-	if b.satisfiedNeeds() {
+	pg := &r.pages[page]
+	if pg.caughtUp() {
 		r.setState(page, pageValid)
-		clear(b.needs)
+		pg.notices = pg.notices[:0]
 		return
 	}
 	r.Stats.PageFaults++ // it is a fault: the access stalled
-	b.homeStalled = true
+	r.book(page).homeStalled = true
 	w.block(waitPage)
 }
 
@@ -218,24 +218,24 @@ func (w *Worker) stallHome(page int32) {
 func (w *Worker) fault(page int32, write bool) {
 	r := w.r
 	r.Stats.PageFaults++
-	if r.pages[page].owned {
+	pg := &r.pages[page]
+	if pg.owned {
 		panic(fmt.Sprintf("dsm: node %d faulted on its own page %d", r.node, page))
 	}
 	// Preserve uncommitted local writes (concurrent write sharing): the
 	// incoming base page must not clobber them. A twinned page keeps its
 	// twin until release, so onPageReply knows the preserved writes by
-	// it, even when none of them changed a word.
-	b := r.book(page)
-	if b.twin != nil {
-		b.local = diffWords(r.pages[page].words, b.twin)
+	// it, even when none of them changed a word. A fault makes no book.
+	if b := pg.book; b != nil && b.twin != nil {
+		b.local = diffWords(pg.words, b.twin)
 		write = true
 	}
-	need := b.sortedNeeds()
+	need := slices.Clone(pg.notices)
 	target := r.probOwnerOf(page)
 	// An outstanding write fetch makes this node the probable future
 	// owner: racing requests and diffs park here until the reply
 	// resolves the ownership (see pendingOwn).
-	r.pages[page].fetchingW = write
+	pg.fetchingW = write
 	r.trace.Addf(w.proc.Local(), r.node, "fault", "page %d write=%v need=%d", page, write, len(need))
 	req := &pageReqMsg{page: page, from: r.node, write: write, need: need}
 	m := &nic.Message{
@@ -338,7 +338,7 @@ func (w *Worker) release() {
 		w.charge(sim.Time(r.G.pageWords) + sim.Time(len(entries))*r.cfg.DiffWordCycles)
 		// Remember that any refetch must see our own diff applied at
 		// the owner...
-		b.need(r.node, idx)
+		pg.need(r.node, idx)
 		// ...while this copy trivially contains its own writes, so the
 		// local applied tracking (used by the update protocol's stall
 		// gate) advances immediately, and the write-ordering guard

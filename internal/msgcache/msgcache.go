@@ -120,6 +120,20 @@ func (c *Cache) MapPage(vpage, ppage uint64) {
 	c.rtlb[ppage] = vpage
 }
 
+// MapPages installs the translations of n consecutive pages, vpage+i
+// to ppage+i. A cache with no translation yet sizes both maps for the
+// range once, instead of growing them an insert at a time; one that
+// already maps pages grows as MapPage would.
+func (c *Cache) MapPages(vpage, ppage uint64, n int) {
+	if len(c.tlb) == 0 && len(c.rtlb) == 0 {
+		c.tlb = make(map[uint64]uint64, n)
+		c.rtlb = make(map[uint64]uint64, n)
+	}
+	for i := range uint64(n) {
+		c.MapPage(vpage+i, ppage+i)
+	}
+}
+
 // UnmapPage removes the translation for vpage.
 func (c *Cache) UnmapPage(vpage uint64) {
 	if p, ok := c.tlb[vpage]; ok {

@@ -163,30 +163,53 @@ func TestSnoopAbortsOnUnboundPage(t *testing.T) {
 }
 
 func TestTLBAndRTLB(t *testing.T) {
-	c := New(4*page, page, true)
-	c.MapPage(7, 1007)
-	p, err := c.V2P(7)
-	if err != nil || p != 1007 {
-		t.Fatalf("V2P = %d, %v", p, err)
+	// The same cases on a cache whose maps grow an insert at a time and
+	// on one that MapPages sized for a range first.
+	presized := New(4*page, page, true)
+	presized.MapPages(100, 5100, 64)
+	for _, tc := range []struct {
+		name string
+		c    *Cache
+	}{{"grown", New(4*page, page, true)}, {"presized", presized}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			c.MapPage(7, 1007)
+			p, err := c.V2P(7)
+			if err != nil || p != 1007 {
+				t.Fatalf("V2P = %d, %v", p, err)
+			}
+			v, err := c.P2V(1007)
+			if err != nil || v != 7 {
+				t.Fatalf("P2V = %d, %v", v, err)
+			}
+			if _, err := c.V2P(8); err == nil {
+				t.Fatal("V2P of unmapped page succeeded")
+			}
+			// Remap: old reverse entry must go away.
+			c.MapPage(7, 2007)
+			if _, err := c.P2V(1007); err == nil {
+				t.Fatal("stale RTLB entry survived remap")
+			}
+			c.UnmapPage(7)
+			if _, err := c.V2P(7); err == nil {
+				t.Fatal("V2P after unmap succeeded")
+			}
+			if _, err := c.P2V(2007); err == nil {
+				t.Fatal("P2V after unmap succeeded")
+			}
+		})
 	}
-	v, err := c.P2V(1007)
-	if err != nil || v != 7 {
-		t.Fatalf("P2V = %d, %v", v, err)
+	// The range itself translates both ways, and only its own pages.
+	for v := uint64(100); v < 164; v++ {
+		if p, err := presized.V2P(v); err != nil || p != v+5000 {
+			t.Fatalf("V2P(%d) = %d, %v; want %d", v, p, err, v+5000)
+		}
+		if back, err := presized.P2V(v + 5000); err != nil || back != v {
+			t.Fatalf("P2V(%d) = %d, %v; want %d", v+5000, back, err, v)
+		}
 	}
-	if _, err := c.V2P(8); err == nil {
-		t.Fatal("V2P of unmapped page succeeded")
-	}
-	// Remap: old reverse entry must go away.
-	c.MapPage(7, 2007)
-	if _, err := c.P2V(1007); err == nil {
-		t.Fatal("stale RTLB entry survived remap")
-	}
-	c.UnmapPage(7)
-	if _, err := c.V2P(7); err == nil {
-		t.Fatal("V2P after unmap succeeded")
-	}
-	if _, err := c.P2V(2007); err == nil {
-		t.Fatal("P2V after unmap succeeded")
+	if _, err := presized.V2P(164); err == nil {
+		t.Fatal("V2P past the mapped range succeeded")
 	}
 }
 

@@ -279,9 +279,8 @@ func (b *Board) SetHostProc(p *sim.Proc) { b.hostProc = p }
 func (b *Board) MapPages(vbase uint64, bytes int) {
 	if b.MC != nil {
 		pb := uint64(b.cfg.PageBytes)
-		for v := vbase / pb; v <= (vbase+uint64(bytes)-1)/pb; v++ {
-			b.MC.MapPage(v, v+PhysPageOffset)
-		}
+		first, last := vbase/pb, (vbase+uint64(bytes)-1)/pb
+		b.MC.MapPages(first, first+PhysPageOffset, int(last-first+1))
 	}
 	if b.channel != nil {
 		b.channel.AddRegion(adc.Region{Base: vbase, Len: uint64(bytes)})
