@@ -80,7 +80,9 @@ func shardTraffic(t *testing.T, cfg *config.Config, n, shards int, engine sim.En
 // TestShardedFabricParity pins the tentpole invariant at the fabric
 // layer: delivery traces and stats are bit-identical between a fabric
 // on the caller's kernel and every shard count, on every topology,
-// with faults off and on, for both engines.
+// with faults off and on, for both engines — and the heap engine's
+// run on the caller's kernel equals the calendar queue's, so the
+// simulated result does not depend on the engine either.
 func TestShardedFabricParity(t *testing.T) {
 	for _, topoKind := range []string{config.TopoSingle, config.TopoClos, config.TopoTorus} {
 		for _, faulty := range []bool{false, true} {
@@ -100,6 +102,15 @@ func TestShardedFabricParity(t *testing.T) {
 					}
 					const n = 12
 					want, wantStats := shardTraffic(t, &cfg, n, 0, engine)
+					if engine != sim.EngineCalendar {
+						cal, calStats := shardTraffic(t, &cfg, n, 0, sim.EngineCalendar)
+						if !reflect.DeepEqual(want, cal) {
+							t.Fatalf("%s: delivery traces diverge from the calendar queue's", engine)
+						}
+						if wantStats != calStats {
+							t.Fatalf("%s: stats diverge from the calendar queue's:\n got %+v\nwant %+v", engine, wantStats, calStats)
+						}
+					}
 					for _, shards := range []int{1, 2, 4, n} {
 						got, gotStats := shardTraffic(t, &cfg, n, shards, engine)
 						if !reflect.DeepEqual(got, want) {

@@ -5,8 +5,7 @@ import (
 
 	"cni/internal/apps"
 	"cni/internal/config"
-	"cni/internal/memsys"
-	"cni/internal/metrics"
+	"cni/internal/dsm"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -68,11 +67,13 @@ func (o Options) fr1JacobiPoint(kind config.NICKind, rate float64) Future[fr1Run
 	})
 }
 
-// fr1StressPoint submits the stress leg: it pumps enough sequenced
-// messages point to point that the expected number of injected cell
-// faults is well above zero at every nonzero rate — the leg that
-// proves the retransmit machinery actually fires even at 1e-6 — and
-// checks exactly-once in-order delivery.
+// fr1StressPoint submits the stress leg: node 0's processor pumps
+// enough sequenced messages to node 1 that the expected number of
+// injected cell faults is well above zero at every nonzero rate — the
+// leg that proves the retransmit machinery actually fires even at
+// 1e-6 — and the leg checks exactly-once in-order delivery. The pump
+// pays its interface's host costs, interrupts and retransmit timers
+// included.
 func (o Options) fr1StressPoint(kind config.NICKind, rate float64) Future[nic.RelStats] {
 	const size = 8192
 	cfg := config.ForNIC(kind)
@@ -92,16 +93,15 @@ func (o Options) fr1StressPoint(kind config.NICKind, rate float64) Future[nic.Re
 			n = 120_000
 		}
 	}
+	cfg.SimShards = o.Shards
 	key := pointKey{cfg: cfg, n: 2, what: fmt.Sprintf("fr1stress/%d", n)}
 	return submitPoint(o, key, func() nic.RelStats { return fr1Stress(cfg, kind, rate, n) })
 }
 
 func fr1Stress(cfg config.Config, kind config.NICKind, rate float64, n int) nic.RelStats {
 	const size = 8192
-	k := sim.NewKernel()
-	net := mustNet(k, &cfg, 2)
-	src := nic.NewBoard(k, &cfg, 0, net, memsys.New(&cfg))
-	dst := nic.NewBoard(k, &cfg, 1, net, memsys.New(&cfg))
+	c := mustCluster(&cfg, 2)
+	src, dst := c.Nodes[0].Board, c.Nodes[1].Board
 	delivered := 0
 	ordered := true
 	dst.Register(microOp, true, func(at sim.Time, m *nic.Message) {
@@ -111,25 +111,26 @@ func fr1Stress(cfg config.Config, kind config.NICKind, rate float64, n int) nic.
 		delivered++
 	})
 	pace := cfg.SerializeCycles(size)
-	k.Spawn("pump", func(p *sim.Proc) {
+	res := c.Run(func(w *dsm.Worker) {
+		if w.Node() != 0 {
+			return
+		}
+		p := w.Proc()
 		for i := 0; i < n; i++ {
 			src.Send(p, &nic.Message{From: 0, To: 1, Op: microOp, Aux: uint32(i), Size: size})
 			p.Advance(pace)
 			p.Sync()
 		}
 	})
-	k.Run()
 	if delivered != n || !ordered {
 		panic(fmt.Sprintf("experiments: FR1 stress on %v at %v loss: %d/%d delivered, ordered=%v",
 			kind, rate, delivered, n, ordered))
 	}
-	rel := src.Stats.Rel
-	metrics.Fold(&rel, dst.Stats.Rel)
-	if rate > 0 && rel.Retransmits == 0 {
+	if rate > 0 && res.Rel.Retransmits == 0 {
 		panic(fmt.Sprintf("experiments: FR1 stress on %v at %v loss injected faults but retransmitted nothing (faults: %+v)",
-			kind, rate, net.Stats.Faults))
+			kind, rate, res.Net.Faults))
 	}
-	return rel
+	return res.Rel
 }
 
 // FigureFaults produces FR1: per-interface slowdown of round-trip

@@ -1,21 +1,20 @@
 package experiments
 
 import (
-	"cni/internal/atm"
+	"cni/internal/cluster"
 	"cni/internal/config"
 	"cni/internal/msgpass"
-	"cni/internal/sim"
 )
 
 // Experiment points run known-good configs, so a construction failure
 // is a programming error; the harness converts panics into errors.
 
-func mustNet(k *sim.Kernel, cfg *config.Config, n int) *atm.Network {
-	net, err := atm.New(k, cfg, n)
+func mustCluster(cfg *config.Config, n int) *cluster.Cluster {
+	c, err := cluster.New(cfg, n, nil)
 	if err != nil {
 		panic(err)
 	}
-	return net
+	return c
 }
 
 func mustFabric(cfg *config.Config, n int) *msgpass.Fabric {

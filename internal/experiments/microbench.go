@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"cni/internal/cluster"
 	"cni/internal/config"
 	"cni/internal/dsm"
 	"cni/internal/nic"
@@ -28,10 +27,7 @@ const microOp = 0x4242
 // round is timed. Node 1's processor has nothing to run: the receiving
 // application is the handler plus its receive-queue pop.
 func measureLatency(cfg config.Config, size int) int64 {
-	c, err := cluster.New(&cfg, 2, nil)
-	if err != nil {
-		panic(err)
-	}
+	c := mustCluster(&cfg, 2)
 	src, dst := c.Nodes[0].Board, c.Nodes[1].Board
 	src.MapPages(0x10000, 1<<16)
 	dst.MapPages(0x40000, 1<<16)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -68,6 +69,54 @@ func TestParallelSuiteParity(t *testing.T) {
 	}
 	if golden != "" {
 		t.Fatalf("%s has %d bytes past the last artifact", suiteGolden, len(golden))
+	}
+}
+
+// fullRecord is the committed full-size rendering of the suite, as
+// `go run ./cmd/experiments` prints it: every artifact's output
+// followed by its ready line and a blank line, in registry order.
+const fullRecord = "../../experiments_full.txt"
+
+// readyLine ends each artifact's section of fullRecord; its time is
+// wall clock, the one thing in the file a rerun may change.
+var readyLine = regexp.MustCompile(`(?m)^  \[([A-Z0-9]+) ready after [0-9.]+s\]\n\n`)
+
+// TestFullRecordSections re-renders the full-size artifacts that run
+// in seconds, at two kernel shards, and requires each to equal its
+// section of fullRecord apart from the ready line.
+func TestFullRecordSections(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size artifacts")
+	}
+	raw, err := os.ReadFile(fullRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := map[string]string{}
+	start := 0
+	for _, m := range readyLine.FindAllSubmatchIndex(raw, -1) {
+		record[string(raw[m[2]:m[3]])] = string(raw[start:m[0]])
+		start = m[1]
+	}
+	var specs []Spec
+	for _, id := range []string{"T1", "F14", "FB1", "FC1", "FR1", "FT1", "FS1", "FS2"} {
+		s, ok := Find(id)
+		if !ok {
+			t.Fatalf("no artifact %s", id)
+		}
+		specs = append(specs, s)
+	}
+	outs, err := RunSuite(context.Background(), specs, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range specs {
+		if want, ok := record[s.ID]; !ok {
+			t.Errorf("%s: no section in %s", s.ID, fullRecord)
+		} else if outs[i] != want {
+			t.Errorf("%s: output differs from %s\n--- recorded ---\n%s\n--- got ---\n%s",
+				s.ID, fullRecord, want, outs[i])
+		}
 	}
 }
 

@@ -18,17 +18,19 @@ package experiments
 //     whole fabric. Rounds are capped (ft1Rounds) to bound runtime at
 //     1024 nodes; at small n it is a true all-to-all.
 //
-// Each point is a board-level run (no DSM): every node's generator
-// paces fixed-size messages at link serialization rate, receive
-// handlers run on the board (AIH) and timestamp arrival. Points run on
-// the parallel harness and render bit-identically at any -j.
+// Each point is a board-level run (no DSM): every node's processor is
+// its generator, pacing fixed-size messages at link serialization rate
+// and paying its interface's host costs; receive handlers run on the
+// board (AIH) where the interface has one, and timestamp arrival.
+// Points run on the parallel harness and render bit-identically at
+// any -j.
 
 import (
 	"fmt"
 
-	"cni/internal/atm"
+	"cni/internal/cluster"
 	"cni/internal/config"
-	"cni/internal/memsys"
+	"cni/internal/dsm"
 	"cni/internal/nic"
 	"cni/internal/sim"
 )
@@ -95,26 +97,24 @@ func ft1Cfg(kind config.NICKind, topoName string) config.Config {
 }
 
 // ft1Point submits one (interface, topology, pattern, size) cell.
-func (o Options) ft1Point(kind config.NICKind, topoName, pattern string, n int, quick bool) Future[float64] {
+func (o Options) ft1Point(kind config.NICKind, topoName, pattern string, n int) Future[float64] {
 	cfg := ft1Cfg(kind, topoName)
 	cfg.SimShards = o.Shards
-	rounds := ft1Rounds(pattern, n, quick)
+	rounds := ft1Rounds(pattern, n, o.Quick)
 	key := pointKey{cfg: cfg, n: n, what: fmt.Sprintf("ft1/%s/%d", pattern, rounds)}
 	return submitPoint(o, key, func() float64 {
-		us, _ := ft1RunEngine(cfg, n, pattern, rounds, sim.EngineCalendar)
+		us, _ := ft1Run(cfg, n, pattern, rounds)
 		return us
 	})
 }
 
-// ft1RunEngine is the measurement proper: mean delivery latency in
-// microseconds over every message of the pattern, on the given kernel
-// engine, plus the window driver that ran it, for its event and window
-// counts. TestFT1EngineEquivalence runs the same leg on the calendar
-// queue and on the reference heap to re-prove that the simulated
-// result does not depend on the engine.
-func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine sim.Engine) (float64, *sim.ShardSet) {
-	net, drv := mustFt1Net(cfg, n, engine)
-	boards := make([]*nic.Board, n)
+// ft1Run is the measurement proper: mean delivery latency in
+// microseconds over every message of the pattern, plus the cluster's
+// result, for its window counts and per-node host overhead. Every
+// node's generator is that node's processor, so an interface that
+// interrupts the host slows its sender.
+func ft1Run(cfg config.Config, n int, pattern string, rounds int) (float64, *cluster.Result) {
+	c := mustCluster(&cfg, n)
 	// Latency accumulators are per receiving node and folded in node
 	// order after the run: the per-node sums are integers, so the fold
 	// is order-independent and the mean is bit-identical to a single
@@ -122,46 +122,39 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 	// windows in parallel.
 	totals := make([]sim.Time, n)
 	counts := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		i := i
-		b := nic.NewBoard(net.NodeKernel(i), &cfg, i, net, memsys.New(&cfg))
-		b.MapPages(0x10000, 1<<16)
-		b.MapPages(0x40000, 1<<16)
-		b.Register(ft1Op, true, func(at sim.Time, m *nic.Message) {
+	for i, node := range c.Nodes {
+		node.Board.MapPages(0x10000, 1<<16)
+		node.Board.MapPages(0x40000, 1<<16)
+		node.Board.Register(ft1Op, true, func(at sim.Time, m *nic.Message) {
 			totals[i] += at - m.Payload.(sim.Time)
 			counts[i]++
 		})
-		boards[i] = b
 	}
 	// Pace each generator at the link serialization rate of one
 	// message, so offered load saturates the injection link without
 	// unbounded in-flight buildup.
 	pace := cfg.SerializeCycles(nic.HeaderBytes + ft1Bytes)
-	for i := 0; i < n; i++ {
-		i := i
-		net.NodeKernel(i).Spawn(fmt.Sprintf("gen%d", i), func(p *sim.Proc) {
-			for r := 0; r < rounds; r++ {
-				dst := ft1Dst(pattern, i, r, n)
-				if dst < 0 || dst == i {
-					p.Advance(pace)
-					continue
-				}
-				p.Sync()
-				boards[i].Send(p, &nic.Message{
-					From: i, To: dst, Op: ft1Op,
-					Size:         nic.HeaderBytes + ft1Bytes,
-					VAddr:        0x10000,
-					CacheTx:      true,
-					DeliverVAddr: 0x40000,
-					DeliverBytes: ft1Bytes,
-					Payload:      p.Local(),
-				})
+	res := c.Run(func(w *dsm.Worker) {
+		i, p := w.Node(), w.Proc()
+		for r := 0; r < rounds; r++ {
+			dst := ft1Dst(pattern, i, r, n)
+			if dst < 0 || dst == i {
 				p.Advance(pace)
+				continue
 			}
-		})
-	}
-	drv.Run()
-	net.Finish()
+			p.Sync()
+			c.Nodes[i].Board.Send(p, &nic.Message{
+				From: i, To: dst, Op: ft1Op,
+				Size:         nic.HeaderBytes + ft1Bytes,
+				VAddr:        0x10000,
+				CacheTx:      true,
+				DeliverVAddr: 0x40000,
+				DeliverBytes: ft1Bytes,
+				Payload:      p.Local(),
+			})
+			p.Advance(pace)
+		}
+	})
 	var total sim.Time
 	var count uint64
 	for i := 0; i < n; i++ {
@@ -172,17 +165,7 @@ func ft1RunEngine(cfg config.Config, n int, pattern string, rounds int, engine s
 		panic(fmt.Sprintf("experiments: ft1 %s/%d delivered no messages", pattern, n))
 	}
 	// cycles / MHz = microseconds.
-	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), drv
-}
-
-// mustFt1Net builds the fabric for one board-level run and the shard
-// set that drives it: one shard unless cfg.SimShards asks for more.
-func mustFt1Net(cfg config.Config, n int, engine sim.Engine) (*atm.Network, *sim.ShardSet) {
-	net, ss, err := atm.NewSharded(&cfg, n, max(cfg.SimShards, 1), engine)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return net, ss
+	return float64(total) / float64(count) / float64(cfg.CPUFreqMHz), res
 }
 
 // FigureTopology reproduces FT1: 18 series (2 fabrics x 3 patterns x
@@ -200,7 +183,7 @@ func FigureTopology(o Options) Figure {
 		for _, pattern := range ft1Patterns {
 			for _, kind := range sweepKinds {
 				for _, n := range sizes {
-					futs[cell(topo, pattern, kind, n)] = o.ft1Point(kind, topo, pattern, n, o.Quick)
+					futs[cell(topo, pattern, kind, n)] = o.ft1Point(kind, topo, pattern, n)
 				}
 			}
 		}
