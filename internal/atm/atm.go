@@ -33,35 +33,29 @@ import (
 	"cni/internal/topo"
 )
 
-// Packet is one message in flight between two NICs. Header carries the
-// protocol bytes the PATHFINDER classifies on; Payload is the data the
-// receive path deposits (for DSM, page contents). Size is the modeled
-// wire size in bytes and may exceed len(Header)+len(Payload) when the
-// model does not materialize every byte.
+// Packet is one message in flight between two NICs: its route (Src,
+// Dst and the virtual circuit VCI), Size, the modeled wire size in bytes
+// before cell overhead, and Meta, the protocol object it carries. No
+// header or payload byte is materialized: the receiving board rebuilds
+// the header PATHFINDER classifies on from Meta (package nic), so a
+// packet is 48 bytes.
 type Packet struct {
-	Src     int
-	Dst     int
-	VCI     uint32
-	Size    int
-	Header  []byte
-	Payload []byte
-	// Meta carries the in-simulator protocol object by reference; the
-	// real board would see only the serialized bytes.
-	Meta any
+	Src int
+	Dst int
+	VCI uint32
 	// Damaged marks a PDU whose cell train was dropped or corrupted in
 	// flight: it arrives, but its AAL5 CRC cannot pass, so the receive
 	// processor must discard it. Only the fault injector sets it.
 	Damaged bool
+	Size    int
+	// Meta carries the in-simulator protocol object by reference; the
+	// real board would see only the serialized bytes.
+	Meta any
 }
 
 // Bytes returns the modeled size of the packet on the wire before
 // cell overhead.
-func (p *Packet) Bytes() int {
-	if p.Size > 0 {
-		return p.Size
-	}
-	return len(p.Header) + len(p.Payload)
-}
+func (p *Packet) Bytes() int { return p.Size }
 
 // Stats counts fabric activity.
 type Stats struct {

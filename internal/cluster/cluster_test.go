@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 
 	"cni/internal/config"
@@ -163,4 +164,27 @@ func mustNew(cfg *config.Config, n int, setup Setup) *Cluster {
 		panic(err)
 	}
 	return c
+}
+
+// TestPagelessClusterAllocation bounds what building a 1,024-node
+// torus cluster with no shared pages allocates, as FT1's generators
+// build it. The DSM's per-peer vectors (vector clock, barrier clock
+// and interval log, each indexed by node) cost n² entries across the
+// cluster, so a node makes them at its first use, and this cluster
+// never synchronizes through the DSM.
+func TestPagelessClusterAllocation(t *testing.T) {
+	const nodes, budget = 1024, 20 << 20
+	cfg := config.Default()
+	cfg.Topology = config.TopoTorus
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := mustNew(&cfg, nodes, nil)
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a page-less %d-node cluster allocated %.1f MB", nodes, float64(got)/(1<<20))
+	if got > budget {
+		t.Errorf("a page-less %d-node cluster allocated %.1f MB, want at most %d MB",
+			nodes, float64(got)/(1<<20), budget>>20)
+	}
+	runtime.KeepAlive(c)
 }

@@ -39,39 +39,41 @@ func checkShares(t *testing.T, what string, bundle [][]*Interval, log [][]*Inter
 
 func TestBundleSharesLog(t *testing.T) {
 	r := parkRuntime(4, false)
+	rs := r.perPeer()
 	lens := []int{3, 0, 5, 2}
 	for w, n := range lens {
-		r.log[w] = logOf(w, n)
-		r.vc[w] = int32(n)
+		rs.log[w] = logOf(w, n)
+		rs.vc[w] = int32(n)
 	}
 	since := []int32{1, 0, 2, 2}
 	bundle := r.newIntervalBundleSince(since)
 	if len(bundle) != 2 || bundle[0][0].Node != 0 || bundle[1][0].Node != 2 {
 		t.Fatalf("bundle covers writers %v, want runs of writers 0 and 2", writersOf(bundle))
 	}
-	checkShares(t, "newIntervalBundleSince", bundle, r.log, since)
+	checkShares(t, "newIntervalBundleSince", bundle, rs.log, since)
 	for _, run := range bundle {
 		w := run[0].Node
-		before := slices.Clone(r.log[w][:cap(r.log[w])])
+		before := slices.Clone(rs.log[w][:cap(rs.log[w])])
 		_ = append(run, &Interval{Node: w, Idx: 99})
-		if after := r.log[w][:cap(r.log[w])]; !slices.Equal(before, after) {
+		if after := rs.log[w][:cap(rs.log[w])]; !slices.Equal(before, after) {
 			t.Fatalf("appending to writer %d's run changed its log", w)
 		}
 	}
 
 	// The receiver's fresh runs share the receiver's log the same way.
 	q := parkRuntime(4, false)
+	qs := q.perPeer()
 	for w := range lens {
-		q.log[w] = make([]*Interval, 0, 16)
-		q.log[w] = append(q.log[w], r.log[w][:min(1, len(r.log[w]))]...)
-		q.vc[w] = int32(len(q.log[w]))
+		qs.log[w] = make([]*Interval, 0, 16)
+		qs.log[w] = append(qs.log[w], rs.log[w][:min(1, len(rs.log[w]))]...)
+		qs.vc[w] = int32(len(qs.log[w]))
 	}
-	had := slices.Clone(q.vc)
+	had := slices.Clone(qs.vc)
 	fresh := q.absorbIntervals(r.newIntervalBundleSince(had))
 	if got, want := intervalCount(fresh), 3+5+2-3; got != want {
 		t.Fatalf("absorb returned %d fresh intervals, want %d", got, want)
 	}
-	checkShares(t, "absorbIntervals", fresh, q.log, had)
+	checkShares(t, "absorbIntervals", fresh, qs.log, had)
 }
 
 func writersOf(bundle [][]*Interval) []int {

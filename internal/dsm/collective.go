@@ -88,8 +88,9 @@ func (w *Worker) barrierColl(id int) sim.Time {
 	r.Stats.BarrierOps++
 	r.trace.Addf(w.proc.Local(), r.node, "barrier", "enter %d (engine)", id)
 	w.release()
-	bundle := r.newIntervalBundleSince(r.lastBarVC)
-	pay := &barPayload{notices: bundle, vc: append([]int32(nil), r.vc...)}
+	ps := r.perPeer()
+	bundle := r.newIntervalBundleSince(ps.lastBarVC)
+	pay := &barPayload{notices: bundle, vc: append([]int32(nil), ps.vc...)}
 	r.coll.Begin(w.proc, collective.KindBarrier, 0, 0, collective.OpSum, pay,
 		func(at sim.Time, _ float64, payload any) {
 			p := payload.(*barPayload)

@@ -480,16 +480,14 @@ type Runtime struct {
 	// dirtied lists the pages written since the last release, in the
 	// order of their first write; release sorts them.
 	dirtied []int32
-	vc      []int32
-	// log[n] is every interval of node n this node knows, contiguous by
-	// index (log[n][k].Idx == k+1). Notice bundles are capped subslices
-	// of it, so it is append-only while they are in flight: a
-	// reclamation must reslice or reallocate, never compact in place.
-	log       [][]*Interval
-	locks     map[int]*lockState
-	bars      map[int]*barrierState
-	grantVC   map[int][]int32 // per lock: manager VC seen at last grant
-	lastBarVC []int32         // manager VC broadcast at the last barrier release
+	// nnodes is the cluster's node count, the length of every per-peer
+	// vector. ps holds those vectors; reach it through perPeer, which
+	// makes it on first use.
+	nnodes  int
+	ps      *peerState
+	locks   map[int]*lockState
+	bars    map[int]*barrierState
+	grantVC map[int][]int32 // per lock: manager VC seen at last grant
 
 	// spareTwins holds page-sized twins that release has dropped, for
 	// beginWrite to reuse; it never holds more twins than were once
@@ -518,6 +516,36 @@ type Runtime struct {
 	coll *collective.Node
 
 	Stats Stats
+}
+
+// peerState is a node's per-peer consistency state: every vector is
+// indexed by node, so a cluster of n nodes holds n² entries of it.
+// Runtime.perPeer makes it at the node's first release, lock, barrier
+// or notice bundle, so a node that never synchronizes through the DSM
+// (a message-passing or serving run) holds none of it.
+type peerState struct {
+	vc []int32
+	// log[n] is every interval of node n this node knows, contiguous by
+	// index (log[n][k].Idx == k+1). Notice bundles are capped subslices
+	// of it, so it is append-only while they are in flight: a
+	// reclamation must reslice or reallocate, never compact in place.
+	log       [][]*Interval
+	lastBarVC []int32 // manager VC broadcast at the last barrier release
+}
+
+// perPeer returns the node's per-peer consistency state, making it on
+// first use. Every clock a message carries, and every message size
+// that counts a clock's entries, comes from here, so both are the
+// node count whether or not the node synchronized before.
+func (r *Runtime) perPeer() *peerState {
+	if r.ps == nil {
+		r.ps = &peerState{
+			vc:        make([]int32, r.nnodes),
+			log:       make([][]*Interval, r.nnodes),
+			lastBarVC: make([]int32, r.nnodes),
+		}
+	}
+	return r.ps
 }
 
 // SetTrace attaches an event log (nil turns tracing off).
@@ -699,12 +727,10 @@ func NewRuntime(g *Globals, k *sim.Kernel, node, nnodes int, board *nic.Board) *
 		board:       board,
 		pages:       make([]page, npages),
 		view:        make([][]uint64, npages),
-		vc:          make([]int32, nnodes),
-		log:         make([][]*Interval, nnodes),
+		nnodes:      nnodes,
 		locks:       make(map[int]*lockState),
 		bars:        make(map[int]*barrierState),
 		grantVC:     make(map[int][]int32),
-		lastBarVC:   make([]int32, nnodes),
 		distributed: g.cfg.DSMOwnershipOrDefault() == config.DSMDistributed,
 	}
 	// Every page starts owned by its static home, and every node's
@@ -825,8 +851,9 @@ func (r *Runtime) copyPageFrom(page int32, from int) {
 // the log. Bundles are computed on every grant, release and barrier;
 // the runs are counted first so the bundle is allocated once.
 func (r *Runtime) newIntervalBundleSince(vc []int32) [][]*Interval {
+	log := r.perPeer().log
 	runs := 0
-	for n, l := range r.log {
+	for n, l := range log {
 		if int(vc[n]) < len(l) {
 			runs++
 		}
@@ -835,7 +862,7 @@ func (r *Runtime) newIntervalBundleSince(vc []int32) [][]*Interval {
 		return nil
 	}
 	out := make([][]*Interval, 0, runs)
-	for n, l := range r.log {
+	for n, l := range log {
 		if start := int(vc[n]); start < len(l) {
 			out = append(out, l[start:len(l):len(l)])
 		}
@@ -856,15 +883,16 @@ func (r *Runtime) newIntervalBundleSince(vc []int32) [][]*Interval {
 // acquire, and its own release — which closes the gap — precedes its
 // own barrier enter.
 func (r *Runtime) absorbIntervals(bundle [][]*Interval) [][]*Interval {
+	ps := r.perPeer()
 	var fresh [][]*Interval
 	for i, run := range bundle {
 		w := run[0].Node
-		before := len(r.log[w])
+		before := len(ps.log[w])
 		for _, iv := range run {
-			if iv.Idx <= r.vc[w] {
+			if iv.Idx <= ps.vc[w] {
 				continue
 			}
-			if want := int32(len(r.log[w])) + 1; iv.Idx != want {
+			if want := int32(len(ps.log[w])) + 1; iv.Idx != want {
 				if !r.distributed {
 					panic(fmt.Sprintf("dsm: node %d got interval (%d,%d), want idx %d — bundle not contiguous",
 						r.node, w, iv.Idx, want))
@@ -872,11 +900,11 @@ func (r *Runtime) absorbIntervals(bundle [][]*Interval) [][]*Interval {
 				r.parkInterval(iv)
 				continue
 			}
-			r.log[w] = append(r.log[w], iv)
-			r.vc[w] = iv.Idx
+			ps.log[w] = append(ps.log[w], iv)
+			ps.vc[w] = iv.Idx
 			r.spliceParked(w)
 		}
-		if l := r.log[w]; len(l) > before {
+		if l := ps.log[w]; len(l) > before {
 			if fresh == nil {
 				fresh = make([][]*Interval, 0, len(bundle)-i)
 			}
@@ -913,15 +941,16 @@ func (r *Runtime) spliceParked(n int) {
 	if len(pend) == 0 {
 		return
 	}
+	ps := r.perPeer()
 	for {
-		next := r.vc[n] + 1
+		next := ps.vc[n] + 1
 		iv, ok := pend[next]
 		if !ok {
 			break
 		}
 		delete(pend, next)
-		r.log[n] = append(r.log[n], iv)
-		r.vc[n] = next
+		ps.log[n] = append(ps.log[n], iv)
+		ps.vc[n] = next
 	}
 	if len(pend) == 0 {
 		delete(r.pendingIv, n)
@@ -968,7 +997,7 @@ func (r *Runtime) applyWriteNotices(fresh [][]*Interval) {
 func (r *Runtime) book(page int32) *pageBook {
 	pg := &r.pages[page]
 	if pg.book == nil {
-		pg.book = &pageBook{applied: make([]int32, len(r.vc))}
+		pg.book = &pageBook{applied: make([]int32, r.nnodes)}
 	}
 	return pg.book
 }

@@ -14,8 +14,7 @@ func parkRuntime(nodes int, distributed bool) *Runtime {
 	return &Runtime{
 		node:        nodes - 1,
 		distributed: distributed,
-		vc:          make([]int32, nodes),
-		log:         make([][]*Interval, nodes),
+		nnodes:      nodes,
 		G:           &Globals{nodes: make([]*Runtime, nodes)},
 	}
 }
@@ -38,8 +37,8 @@ func TestAbsorbParksAheadOfGap(t *testing.T) {
 	if fresh := flat(r.absorbIntervals([][]*Interval{{iv2, iv3}})); len(fresh) != 0 {
 		t.Fatalf("ahead-of-gap absorb returned %d fresh intervals, want 0", len(fresh))
 	}
-	if r.vc[1] != 0 || len(r.log[1]) != 0 {
-		t.Fatalf("vc/log advanced past a gap: vc=%d log=%d", r.vc[1], len(r.log[1]))
+	if ps := r.perPeer(); ps.vc[1] != 0 || len(ps.log[1]) != 0 {
+		t.Fatalf("vc/log advanced past a gap: vc=%d log=%d", ps.vc[1], len(ps.log[1]))
 	}
 
 	// The in-flight release lands: the parked run splices in order and
@@ -54,8 +53,8 @@ func TestAbsorbParksAheadOfGap(t *testing.T) {
 			t.Fatalf("fresh[%d].Idx = %d, want %d", i, iv.Idx, i+1)
 		}
 	}
-	if r.vc[1] != 3 || len(r.log[1]) != 3 {
-		t.Fatalf("after splice vc=%d log=%d, want 3/3", r.vc[1], len(r.log[1]))
+	if ps := r.perPeer(); ps.vc[1] != 3 || len(ps.log[1]) != 3 {
+		t.Fatalf("after splice vc=%d log=%d, want 3/3", ps.vc[1], len(ps.log[1]))
 	}
 	if len(r.pendingIv) != 0 {
 		t.Fatalf("pendingIv not drained: %v", r.pendingIv)

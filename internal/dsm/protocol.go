@@ -438,7 +438,7 @@ func (r *Runtime) onLockAcq(at sim.Time, m *nic.Message) {
 func (r *Runtime) sendGrant(at sim.Time, req *lockAcqMsg) {
 	bundle := r.newIntervalBundleSince(req.vc)
 	nb := noticeBytes(bundle)
-	mvc := append([]int32(nil), r.vc...)
+	mvc := append([]int32(nil), r.perPeer().vc...)
 	size := nic.HeaderBytes + 4*len(mvc) + nb
 	msg := &nic.Message{
 		From: r.node, To: req.from, Op: OpLockGrant, Size: size,
@@ -498,7 +498,7 @@ func (r *Runtime) onBarEnter(at sim.Time, m *nic.Message) {
 		return
 	}
 	// Everyone is here: redistribute what each participant is missing.
-	mvc := append([]int32(nil), r.vc...)
+	mvc := append([]int32(nil), r.perPeer().vc...)
 	for _, enter := range bs.enters {
 		bundle := r.newIntervalBundleSince(enter.vc)
 		nb := noticeBytes(bundle)
@@ -534,7 +534,7 @@ func (r *Runtime) leaveBarrier(at sim.Time, notices [][]*Interval, vc []int32) {
 	}
 	fresh := r.absorbIntervals(notices)
 	r.applyWriteNotices(fresh)
-	copy(r.lastBarVC, vc)
+	copy(r.perPeer().lastBarVC, vc)
 	r.worker.pendingCharge += r.cfg.NoticeCycles * sim.Time(intervalCount(fresh))
 	r.wakeWorker(at, waitBarrier)
 }

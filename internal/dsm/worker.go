@@ -291,10 +291,11 @@ func (w *Worker) release() {
 	slices.Sort(pages)
 	r.dirtied = r.dirtied[:0]
 
-	r.vc[r.node]++
-	idx := r.vc[r.node]
+	ps := r.perPeer()
+	ps.vc[r.node]++
+	idx := ps.vc[r.node]
 	iv := &Interval{Node: r.node, Idx: idx, Pages: pages}
-	r.log[r.node] = append(r.log[r.node], iv)
+	ps.log[r.node] = append(ps.log[r.node], iv)
 
 	for _, page := range pages {
 		vaddr := r.vaddrOfPage(page)
@@ -382,7 +383,7 @@ func (w *Worker) Lock(id int) sim.Time {
 	r.Stats.LockOps++
 	mgr := id % len(r.G.nodes)
 	r.trace.Addf(w.proc.Local(), r.node, "lock", "acquire %d (manager %d)", id, mgr)
-	req := &lockAcqMsg{lock: id, from: r.node, vc: append([]int32(nil), r.vc...)}
+	req := &lockAcqMsg{lock: id, from: r.node, vc: append([]int32(nil), r.perPeer().vc...)}
 	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpLockAcq,
 		Size:    nic.HeaderBytes + 8 + 4*len(req.vc),
@@ -399,14 +400,15 @@ func (w *Worker) Unlock(id int) {
 	r.trace.Addf(w.proc.Local(), r.node, "unlock", "release %d", id)
 	w.release()
 	mgr := id % len(r.G.nodes)
+	vc := r.perPeer().vc
 	sinceVC := r.grantVC[id]
 	if sinceVC == nil {
-		sinceVC = make([]int32, len(r.vc))
+		sinceVC = make([]int32, len(vc))
 	}
 	bundle := r.newIntervalBundleSince(sinceVC)
 	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpLockRel,
-		Size:    nic.HeaderBytes + 8 + 4*len(r.vc) + noticeBytes(bundle),
+		Size:    nic.HeaderBytes + 8 + 4*len(vc) + noticeBytes(bundle),
 		Payload: &lockRelMsg{lock: id, from: r.node, notices: bundle},
 	})
 }
@@ -430,8 +432,9 @@ func (w *Worker) Barrier(id int) sim.Time {
 	if r.distributed {
 		mgr = id % len(r.G.nodes)
 	}
-	bundle := r.newIntervalBundleSince(r.lastBarVC)
-	e := &barEnterMsg{barrier: id, from: r.node, vc: append([]int32(nil), r.vc...), notices: bundle}
+	ps := r.perPeer()
+	bundle := r.newIntervalBundleSince(ps.lastBarVC)
+	e := &barEnterMsg{barrier: id, from: r.node, vc: append([]int32(nil), ps.vc...), notices: bundle}
 	w.toManager(&nic.Message{
 		From: r.node, To: mgr, Op: OpBarEnter,
 		Size:    nic.HeaderBytes + 8 + 4*len(e.vc) + noticeBytes(bundle),

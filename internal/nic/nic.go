@@ -42,7 +42,11 @@ const HeaderBytes = 16
 // Message is one protocol message between nodes. Size is the modeled
 // wire size (protocol header plus data); Payload carries the
 // protocol-level Go value by reference, standing in for the bytes the
-// real board would copy.
+// real board would copy. A Message holds its fabric packet and stays
+// allocated from Send to delivery, so its layout is kept at 136 bytes:
+// the header PATHFINDER classifies on is not stored (the receiving
+// board builds it from Op, From, To and Aux), and the four flags share
+// one word with relSeq.
 type Message struct {
 	From int
 	To   int
@@ -53,34 +57,28 @@ type Message struct {
 	// Transmit side: VAddr names the host buffer holding the data
 	// (0 means the message is inline control data written into the
 	// descriptor by programmed I/O — no DMA, no Message Cache).
-	VAddr   uint64
-	CacheTx bool // header cache bit: bind after transmit DMA
-	NoFlush bool // data already flushed (e.g. flushed at a release)
+	VAddr uint64
 
 	// Receive side: if DeliverBytes > 0 the board DMAs that much
 	// payload to the host buffer at DeliverVAddr before the handler or
 	// application sees it.
 	DeliverVAddr uint64
 	DeliverBytes int
-	CacheRx      bool // header cache bit: bind the arriving page
 
 	Payload any
-
-	// viaChannel marks a message the application posted on its device
-	// channel (set by Send); the transmit processor pops the matching
-	// descriptor.
-	viaChannel bool
 
 	// relSeq is the per-VC go-back-N sequence number stamped by the
 	// reliability layer (faulty fabric only; zero otherwise).
 	relSeq uint32
 
-	// hdr is the backing store for the classifier-visible header built
-	// by header(), inline in the Message so a (re)transmit allocates no
-	// header slice. Its contents are a pure function of the fields
-	// above, so sharing it between an in-flight copy and a retransmit
-	// is harmless.
-	hdr [HeaderBytes]byte
+	CacheTx bool // transmit header cache bit: bind after transmit DMA
+	NoFlush bool // transmit: data already flushed (e.g. flushed at a release)
+	CacheRx bool // receive header cache bit: bind the arriving page
+
+	// viaChannel marks a message the application posted on its device
+	// channel (set by Send); the transmit processor pops the matching
+	// descriptor.
+	viaChannel bool
 
 	// pkt is the fabric packet launch hands to the network, inline in
 	// the Message so a send allocates nothing beyond the Message
@@ -357,15 +355,21 @@ func (b *Board) program(op uint32, pat pathfinder.Pattern) {
 	}
 }
 
-// header builds the classifier-visible header for m in the message's
-// inline buffer.
-func header(m *Message) []byte {
-	h := m.hdr[:]
+// header writes the classifier-visible header of m into h and returns
+// it: the Op, From, To and Aux words, big-endian. It is a pure function
+// of those four fields, so no message or packet carries it; the
+// receiving board builds it just before classification.
+func header(h *[HeaderBytes]byte, m *Message) []byte {
 	binary.BigEndian.PutUint32(h[0:], m.Op)
 	binary.BigEndian.PutUint32(h[4:], uint32(m.From))
 	binary.BigEndian.PutUint32(h[8:], uint32(m.To))
 	binary.BigEndian.PutUint32(h[12:], m.Aux)
-	return h
+	return h[:]
+}
+
+// packet is the fabric packet that carries m.
+func packet(m *Message) atm.Packet {
+	return atm.Packet{Src: m.From, Dst: m.To, VCI: vci(m), Size: m.Size, Meta: m}
 }
 
 // vci derives the ATM virtual circuit for m (one VC per node pair in
@@ -531,14 +535,7 @@ func (b *Board) launch(at sim.Time, m *Message) {
 		}
 	}
 
-	m.pkt = atm.Packet{
-		Src:    m.From,
-		Dst:    m.To,
-		VCI:    vci(m),
-		Size:   m.Size,
-		Header: header(m),
-		Meta:   m,
-	}
+	m.pkt = packet(m)
 	b.net.Send(launch, &m.pkt)
 }
 
@@ -561,7 +558,8 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 	work := b.cfg.NICToCPU(b.cfg.NICPacketRxCycles + b.cfg.NICCellRxCycles*cells)
 	entry, registered := b.handlers[m.Op]
 	if b.PF != nil {
-		v, _, matched := b.PF.Classify(pkt.Header)
+		var h [HeaderBytes]byte
+		v, _, matched := b.PF.Classify(header(&h, m))
 		if !matched || uint32(v) != m.Op {
 			panic(fmt.Sprintf("nic: PATHFINDER misrouted op %d", m.Op))
 		}

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cni/internal/atm"
 	"cni/internal/config"
 	"cni/internal/memsys"
+	"cni/internal/pathfinder"
 	"cni/internal/sim"
 )
 
@@ -478,6 +480,19 @@ func TestDeliveryAllocs(t *testing.T) {
 	}
 }
 
+// TestInFlightSizes pins the layout of what a send holds until its
+// delivery: a saturated fabric keeps most of its messages in flight,
+// so every byte of a Message is multiplied by them. 136 bytes is Go's
+// 144-byte size class.
+func TestInFlightSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Message{}); got > 136 {
+		t.Errorf("nic.Message is %d bytes, want at most 136", got)
+	}
+	if got := unsafe.Sizeof(atm.Packet{}); got > 48 {
+		t.Errorf("atm.Packet is %d bytes, want at most 48", got)
+	}
+}
+
 // TestMessageLaunchesOnce checks that launching a Message a second time
 // panics, whether its first packet is still in flight or delivered.
 func TestMessageLaunchesOnce(t *testing.T) {
@@ -497,6 +512,77 @@ func TestMessageLaunchesOnce(t *testing.T) {
 					}
 				}()
 				r.boards[0].SendAt(r.k.Now(), m)
+			})
+		}
+	}
+}
+
+// TestPatternSubOpsReachHandler registers two sub-operations of one op
+// that differ only in the Aux word, with one PATHFINDER pattern each
+// (as the collective engine registers one per kind), and sends them
+// interleaved. Every message of each must reach the handler once, in
+// order, with its Aux, on all three boards, over a lossless fabric and
+// through go-back-N retransmits (relaunch) on a lossy one. The
+// receiving CNI classifies a header it builds from the message, so
+// there a header that dropped or misplaced Aux would misroute, and an
+// Aux no pattern names must be refused.
+func TestPatternSubOpsReachHandler(t *testing.T) {
+	const n = 40
+	subs := [2]uint32{0xA1, 0xB2}
+	for _, kind := range config.Kinds() {
+		for _, lossy := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/lossy=%v", kind, lossy), func(t *testing.T) {
+				r := newRig(t, kind, func(c *config.Config) {
+					if lossy {
+						c.FaultSeed = 7
+						c.CellLossRate = 0.05
+						c.RetransmitWindow = 4
+					}
+				})
+				var got []int
+				h := func(_ sim.Time, m *Message) {
+					i := m.Payload.(int)
+					if m.Aux != subs[i%2] {
+						t.Errorf("message %d arrived with Aux %#x, want %#x", i, m.Aux, subs[i%2])
+					}
+					got = append(got, i)
+				}
+				for _, aux := range subs {
+					r.boards[1].RegisterPattern(opData, []pathfinder.Field{{Offset: 12, Mask: 0xffffffff, Value: aux}}, true, h)
+				}
+				r.k.Spawn("app", func(p *sim.Proc) {
+					for i := 0; i < n; i++ {
+						r.boards[0].Send(p, &Message{From: 0, To: 1, Op: opData, Aux: subs[i%2], Size: 512, Payload: i})
+						p.Advance(2_000)
+						p.Sync()
+					}
+				})
+				r.k.Run()
+				if len(got) != n {
+					t.Fatalf("%d of %d messages reached the handler", len(got), n)
+				}
+				for i, v := range got {
+					if v != i {
+						t.Fatalf("arrival %d was message %d: out of order or duplicated", i, v)
+					}
+				}
+				if rx := r.boards[0].Stats.Rel.Retransmits; lossy && rx == 0 {
+					t.Fatal("the lossy fabric caused no retransmit")
+				}
+				pf := r.boards[1].PF
+				if pf == nil {
+					return
+				}
+				if pf.Stats.Programmed != 2 || pf.Stats.Classified != n || pf.Stats.Misses != 0 {
+					t.Fatalf("classifier stats %+v, want 2 patterns and %d matched headers", pf.Stats, n)
+				}
+				defer func() {
+					if msg := fmt.Sprint(recover()); !strings.Contains(msg, "misrouted") {
+						t.Fatalf("an Aux no pattern names recovered %q, want a misroute panic", msg)
+					}
+				}()
+				r.boards[0].SendAt(r.k.Now(), &Message{From: 0, To: 1, Op: opData, Aux: 0xC3, Size: HeaderBytes})
+				r.k.Run()
 			})
 		}
 	}

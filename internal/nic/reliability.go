@@ -291,14 +291,8 @@ func (r *reliability) relaunch(at sim.Time, m *Message) {
 			launch = dmaEnd
 		}
 	}
-	b.net.Send(launch, &atm.Packet{
-		Src:    m.From,
-		Dst:    m.To,
-		VCI:    vci(m),
-		Size:   m.Size,
-		Header: header(m),
-		Meta:   m,
-	})
+	pkt := packet(m)
+	b.net.Send(launch, &pkt)
 }
 
 // --- receive side ---
