@@ -71,16 +71,20 @@ type Stats struct {
 
 // Network is the routed fabric plus the per-node access links. It runs
 // on one kernel per shard, and one shard is the common case: every walk
-// a Send asks for waits in the sending shard's ledger until the window
-// barrier, which walks the ledgers in canonical order, so the fabric
-// realizes one order of events at every shard count.
+// a Send asks for waits, with its route, in the sending shard's ledger
+// until the window barrier, which walks the ledgers in canonical order,
+// so the fabric realizes one order of events at every shard count.
 type Network struct {
 	cfg  *config.Config
 	topo topo.Topology
 
-	rx    []func(pkt *Packet, at sim.Time)
-	inj   *injector  // nil on the (default) lossless fabric
-	route []topo.Hop // scratch, reused across walks
+	rx  []func(pkt *Packet, at sim.Time)
+	inj *injector // nil on the (default) lossless fabric
+
+	// Per-hop timing, fixed by the configuration: the head cell's
+	// serialization (the cut-through pipeline offset), one link's
+	// propagation, and a switch's latency.
+	head, prop, swLat sim.Time
 
 	// deliverFn is the pre-bound delivery event body handed to
 	// sim.Kernel.AtCall with the packet as argument, so scheduling a
@@ -103,9 +107,10 @@ type Network struct {
 // sequence, and with it every timing and fault verdict, is identical
 // at every shard count.
 type walkItem struct {
-	now sim.Time // kernel time of the Send call: first canonical key
-	at  sim.Time // launch time passed to Send
-	pkt *Packet
+	now   sim.Time // kernel time of the Send call: first canonical key
+	at    sim.Time // launch time passed to Send
+	pkt   *Packet
+	route []topo.Hop // resolved at Send: a capped slice of its shard's hop arena
 }
 
 // compareWalks orders walks canonically by (send time, source node);
@@ -118,10 +123,13 @@ func compareWalks(a, b walkItem) int {
 }
 
 // netShard is the slice of fabric state one shard may touch during a
-// window without synchronization: its own ledger and its nodes'
-// send-phase counters (pure sums, folded into Stats by Finish).
+// window without synchronization: its own ledger, the hop arena its
+// routes live in, and its nodes' send-phase counters (pure sums, folded
+// into Stats by Finish). The barrier empties the ledger and the arena
+// together.
 type netShard struct {
 	ledger []walkItem
+	hops   []topo.Hop
 	sent   Stats
 }
 
@@ -194,6 +202,10 @@ func newTopology(cfg *config.Config, n int) (topo.Topology, error) {
 // on kernels[shardOf[i]].
 func newNetwork(cfg *config.Config, tp topo.Topology, shardOf []int, kernels []*sim.Kernel) *Network {
 	nw := &Network{cfg: cfg, topo: tp, kernels: kernels, shardOf: shardOf}
+	bits := int64(cfg.CellBytes) * 8
+	nw.head = cfg.NSToCycles((bits*1000 + cfg.LinkMbps - 1) / cfg.LinkMbps)
+	nw.prop = cfg.NSToCycles(cfg.WirePropNS)
+	nw.swLat = cfg.NSToCycles(cfg.SwitchLatencyNS)
 	nw.deliverFn = nw.shardDeliver
 	nw.rx = make([]func(*Packet, sim.Time), len(shardOf))
 	nw.inj = newInjector(cfg, tp.Edges())
@@ -212,9 +224,7 @@ func newNetwork(cfg *config.Config, tp topo.Topology, shardOf []int, kernels []*
 // deliveries land one serialization later still), so the bound holds
 // on lossy fabrics too; shardSchedule panics if it is ever violated.
 func (nw *Network) Lookahead() sim.Time {
-	return nw.headCellCycles() +
-		2*nw.cfg.NSToCycles(nw.cfg.WirePropNS) +
-		nw.cfg.NSToCycles(nw.cfg.SwitchLatencyNS)
+	return nw.head + 2*nw.prop + nw.swLat
 }
 
 // Shards reports the effective shard count.
@@ -239,20 +249,13 @@ func (nw *Network) Attach(i int, handler func(pkt *Packet, at sim.Time)) {
 	nw.rx[i] = handler
 }
 
-// headCellCycles is the serialization time of the first cell, which
-// determines the cut-through pipeline offset.
-func (nw *Network) headCellCycles() sim.Time {
-	bits := int64(nw.cfg.CellBytes) * 8
-	ns := (bits*1000 + nw.cfg.LinkMbps - 1) / nw.cfg.LinkMbps
-	return nw.cfg.NSToCycles(ns)
-}
-
 // Send injects pkt into the fabric at time at (the moment the source
-// NIC starts clocking the first cell out). The sending shard counts it
-// and defers its walk to the next window barrier, so the delivery time
-// is known only then; the destination's handler runs at it. Sending to
-// self is legal and bypasses the fabric: the delivery is scheduled at
-// once, on the node's own kernel.
+// NIC starts clocking the first cell out). The sending shard counts it,
+// resolves its route into the shard's hop arena, and defers its walk to
+// the next window barrier, so the delivery time is known only then; the
+// destination's handler runs at it. Sending to self is legal and
+// bypasses the fabric: the delivery is scheduled at once, on the node's
+// own kernel.
 func (nw *Network) Send(at sim.Time, pkt *Packet) {
 	if pkt.Dst < 0 || pkt.Dst >= len(nw.rx) || pkt.Src < 0 || pkt.Src >= len(nw.rx) {
 		panic(fmt.Sprintf("atm: packet %d->%d outside fabric of %d nodes", pkt.Src, pkt.Dst, len(nw.rx)))
@@ -267,17 +270,23 @@ func (nw *Network) Send(at sim.Time, pkt *Packet) {
 		if nw.rx[pkt.Dst] == nil {
 			panic(fmt.Sprintf("atm: node %d has no receive handler", pkt.Dst))
 		}
-		k.AtCall(at+nw.headCellCycles(), nw.deliverFn, pkt)
+		k.AtCall(at+nw.head, nw.deliverFn, pkt)
 		return
 	}
-	s.ledger = append(s.ledger, walkItem{now: k.Now(), at: at, pkt: pkt})
+	// Route reads only the fixed geometry, so shards resolve routes
+	// concurrently; the cap keeps each route's slice its own.
+	start := len(s.hops)
+	s.hops = nw.topo.Route(pkt.Src, pkt.Dst, s.hops)
+	route := s.hops[start:len(s.hops):len(s.hops)]
+	s.ledger = append(s.ledger, walkItem{now: k.Now(), at: at, pkt: pkt, route: route})
 }
 
 // walk occupies the source access link for the whole serialization,
-// then walks the route. At each switch the head cell arrives one
-// cell-time plus propagation plus switch latency after the message won
-// the previous stage, and the message holds the output port for its
-// serialization time — cut-through pipelining with per-hop contention.
+// then walks the route Send resolved. At each switch the head cell
+// arrives one cell-time plus propagation plus switch latency after the
+// message won the previous stage, and the message holds the output
+// port for its serialization time — cut-through pipelining with
+// per-hop contention.
 // Queuing on the final port is the paper's output-port contention
 // (PortWaits); queuing at intermediate switches only exists on
 // multi-hop fabrics (LinkWaits). On faulty fabrics the injector judges
@@ -288,41 +297,38 @@ func (nw *Network) Send(at sim.Time, pkt *Packet) {
 // The walk order is the fabric's serialization point: ports are
 // contended resources, so calling walk in a different order changes
 // timings. The barrier walks in the canonical order of the ledger.
-func (nw *Network) walk(at sim.Time, pkt *Packet) (deliver, redeliver sim.Time, lost bool) {
+func (nw *Network) walk(at sim.Time, pkt *Packet, route []topo.Hop) (deliver, redeliver sim.Time, lost bool) {
 	b := pkt.Bytes()
-	cells := nw.cfg.Cells(b)
 	ser := nw.cfg.SerializeCycles(b)
-	head := nw.headCellCycles()
-	prop := nw.cfg.NSToCycles(nw.cfg.WirePropNS)
-	swLat := nw.cfg.NSToCycles(nw.cfg.SwitchLatencyNS)
+	pipe := nw.head + nw.prop + nw.swLat
 
 	txStart, _ := nw.topo.TxLink(pkt.Src).Use(at, ser)
-	nw.route = nw.topo.Route(pkt.Src, pkt.Dst, nw.route[:0])
 	t := txStart
 	var portEnd sim.Time
-	for i, hop := range nw.route {
-		headAt := t + head + prop + swLat
+	for i, hop := range route {
+		headAt := t + pipe
 		var portStart sim.Time
 		portStart, portEnd = hop.Port.Use(headAt, ser)
-		if i == len(nw.route)-1 {
+		if i == len(route)-1 {
 			nw.Stats.PortWaits += portStart - headAt
 		} else {
 			nw.Stats.LinkWaits += portStart - headAt
 		}
 		t = portStart
 	}
-	nw.Stats.HopCount += uint64(len(nw.route))
+	nw.Stats.HopCount += uint64(len(route))
 
-	deliver = portEnd + prop
+	deliver = portEnd + nw.prop
 	if nw.inj != nil {
 		// Judge the injection link, then every link the route crosses
 		// short of the final delivery hop: a fault anywhere on the path
 		// mangles the same cell train. On the single switch the route
 		// is one hop, so only the injection link draws — bit-identical
 		// to the single-switch injector.
-		v := nw.inj.judge(pkt.Src, cells, head, &nw.Stats.Faults)
-		for _, hop := range nw.route[:len(nw.route)-1] {
-			v.merge(nw.inj.judge(hop.Edge, cells, head, &nw.Stats.Faults))
+		cells := nw.cfg.Cells(b)
+		v := nw.inj.judge(pkt.Src, cells, nw.head, &nw.Stats.Faults)
+		for _, hop := range route[:len(route)-1] {
+			v.merge(nw.inj.judge(hop.Edge, cells, nw.head, &nw.Stats.Faults))
 		}
 		if v.lost {
 			// The end-of-PDU cell died: reassembly never terminates and
@@ -366,7 +372,8 @@ func (nw *Network) waiting() bool {
 
 // drainLedger is the window barrier: it restores the canonical global
 // order of every shard's deferred walks and applies them
-// single-threaded. A stable sort by (send time, source node) over the
+// single-threaded. Send resolved the routes, so the barrier only
+// reserves ports. A stable sort by (send time, source node) over the
 // per-shard append order — each node's sends sit in one shard's ledger
 // in call order, and kernel time is monotone within a shard — yields
 // an order independent of the shard count, so the ports see one
@@ -387,7 +394,7 @@ func (nw *Network) drainLedger(edge sim.Time) {
 	}
 	for i := range buf {
 		it := &buf[i]
-		deliver, redeliver, lost := nw.walk(it.at, it.pkt)
+		deliver, redeliver, lost := nw.walk(it.at, it.pkt, it.route)
 		if lost {
 			continue
 		}
@@ -398,6 +405,7 @@ func (nw *Network) drainLedger(edge sim.Time) {
 	}
 	for _, s := range nw.perShard {
 		s.ledger = s.ledger[:0]
+		s.hops = s.hops[:0]
 	}
 }
 

@@ -213,3 +213,73 @@ func TestDrainLedgerSortsSameTimeSends(t *testing.T) {
 		}
 	}
 }
+
+// TestLedgerRoutesResolvedAtSend has every node of a 1024-node torus
+// send four times at one instant, 4,096 sends in one window, so each
+// shard's hop arena grows many times while earlier routes still point
+// into its old arrays. Just before the drain, at 1 and 2 shards, every
+// ledger item's route must equal a fresh topo.Route; after the run
+// every packet is delivered and the arenas are empty.
+func TestLedgerRoutesResolvedAtSend(t *testing.T) {
+	const n, each = 1024, 4
+	cfg := config.ForNIC(config.NICCNI)
+	cfg.Topology = config.TopoTorus
+	for _, shards := range []int{1, 2} {
+		nw, ss, err := NewSharded(&cfg, n, shards, sim.EngineCalendar)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ss.Shards() != shards {
+			t.Fatalf("%d shards, want %d", ss.Shards(), shards)
+		}
+		// Each node counts its own arrivals: handlers run on their
+		// shard's worker.
+		got := make([]int, n)
+		for i := 0; i < n; i++ {
+			nw.Attach(i, func(*Packet, sim.Time) { got[i]++ })
+		}
+		rng := sim.NewRNG(5)
+		for src := 0; src < n; src++ {
+			k := nw.NodeKernel(src)
+			var pkts []*Packet
+			for j := 0; j < each; j++ {
+				dst := (src + 1 + rng.Intn(n-1)) % n
+				pkts = append(pkts, &Packet{Src: src, Dst: dst, Size: 1040})
+			}
+			k.At(1, func() {
+				for _, p := range pkts {
+					nw.Send(k.Now(), p)
+				}
+			})
+		}
+		checked := 0
+		ss.OnBarrier(func(edge sim.Time) {
+			for _, s := range nw.perShard {
+				for _, it := range s.ledger {
+					want := nw.Topology().Route(it.pkt.Src, it.pkt.Dst, nil)
+					if !reflect.DeepEqual(it.route, want) {
+						t.Fatalf("shards=%d: ledger route %d->%d = %v, topology %v", shards, it.pkt.Src, it.pkt.Dst, it.route, want)
+					}
+					if cap(it.route) != len(it.route) {
+						t.Fatalf("shards=%d: route %d->%d has spare capacity %d", shards, it.pkt.Src, it.pkt.Dst, cap(it.route)-len(it.route))
+					}
+					checked++
+				}
+			}
+			nw.drainLedger(edge)
+		}, nw.waiting)
+		ss.Run()
+		delivered := 0
+		for _, c := range got {
+			delivered += c
+		}
+		if checked != n*each || delivered != n*each {
+			t.Fatalf("shards=%d: %d routes checked and %d packets delivered, want %d", shards, checked, delivered, n*each)
+		}
+		for i, s := range nw.perShard {
+			if len(s.hops) != 0 || len(s.ledger) != 0 {
+				t.Fatalf("shards=%d: shard %d keeps %d hops and %d ledger items after the drain", shards, i, len(s.hops), len(s.ledger))
+			}
+		}
+	}
+}

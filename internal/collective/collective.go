@@ -179,11 +179,12 @@ func (e *Engine) Attach(b *nic.Board) *Node {
 	// One pattern per (op, kind): the kind lives in the Aux word at
 	// header offset 12, so the board demultiplexes collective kinds
 	// without the handler inspecting the message.
-	for k := Kind(0); k < kindCount; k++ {
-		f := []pathfinder.Field{{Offset: 12, Mask: 0xff000000, Value: uint32(k) << 24}}
-		b.RegisterPattern(opContrib, f, n.aih, n.onMessage)
-		b.RegisterPattern(opResult, f, n.aih, n.onMessage)
+	kinds := make([][]pathfinder.Field, kindCount)
+	for k := range kinds {
+		kinds[k] = []pathfinder.Field{{Offset: 12, Mask: 0xff000000, Value: uint32(k) << 24}}
 	}
+	b.RegisterPattern(opContrib, n.aih, n.onMessage, kinds...)
+	b.RegisterPattern(opResult, n.aih, n.onMessage, kinds...)
 	e.nodes = append(e.nodes, n)
 	return n
 }

@@ -122,6 +122,11 @@ type Hierarchy struct {
 	l2    *cache
 	Stats Stats
 
+	// stored records that a store has reached the hierarchy. Until one
+	// does no line can be dirty, so FlushRange knows every probe would
+	// find a clean line and skips them.
+	stored bool
+
 	lineBytes     int
 	missToL2      sim.Time // L2 access on an L1 miss
 	missToMemory  sim.Time // memory latency + line transfer over the bus
@@ -156,6 +161,7 @@ func (h *Hierarchy) Read(addr uint64) sim.Time {
 // returns its cost in CPU cycles.
 func (h *Hierarchy) Write(addr uint64) sim.Time {
 	h.Stats.Writes++
+	h.stored = true
 	return h.access(addr, true)
 }
 
@@ -222,10 +228,17 @@ func (h *Hierarchy) WriteRange(addr uint64, n int) sim.Time {
 // written. This is the write-back-architecture consistency action the
 // paper requires before an impending message transfer: the Message
 // Cache snoops memory writes, so the flush is what publishes CPU stores
-// to the snooper.
+// to the snooper. Every line costs its probe, clean or not; a
+// hierarchy that was never stored to charges the probes without making
+// them.
 func (h *Hierarchy) FlushRange(addr uint64, n int) (cost sim.Time, flushed int) {
 	h.Stats.Flushes++
-	for a := addr &^ uint64(h.lineBytes-1); a < addr+uint64(n); a += uint64(h.lineBytes) {
+	start := addr &^ uint64(h.lineBytes-1)
+	if !h.stored {
+		lines := (addr + uint64(n) - start + uint64(h.lineBytes-1)) >> h.l1.lineShift
+		return sim.Time(lines) * h.cfg.L1AccessCycles, 0
+	}
+	for a := start; a < addr+uint64(n); a += uint64(h.lineBytes) {
 		dirty := false
 		if l, ok := h.l1.probe(a); ok && *l&lineDirty != 0 {
 			*l &^= lineDirty
@@ -264,6 +277,3 @@ func (h *Hierarchy) InvalidateRange(addr uint64, n int) sim.Time {
 	}
 	return cost
 }
-
-// Bus returns a new memory-bus resource for one node.
-func Bus(name string) *sim.Resource { return sim.NewResource(name) }

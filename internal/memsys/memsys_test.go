@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"cni/internal/config"
+	"cni/internal/sim"
 )
 
 func newH() (*Hierarchy, config.Config) {
@@ -203,4 +204,135 @@ func TestWorkingSetFitsInL1(t *testing.T) {
 		t.Fatalf("second pass over resident set missed %d times",
 			h.Stats.L1Misses-missesAfterPass1)
 	}
+}
+
+// refFlush is FlushRange without its fast path: it probes every line
+// of the range in both levels. The fast path must equal it.
+func refFlush(h *Hierarchy, addr uint64, n int) (cost sim.Time, flushed int) {
+	h.Stats.Flushes++
+	for a := addr &^ uint64(h.lineBytes-1); a < addr+uint64(n); a += uint64(h.lineBytes) {
+		dirty := false
+		if l, ok := h.l1.probe(a); ok && *l&lineDirty != 0 {
+			*l &^= lineDirty
+			dirty = true
+		}
+		if l, ok := h.l2.probe(a); ok && *l&lineDirty != 0 {
+			*l &^= lineDirty
+			dirty = true
+		}
+		cost += h.cfg.L1AccessCycles
+		if dirty {
+			cost += h.writeBackCost
+			flushed++
+			h.Stats.WriteBacks++
+			h.Stats.FlushedLns++
+		}
+	}
+	return cost, flushed
+}
+
+// sameLines reports whether two caches of one geometry hold the same
+// lines in the same states.
+func sameLines(a, b *cache) bool {
+	for i := range a.chunks {
+		if *a.chunks[i] != *b.chunks[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// edgeFlushes is a program of flushes on the range edges of a
+// 32-byte line, before any store: zero lengths at an aligned and an
+// unaligned start, one byte, exactly one line, one line and a byte, two
+// bytes across a line end, and two lines from mid-line.
+var edgeFlushes = []byte{
+	4, 1, 0x00, 0, 4, 1, 0x01, 0, 4, 1, 0x00, 1, 4, 1, 0x00, 32,
+	4, 1, 0x00, 33, 4, 1, 0x1f, 2, 4, 1, 0x10, 64,
+}
+
+// checkProgram runs a program of memory operations on a hierarchy and
+// on a twin whose flushes are refFlush. Each op is four bytes: the
+// operation, two address bytes (an unaligned address in a 2 KB window,
+// so lines of small caches conflict) and a length from 0 to 255 bytes.
+// geom picks an L1 of half a line (which holds one) to 4 lines and an
+// L2 of 1 to 32 lines. After every operation the two hierarchies must
+// agree on costs, flushed lines, Stats and every line. It reports how
+// many flushes came before any store, on the fast path.
+func checkProgram(t *testing.T, geom byte, prog []byte) (cleanFlushes int) {
+	t.Helper()
+	cfg := config.Default()
+	cfg.CacheLineBytes = 32
+	cfg.L1Bytes = cfg.CacheLineBytes / 2 << (geom & 3)
+	cfg.L2Bytes = cfg.CacheLineBytes << (geom >> 2 % 6)
+	h, ref := New(&cfg), New(&cfg)
+	for i := 0; i+4 <= len(prog); i += 4 {
+		op := prog[i] % 6
+		addr := (uint64(prog[i+1])<<8 | uint64(prog[i+2])) % 2048
+		n := int(prog[i+3])
+		var got, want sim.Time
+		switch op {
+		case 0:
+			got, want = h.Read(addr), ref.Read(addr)
+		case 1:
+			got, want = h.Write(addr), ref.Write(addr)
+		case 2:
+			got, want = h.ReadRange(addr, n), ref.ReadRange(addr, n)
+		case 3:
+			got, want = h.WriteRange(addr, n), ref.WriteRange(addr, n)
+		case 4:
+			if !h.stored {
+				cleanFlushes++
+			}
+			var gotN, wantN int
+			got, gotN = h.FlushRange(addr, n)
+			want, wantN = refFlush(ref, addr, n)
+			if gotN != wantN {
+				t.Fatalf("op %d: FlushRange(%#x, %d) flushed %d lines, the probing loop %d", i/4, addr, n, gotN, wantN)
+			}
+		case 5:
+			got, want = h.InvalidateRange(addr, n), ref.InvalidateRange(addr, n)
+		}
+		if got != want {
+			t.Fatalf("op %d (kind %d, %#x, %d): cost %d, reference %d", i/4, op, addr, n, got, want)
+		}
+		if h.Stats != ref.Stats {
+			t.Fatalf("op %d (kind %d, %#x, %d): stats %+v, reference %+v", i/4, op, addr, n, h.Stats, ref.Stats)
+		}
+		if !sameLines(h.l1, ref.l1) || !sameLines(h.l2, ref.l2) {
+			t.Fatalf("op %d (kind %d, %#x, %d): cache lines differ from the reference", i/4, op, addr, n)
+		}
+	}
+	return cleanFlushes
+}
+
+// TestFlushMatchesProbingLoop runs edgeFlushes and then seeded random
+// programs of 200 operations, on every cache geometry, through
+// checkProgram: a flush before any store, on the fast path, and every
+// later one equal the probing loop.
+func TestFlushMatchesProbingLoop(t *testing.T) {
+	rng := sim.NewRNG(1)
+	clean := 0
+	for i := 0; i < 240; i++ {
+		prog := make([]byte, 4*200)
+		for j := range prog {
+			prog[j] = byte(rng.Uint64())
+		}
+		checkProgram(t, byte(i%24), edgeFlushes)
+		clean += checkProgram(t, byte(i%24), prog)
+	}
+	if clean == 0 {
+		t.Fatal("no random program flushed before its first store: the fast path went untested on random ranges")
+	}
+}
+
+// FuzzHierarchy is checkProgram on fuzzed programs.
+func FuzzHierarchy(f *testing.F) {
+	f.Add(byte(0), edgeFlushes)
+	f.Add(byte(0), []byte{1, 0, 0, 0, 4, 0, 0, 32, 4, 0, 0, 32})
+	f.Add(byte(9), []byte{3, 0, 3, 200, 0, 4, 0, 0, 5, 0, 17, 0, 4, 0, 1, 0, 3, 7, 255, 255, 4, 0, 0, 255})
+	f.Add(byte(23), []byte{1, 0, 64, 0, 1, 0, 192, 0, 1, 1, 64, 0, 2, 0, 0, 255, 5, 0, 64, 1, 4, 0, 0, 255})
+	f.Fuzz(func(t *testing.T, geom byte, prog []byte) {
+		checkProgram(t, geom, prog)
+	})
 }

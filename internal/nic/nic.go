@@ -290,34 +290,31 @@ func (b *Board) MapPages(vbase uint64, bytes int) {
 // it runs on the board's receive processor and the host CPU is never
 // involved. On the standard board onNIC is ignored — there is nowhere
 // on the board to run user code — and the handler runs on the host
-// after an interrupt.
+// after an interrupt. An op has one handler: registering it again, by
+// either call, panics.
 func (b *Board) Register(op uint32, onNIC bool, h Handler) {
-	b.install(op, onNIC, h)
-	b.program(op, pathfinder.Pattern{{Offset: 0, Mask: 0xffffffff, Value: op}})
+	b.RegisterPattern(op, onNIC, h)
 }
 
 // RegisterPattern is Register for protocols that demultiplex on more
-// than the operation word: the handler for op is installed once, and a
-// PATHFINDER pattern matching op plus the extra field comparisons is
-// programmed per call (callers register one pattern per sub-operation,
-// e.g. one per collective kind in the Aux word). Patterns for the same
-// op share the leading op test in the classifier DAG, so the match
-// work grows far slower than the pattern count — the PATHFINDER
-// property the paper leans on.
-func (b *Board) RegisterPattern(op uint32, extra []pathfinder.Field, onNIC bool, h Handler) {
-	b.install(op, onNIC, h)
-	pat := pathfinder.Pattern{{Offset: 0, Mask: 0xffffffff, Value: op}}
-	pat = append(pat, extra...)
-	b.program(op, pat)
-}
-
-// install records the handler entry for op; re-installing the same op
-// is allowed only for multi-pattern registration of one protocol.
-func (b *Board) install(op uint32, onNIC bool, h Handler) {
-	if !b.onBoard {
-		onNIC = false
+// than the operation word: it programs one PATHFINDER pattern per
+// sub-operation, matching op plus that sub-operation's extra field
+// comparisons (e.g. one per collective kind in the Aux word), and h
+// serves every one of them. With no sub-operation the pattern is op
+// alone. Patterns for the same op share the leading op test in the
+// classifier DAG, so the match work grows far slower than the pattern
+// count — the PATHFINDER property the paper leans on.
+func (b *Board) RegisterPattern(op uint32, onNIC bool, h Handler, subs ...[]pathfinder.Field) {
+	if _, ok := b.handlers[op]; ok {
+		panic(fmt.Sprintf("nic: node %d registers op %d twice", b.node, op))
 	}
-	b.handlers[op] = handlerEntry{fn: h, onNIC: onNIC}
+	b.handlers[op] = handlerEntry{fn: h, onNIC: onNIC && b.onBoard}
+	if len(subs) == 0 {
+		subs = [][]pathfinder.Field{nil}
+	}
+	for _, extra := range subs {
+		b.program(op, append(pathfinder.Pattern{{Offset: 0, Mask: 0xffffffff, Value: op}}, extra...))
+	}
 }
 
 // RegisterFilter installs f as an Application Interrupt Handler that
@@ -565,13 +562,7 @@ func (b *Board) receive(pkt *atm.Packet, at sim.Time) {
 		}
 		if cells > 1 {
 			// Non-first cells route through transient per-VCI flow state.
-			b.PF.InstallFragmentFlow(pkt.VCI, v)
-			for c := int64(1); c < cells; c++ {
-				if _, ok := b.PF.ClassifyFragment(pkt.VCI); !ok {
-					panic("nic: fragment flow lost mid-packet")
-				}
-			}
-			b.PF.RemoveFragmentFlow(pkt.VCI)
+			b.PF.RouteFragments(int(cells - 1))
 		}
 		if b.cfg.UseSoftwareClassifer {
 			work += b.cfg.NSToCycles(b.cfg.SoftwareClassifyNS)

@@ -547,9 +547,11 @@ func TestPatternSubOpsReachHandler(t *testing.T) {
 					}
 					got = append(got, i)
 				}
+				var pats [][]pathfinder.Field
 				for _, aux := range subs {
-					r.boards[1].RegisterPattern(opData, []pathfinder.Field{{Offset: 12, Mask: 0xffffffff, Value: aux}}, true, h)
+					pats = append(pats, []pathfinder.Field{{Offset: 12, Mask: 0xffffffff, Value: aux}})
 				}
+				r.boards[1].RegisterPattern(opData, true, h, pats...)
 				r.k.Spawn("app", func(p *sim.Proc) {
 					for i := 0; i < n; i++ {
 						r.boards[0].Send(p, &Message{From: 0, To: 1, Op: opData, Aux: subs[i%2], Size: 512, Payload: i})
@@ -585,5 +587,68 @@ func TestPatternSubOpsReachHandler(t *testing.T) {
 				r.k.Run()
 			})
 		}
+	}
+}
+
+// mustPanic runs f and fails unless it panics with a message
+// containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+			t.Fatalf("recovered %q, want a panic containing %q", msg, want)
+		}
+	}()
+	f()
+}
+
+// TestRegistrationKeepsOneHandler pins that an op has one handler: a
+// second registration of it panics, by either call and whatever its
+// onNIC, and leaves the installed handler and filter in place. The
+// filter half runs on the CNI, the only board that runs filters; the
+// arrival it declines must reach the installed handler.
+func TestRegistrationKeepsOneHandler(t *testing.T) {
+	const opSub = 3
+	sub := []pathfinder.Field{{Offset: 12, Mask: 0xffffffff, Value: 0xB2}}
+	for _, kind := range config.Kinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			r := newRig(t, kind, nil)
+			b := r.boards[1]
+			var first, later []uint32
+			b.Register(opSub, false, func(_ sim.Time, m *Message) { first = append(first, m.Aux) })
+			screened := 0
+			b.RegisterFilter(opSub, func(_ sim.Time, m *Message) bool {
+				screened++
+				return m.Aux == 0xB2
+			})
+			again := func(_ sim.Time, m *Message) { later = append(later, m.Aux) }
+			for _, onNIC := range []bool{false, true} {
+				mustPanic(t, "registers op 3 twice", func() { b.Register(opSub, onNIC, again) })
+				mustPanic(t, "registers op 3 twice", func() { b.RegisterPattern(opSub, onNIC, again, sub) })
+			}
+			r.k.Spawn("app", func(p *sim.Proc) {
+				for _, aux := range []uint32{0xA1, 0xB2} {
+					r.boards[0].Send(p, &Message{From: 0, To: 1, Op: opSub, Aux: aux, Size: HeaderBytes})
+					p.Advance(100_000)
+					p.Sync()
+				}
+			})
+			r.k.Run()
+			if len(later) != 0 {
+				t.Fatalf("the handler of a refused registration ran for %#x", later)
+			}
+			want := []uint32{0xA1}
+			if b.HandlersOnBoard() {
+				if screened != 2 || b.Stats.FilterServed != 1 {
+					t.Fatalf("filter screened %d arrivals and served %d, want 2 and 1", screened, b.Stats.FilterServed)
+				}
+			} else {
+				want = append(want, 0xB2)
+			}
+			if fmt.Sprint(first) != fmt.Sprint(want) {
+				t.Fatalf("installed handler saw %#x, want %#x", first, want)
+			}
+		})
 	}
 }

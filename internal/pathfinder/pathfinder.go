@@ -226,6 +226,16 @@ func (c *Classifier) ClassifyFragment(vci uint32) (Value, bool) {
 	return v, ok
 }
 
+// RouteFragments accounts the n non-first cells of one packet that
+// reaches the board whole: the flow its first cell installs routes all
+// n and is torn down after the last, and no other packet can read it
+// in between, so the classifier counts the install and the n hits and
+// keeps no flow state.
+func (c *Classifier) RouteFragments(n int) {
+	c.Stats.FragInstalls++
+	c.Stats.FragHits += uint64(n)
+}
+
 // RemoveFragmentFlow tears down the per-packet flow state once the last
 // cell has been routed.
 func (c *Classifier) RemoveFragmentFlow(vci uint32) {

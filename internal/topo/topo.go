@@ -59,7 +59,10 @@ type Topology interface {
 	// Route appends the switch output ports a message from src to dst
 	// crosses, in path order, to buf and returns it. src != dst; the
 	// last hop is always the destination's delivery port. Routes are a
-	// pure function of (src, dst): deterministic and minimal.
+	// pure function of (src, dst): deterministic and minimal. Route
+	// must be safe to call at once from several goroutines, since every
+	// shard worker resolves its own sends' routes: it may only read the
+	// fixed geometry, never a port's state.
 	Route(src, dst int, buf []Hop) []Hop
 	// Diameter reports the maximum route length in switch hops.
 	Diameter() int
