@@ -24,6 +24,7 @@ package msgcache
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Stats counts Message Cache activity. The paper's "network cache hit
@@ -67,11 +68,16 @@ type Cache struct {
 	hand      int            // clock hand
 	snooping  bool
 
-	tlb  map[uint64]uint64 // vpage -> ppage
-	rtlb map[uint64]uint64 // ppage -> vpage
+	// runs is the TLB and the RTLB in one: the translations as runs of
+	// consecutive pages, sorted by virtual page, disjoint, and with no
+	// neighbour that continues another in both spaces.
+	runs []run
 
 	Stats Stats
 }
+
+// run maps virtual pages [v, v+n) onto physical pages [p, p+n).
+type run struct{ v, p, n uint64 }
 
 // New returns a Message Cache of sizeBytes bytes of board memory cut
 // into pageBytes buffers (the paper fixes the buffer size to the host
@@ -90,16 +96,11 @@ func New(sizeBytes, pageBytes int, snooping bool) *Cache {
 		frames:    make([]frame, n),
 		byVPage:   make(map[uint64]int),
 		snooping:  snooping,
-		tlb:       make(map[uint64]uint64),
-		rtlb:      make(map[uint64]uint64),
 	}
 }
 
 // Frames reports the number of page buffers.
 func (c *Cache) Frames() int { return len(c.frames) }
-
-// PageBytes reports the buffer size.
-func (c *Cache) PageBytes() int { return c.pageBytes }
 
 // vpageOf truncates a virtual address to its page number.
 func (c *Cache) vpageOf(vaddr uint64) uint64 { return vaddr / uint64(c.pageBytes) }
@@ -112,53 +113,93 @@ var ErrNoMapping = errors.New("msgcache: no translation")
 // MapPage installs the virtual-to-physical translation for one page in
 // both the TLB and the RTLB (the OS does this when it pins a buffer
 // for the board).
-func (c *Cache) MapPage(vpage, ppage uint64) {
-	if old, ok := c.tlb[vpage]; ok && old != ppage {
-		delete(c.rtlb, old)
-	}
-	c.tlb[vpage] = ppage
-	c.rtlb[ppage] = vpage
-}
+func (c *Cache) MapPage(vpage, ppage uint64) { c.MapPages(vpage, ppage, 1) }
 
 // MapPages installs the translations of n consecutive pages, vpage+i
-// to ppage+i. A cache with no translation yet sizes both maps for the
-// range once, instead of growing them an insert at a time; one that
-// already maps pages grows as MapPage would.
+// to ppage+i, as one run, merged with a neighbour that it continues in
+// both spaces. Pages of the range that already translate get the new
+// translation, so a remapped page loses its old reverse translation.
+// Mapping two virtual pages onto one physical page is outside the
+// contract, as no caller does it; P2V then answers with one of them.
 func (c *Cache) MapPages(vpage, ppage uint64, n int) {
-	if len(c.tlb) == 0 && len(c.rtlb) == 0 {
-		c.tlb = make(map[uint64]uint64, n)
-		c.rtlb = make(map[uint64]uint64, n)
+	if n <= 0 {
+		return
 	}
-	for i := range uint64(n) {
-		c.MapPage(vpage+i, ppage+i)
+	r := run{vpage, ppage, uint64(n)}
+	i := c.unmap(vpage, vpage+r.n)
+	left := i > 0 && continues(c.runs[i-1], r)
+	right := i < len(c.runs) && continues(r, c.runs[i])
+	switch {
+	case left && right:
+		c.runs[i-1].n += r.n + c.runs[i].n
+		c.runs = slices.Delete(c.runs, i, i+1)
+	case left:
+		c.runs[i-1].n += r.n
+	case right:
+		c.runs[i] = run{r.v, r.p, r.n + c.runs[i].n}
+	default:
+		c.runs = slices.Insert(c.runs, i, r)
 	}
 }
 
+// continues reports whether b starts where a ends, in both spaces.
+func continues(a, b run) bool { return a.v+a.n == b.v && a.p+a.n == b.p }
+
 // UnmapPage removes the translation for vpage.
-func (c *Cache) UnmapPage(vpage uint64) {
-	if p, ok := c.tlb[vpage]; ok {
-		delete(c.rtlb, p)
-		delete(c.tlb, vpage)
+func (c *Cache) UnmapPage(vpage uint64) { c.unmap(vpage, vpage+1) }
+
+// unmap cuts virtual pages [lo, hi) out of the runs, keeping the parts
+// of the runs it overlaps that lie outside it, and returns the index
+// at which a run starting at lo belongs.
+func (c *Cache) unmap(lo, hi uint64) int {
+	i := 0
+	for i < len(c.runs) && c.runs[i].v+c.runs[i].n <= lo {
+		i++
 	}
+	j := i
+	for j < len(c.runs) && c.runs[j].v < hi {
+		j++
+	}
+	if i == j {
+		return i
+	}
+	head, tail := c.runs[i], c.runs[j-1]
+	var keep [2]run
+	k := 0
+	if head.v < lo {
+		keep[k] = run{head.v, head.p, lo - head.v}
+		k++
+	}
+	if end := tail.v + tail.n; end > hi {
+		keep[k] = run{hi, tail.p + hi - tail.v, end - hi}
+		k++
+	}
+	c.runs = slices.Replace(c.runs, i, j, keep[:k]...)
+	if head.v < lo {
+		return i + 1
+	}
+	return i
 }
 
 // V2P translates a virtual page to a physical page (virtually
 // addressed DMA path).
 func (c *Cache) V2P(vpage uint64) (uint64, error) {
-	p, ok := c.tlb[vpage]
-	if !ok {
-		return 0, fmt.Errorf("%w: vpage %#x", ErrNoMapping, vpage)
+	for _, r := range c.runs {
+		if vpage >= r.v && vpage < r.v+r.n {
+			return r.p + vpage - r.v, nil
+		}
 	}
-	return p, nil
+	return 0, fmt.Errorf("%w: vpage %#x", ErrNoMapping, vpage)
 }
 
 // P2V translates a physical page back to the virtual page (snoop path).
 func (c *Cache) P2V(ppage uint64) (uint64, error) {
-	v, ok := c.rtlb[ppage]
-	if !ok {
-		return 0, fmt.Errorf("%w: ppage %#x", ErrNoMapping, ppage)
+	for _, r := range c.runs {
+		if ppage >= r.p && ppage < r.p+r.n {
+			return r.v + ppage - r.p, nil
+		}
 	}
-	return v, nil
+	return 0, fmt.Errorf("%w: ppage %#x", ErrNoMapping, ppage)
 }
 
 // --- Buffer map operations ---
@@ -228,7 +269,9 @@ func (c *Cache) bind(vpage uint64) bool {
 // victim runs the clock sweep: advance the hand past pinned frames and
 // past frames with the reference bit set (clearing it), return the
 // first unpinned frame without it. Invalid frames are taken
-// immediately. Returns -1 when every frame is pinned.
+// immediately. Two turns of the hand suffice: the first clears the
+// reference bit of every unpinned frame, so the second takes one.
+// Returns -1 when every frame is pinned.
 func (c *Cache) victim() int {
 	for sweep := 0; sweep < 2*len(c.frames); sweep++ {
 		f := &c.frames[c.hand]
@@ -245,15 +288,6 @@ func (c *Cache) victim() int {
 			continue
 		}
 		return i
-	}
-	// All frames referenced twice around: fall back to the first
-	// unpinned frame at or after the hand.
-	for sweep := 0; sweep < len(c.frames); sweep++ {
-		i := c.hand
-		c.hand = (c.hand + 1) % len(c.frames)
-		if c.frames[i].pinned == 0 {
-			return i
-		}
 	}
 	return -1
 }

@@ -1,8 +1,13 @@
 package msgcache
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"cni/internal/sim"
 )
 
 const page = 2048
@@ -163,8 +168,8 @@ func TestSnoopAbortsOnUnboundPage(t *testing.T) {
 }
 
 func TestTLBAndRTLB(t *testing.T) {
-	// The same cases on a cache whose maps grow an insert at a time and
-	// on one that MapPages sized for a range first.
+	// The same cases on a cache with no translation yet and on one
+	// whose MapPages already installed a 64-page run.
 	presized := New(4*page, page, true)
 	presized.MapPages(100, 5100, 64)
 	for _, tc := range []struct {
@@ -493,4 +498,228 @@ func TestUnpinStormKeepsBufferMapConsistent(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestNewRejectsNonPositivePageSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a zero page size")
+		}
+	}()
+	New(4*page, 0, true)
+}
+
+// refTLB is the TLB/RTLB pair as two maps filled a page at a time, the
+// representation the runs replaced. The runs must translate as it
+// does.
+type refTLB struct{ tlb, rtlb map[uint64]uint64 }
+
+func newRefTLB() *refTLB {
+	return &refTLB{tlb: make(map[uint64]uint64), rtlb: make(map[uint64]uint64)}
+}
+
+func (r *refTLB) mapPage(vpage, ppage uint64) {
+	if old, ok := r.tlb[vpage]; ok && old != ppage {
+		delete(r.rtlb, old)
+	}
+	r.tlb[vpage] = ppage
+	r.rtlb[ppage] = vpage
+}
+
+func (r *refTLB) mapPages(vpage, ppage uint64, n int) {
+	for i := range uint64(n) {
+		r.mapPage(vpage+i, ppage+i)
+	}
+}
+
+func (r *refTLB) unmapPage(vpage uint64) {
+	if p, ok := r.tlb[vpage]; ok {
+		delete(r.rtlb, p)
+		delete(r.tlb, vpage)
+	}
+}
+
+// aliases reports whether mapping vpage+i to ppage+i, for i < n, would
+// map two virtual pages onto one physical page at some step: whether a
+// physical page of the range already translates back to a virtual page
+// other than its new one.
+func (r *refTLB) aliases(vpage, ppage uint64, n int) bool {
+	for i := range uint64(n) {
+		if v, ok := r.rtlb[ppage+i]; ok && v != vpage+i {
+			return true
+		}
+	}
+	return false
+}
+
+// The window translation programs work in: virtual pages [winLo,
+// winLo+winPages), each mapped onto its page number plus one of
+// physBases. The first base is the boards' physical page offset
+// (nic.PhysPageOffset); shifting it by one and by 40 pages makes
+// ranges meet and collide in physical space, and the last base is
+// clear of the others. physWindows are the physical pages the window
+// maps onto under some base, with one page past each end.
+const (
+	winLo      = 1 << 10
+	winPages   = 256
+	physOffset = 1 << 20
+	physClear  = 3 << 20
+)
+
+var (
+	physBases   = [...]uint64{physOffset, physOffset + 1, physOffset + 40, physClear}
+	physWindows = [...][2]uint64{
+		{physOffset + winLo - 1, physOffset + 40 + winLo + winPages},
+		{physClear + winLo - 1, physClear + winLo + winPages},
+	}
+)
+
+// checkTranslations runs a translation program on a Cache and on a
+// refTLB. region pages (up to 8,191) from winLo are mapped first, as a
+// DSM or serving board maps one region before anything else. Each op
+// of prog is four bytes: the operation (MapPage, MapPages, UnmapPage),
+// a virtual page of the window, a physical base, and a length from 0
+// to 70. An op that would map two virtual pages onto one physical page
+// is skipped, since that is outside MapPages's contract. After every
+// op, V2P of every page in the window and one past each end, and P2V
+// of every page of physWindows, must equal the reference; and the runs
+// must be sorted, disjoint in both spaces and non-empty, with no
+// neighbour that continues another. It reports the ops skipped and the
+// most runs held.
+func checkTranslations(t *testing.T, region uint16, prog []byte) (skipped, maxRuns int) {
+	t.Helper()
+	c, ref := New(4*page, page, true), newRefTLB()
+	check := func(step string) {
+		t.Helper()
+		for v := uint64(winLo - 1); v <= winLo+winPages; v++ {
+			got, gerr := c.V2P(v)
+			want, ok := ref.tlb[v]
+			if (gerr == nil) != ok || got != want {
+				t.Fatalf("%s: V2P(%d) = %d, %v; reference %d, %v", step, v, got, gerr, want, ok)
+			}
+		}
+		for _, w := range physWindows {
+			for p := w[0]; p <= w[1]; p++ {
+				got, gerr := c.P2V(p)
+				want, ok := ref.rtlb[p]
+				if (gerr == nil) != ok || got != want {
+					t.Fatalf("%s: P2V(%d) = %d, %v; reference %d, %v", step, p, got, gerr, want, ok)
+				}
+			}
+		}
+		if err := runShape(c.runs); err != "" {
+			t.Fatalf("%s: %s in %v", step, err, c.runs)
+		}
+		maxRuns = max(maxRuns, len(c.runs))
+	}
+	n := int(region) % 8192
+	c.MapPages(winLo, physBases[0]+winLo, n)
+	ref.mapPages(winLo, physBases[0]+winLo, n)
+	check("region")
+	for i := 0; i+4 <= len(prog); i += 4 {
+		kind := prog[i] % 3
+		v := winLo + uint64(prog[i+1])
+		p := physBases[int(prog[i+2])%len(physBases)] + v
+		n := int(prog[i+3]) % 71
+		switch kind {
+		case 0:
+			if ref.aliases(v, p, 1) {
+				skipped++
+				continue
+			}
+			c.MapPage(v, p)
+			ref.mapPage(v, p)
+		case 1:
+			if ref.aliases(v, p, n) {
+				skipped++
+				continue
+			}
+			c.MapPages(v, p, n)
+			ref.mapPages(v, p, n)
+		case 2:
+			c.UnmapPage(v)
+			ref.unmapPage(v)
+		}
+		check(fmt.Sprintf("op %d (kind %d, v %d, p %d, n %d)", i/4, kind, v, p, n))
+	}
+	return skipped, maxRuns
+}
+
+// runShape names what is wrong with a run list, or returns "".
+func runShape(runs []run) string {
+	for i, r := range runs {
+		if r.n == 0 {
+			return fmt.Sprintf("empty run %d", i)
+		}
+		if i == 0 {
+			continue
+		}
+		switch prev := runs[i-1]; {
+		case prev.v+prev.n > r.v:
+			return fmt.Sprintf("runs %d and %d unsorted or overlapping", i-1, i)
+		case continues(prev, r):
+			return fmt.Sprintf("runs %d and %d not merged", i-1, i)
+		}
+	}
+	byP := slices.Clone(runs)
+	slices.SortFunc(byP, func(a, b run) int { return cmp.Compare(a.p, b.p) })
+	for i := 1; i < len(byP); i++ {
+		if byP[i-1].p+byP[i-1].n > byP[i].p {
+			return fmt.Sprintf("physical ranges of %v and %v overlap", byP[i-1], byP[i])
+		}
+	}
+	return ""
+}
+
+// seedPrograms are the mappings the benchmark's boards make, as
+// checkTranslations programs, with 2 KB pages.
+var seedPrograms = []struct {
+	region uint16
+	prog   []byte
+}{
+	// fabric-torus: the 64 KB transmit and receive windows at 0x10000
+	// and 0x40000.
+	{0, []byte{1, 32, 0, 32, 1, 128, 0, 32}},
+	// The DSM's 4,097-page shared region; then one page remapped clear
+	// of it and back, which splits the run and merges it again, and one
+	// page unmapped.
+	{4097, []byte{0, 10, 3, 0, 0, 10, 0, 0, 2, 200, 0, 0}},
+	// rpc.Transport.MapHeap growing a KV heap: the client's 65 pages,
+	// then the server's slots behind them.
+	{0, []byte{1, 0, 0, 65, 1, 65, 0, 64}},
+	// A heap grown by unaligned byte counts, whose steps share a page.
+	{0, []byte{1, 0, 0, 10, 1, 9, 0, 20, 1, 28, 0, 30}},
+}
+
+// TestTranslationsMatchReference runs the seed programs, then 128
+// seeded random programs of 64 ops, through checkTranslations.
+func TestTranslationsMatchReference(t *testing.T) {
+	for _, s := range seedPrograms {
+		checkTranslations(t, s.region, s.prog)
+	}
+	rng := sim.NewRNG(1)
+	skipped, maxRuns := 0, 0
+	for i := 0; i < 128; i++ {
+		region := []uint16{0, 0, uint16(rng.Intn(300)), 4097}[i%4]
+		prog := make([]byte, 4*64)
+		for j := range prog {
+			prog[j] = byte(rng.Uint64())
+		}
+		s, m := checkTranslations(t, region, prog)
+		skipped += s
+		maxRuns = max(maxRuns, m)
+	}
+	if skipped == 0 || maxRuns < 8 {
+		t.Fatalf("random programs skipped %d ops and held at most %d runs: they never aliased or fragmented the window", skipped, maxRuns)
+	}
+}
+
+// FuzzTranslations is checkTranslations on fuzzed programs.
+func FuzzTranslations(f *testing.F) {
+	for _, s := range seedPrograms {
+		f.Add(s.region, s.prog)
+	}
+	f.Fuzz(func(t *testing.T, region uint16, prog []byte) {
+		checkTranslations(t, region, prog)
+	})
 }

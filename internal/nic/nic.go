@@ -20,7 +20,6 @@ package nic
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"cni/internal/adc"
 	"cni/internal/atm"
@@ -157,9 +156,9 @@ type Board struct {
 	net  *atm.Network
 	mem  *memsys.Hierarchy
 
-	bus    *sim.Resource // host memory bus (DMA engine side)
-	txProc *sim.Resource
-	rxProc *sim.Resource
+	bus    sim.Resource // host memory bus (DMA engine side)
+	txProc sim.Resource
+	rxProc sim.Resource
 
 	// Model-owned components, provisioned by NewBoard. MC is exported
 	// for experiment harnesses that read hit ratios; it is nil on
@@ -221,9 +220,6 @@ func NewBoard(k *sim.Kernel, cfg *config.Config, node int, net *atm.Network, mem
 		node:     node,
 		net:      net,
 		mem:      mem,
-		bus:      sim.NewResource("bus" + strconv.Itoa(node)),
-		txProc:   sim.NewResource("txproc" + strconv.Itoa(node)),
-		rxProc:   sim.NewResource("rxproc" + strconv.Itoa(node)),
 		handlers: make(map[uint32]handlerEntry),
 	}
 	b.aihFn = b.runAIH
@@ -727,7 +723,7 @@ func (b *Board) FreeDepth() int {
 
 // Bus exposes the node's memory-bus resource (cluster wiring and
 // tests).
-func (b *Board) Bus() *sim.Resource { return b.bus }
+func (b *Board) Bus() *sim.Resource { return &b.bus }
 
 // HitRatio reports the Message Cache transmit hit ratio in percent
 // (0 for the standard board).

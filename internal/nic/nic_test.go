@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -491,6 +492,39 @@ func TestInFlightSizes(t *testing.T) {
 	if got := unsafe.Sizeof(atm.Packet{}); got > 48 {
 		t.Errorf("atm.Packet is %d bytes, want at most 48", got)
 	}
+}
+
+// TestTorusBoardsAllocation bounds what building the benchmark's
+// fabric-torus machine allocates: a 1,024-node torus fabric at two
+// shards and, per node, a cache hierarchy, a CNI board and the board's
+// two 64 KB windows. A board keeps its translations as page runs and
+// its resources by value, and the fabric its ports, so the boards cost
+// memory for the frames and pages they model, not an entry per mapped
+// page or an object per resource.
+func TestTorusBoardsAllocation(t *testing.T) {
+	const nodes, budget = 1024, 5 << 20
+	cfg := config.ForNIC(config.NICCNI)
+	cfg.Topology = config.TopoTorus
+	cfg.SimShards = 2
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net, _, err := atm.NewSharded(&cfg, nodes, cfg.SimShards, sim.EngineCalendar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boards := make([]*Board, nodes)
+	for i := range boards {
+		boards[i] = NewBoard(net.NodeKernel(i), &cfg, i, net, memsys.New(&cfg))
+		boards[i].MapPages(0x10000, 1<<16)
+		boards[i].MapPages(0x40000, 1<<16)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d torus boards allocated %.2f MB in %d objects", nodes, float64(got)/(1<<20), after.Mallocs-before.Mallocs)
+	if got > budget {
+		t.Errorf("%d torus boards allocated %.2f MB, want at most %d MB", nodes, float64(got)/(1<<20), budget>>20)
+	}
+	runtime.KeepAlive(boards)
 }
 
 // TestMessageLaunchesOnce checks that launching a Message a second time

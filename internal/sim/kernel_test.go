@@ -158,7 +158,7 @@ func TestKernelDeterminismProperty(t *testing.T) {
 }
 
 func TestResourceQueuesFIFO(t *testing.T) {
-	r := NewResource("bus")
+	var r Resource
 	s1, e1 := r.Use(0, 10)
 	if s1 != 0 || e1 != 10 {
 		t.Fatalf("first use = [%d,%d], want [0,10]", s1, e1)
@@ -191,7 +191,7 @@ func TestResourceOccupancyProperty(t *testing.T) {
 		Gap uint8
 		Dur uint8
 	}) bool {
-		r := NewResource("x")
+		var r Resource
 		var at, lastEnd Time
 		for _, q := range reqs {
 			at += Time(q.Gap)

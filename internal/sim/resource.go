@@ -3,9 +3,8 @@ package sim
 // Resource models a FIFO-served exclusive resource with deterministic
 // queuing delay: a memory bus, a DMA engine, a NIC processor, a network
 // link. A request arriving at time at is served as soon as the resource
-// is free, occupying it for dur cycles.
+// is free, occupying it for dur cycles. The zero Resource is idle.
 type Resource struct {
-	Name   string
 	freeAt Time
 
 	// Busy accumulates cycles the resource spent serving requests, and
@@ -15,9 +14,6 @@ type Resource struct {
 	Waited Time
 	Uses   uint64
 }
-
-// NewResource returns an idle resource.
-func NewResource(name string) *Resource { return &Resource{Name: name} }
 
 // Use reserves the resource for dur cycles for a request arriving at
 // time at, and returns the service start and completion times.

@@ -26,14 +26,14 @@ type clos struct {
 	k     int // radix
 	half  int // k/2: hosts per edge switch, switches per pod layer
 
-	tx []*sim.Resource
+	tx []sim.Resource
 
 	// Port planes, indexed arithmetically (see idx and coreIdx).
-	edgeDown []*sim.Resource // edge (p,e) -> host h
-	edgeUp   []*sim.Resource // edge (p,e) -> agg a
-	aggDown  []*sim.Resource // agg (p,a) -> edge e
-	aggUp    []*sim.Resource // agg (p,a) -> core a*half+j
-	coreDown []*sim.Resource // core c -> pod p
+	edgeDown []sim.Resource // edge (p,e) -> host h
+	edgeUp   []sim.Resource // edge (p,e) -> agg a
+	aggDown  []sim.Resource // agg (p,a) -> edge e
+	aggUp    []sim.Resource // agg (p,a) -> core a*half+j
+	coreDown []sim.Resource // core c -> pod p
 }
 
 // ClosCapacity reports how many hosts a radix-k fat-tree addresses.
@@ -76,23 +76,18 @@ func newClos(cfg *config.Config, n int) (*clos, error) {
 	if n > ClosCapacity(k) {
 		return nil, fmt.Errorf("topo: %d nodes exceed the %d-host capacity of a radix-%d fat-tree", n, ClosCapacity(k), k)
 	}
-	c := &clos{nodes: n, k: k, half: k / 2}
-	for i := 0; i < n; i++ {
-		c.tx = append(c.tx, sim.NewResource(fmt.Sprintf("txlink%d", i)))
-	}
-	plane := func(name string) []*sim.Resource {
-		r := make([]*sim.Resource, ClosCapacity(k))
-		for i := range r {
-			r[i] = sim.NewResource(fmt.Sprintf("%s%d", name, i))
-		}
-		return r
-	}
-	c.edgeDown = plane("edgedown")
-	c.edgeUp = plane("edgeup")
-	c.aggDown = plane("aggdown")
-	c.aggUp = plane("aggup")
-	c.coreDown = plane("coredown")
-	return c, nil
+	links := ClosCapacity(k)
+	return &clos{
+		nodes:    n,
+		k:        k,
+		half:     k / 2,
+		tx:       make([]sim.Resource, n),
+		edgeDown: make([]sim.Resource, links),
+		edgeUp:   make([]sim.Resource, links),
+		aggDown:  make([]sim.Resource, links),
+		aggUp:    make([]sim.Resource, links),
+		coreDown: make([]sim.Resource, links),
+	}, nil
 }
 
 func (c *clos) Kind() string { return config.TopoClos }
@@ -101,7 +96,7 @@ func (c *clos) Nodes() int { return c.nodes }
 
 func (c *clos) Edges() int { return c.nodes + 5*ClosCapacity(c.k) }
 
-func (c *clos) TxLink(node int) *sim.Resource { return c.tx[node] }
+func (c *clos) TxLink(node int) *sim.Resource { return &c.tx[node] }
 
 // Radix reports the configured (or auto-picked) switch radix.
 func (c *clos) Radix() int { return c.k }
@@ -118,8 +113,8 @@ func (c *clos) idx(p, s, q int) int { return (p*c.half+s)*c.half + q }
 
 // hop builds the Hop for slot i of the numbered plane (0 edgeDown,
 // 1 edgeUp, 2 aggDown, 3 aggUp, 4 coreDown).
-func (c *clos) hop(plane []*sim.Resource, planeNo, i int) Hop {
-	return Hop{Port: plane[i], Edge: c.nodes + planeNo*ClosCapacity(c.k) + i}
+func (c *clos) hop(plane []sim.Resource, planeNo, i int) Hop {
+	return Hop{Port: &plane[i], Edge: c.nodes + planeNo*ClosCapacity(c.k) + i}
 }
 
 func (c *clos) Route(src, dst int, buf []Hop) []Hop {

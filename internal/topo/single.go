@@ -14,20 +14,15 @@ import (
 // closed-form single-switch model (the golden parity test in
 // internal/atm pins this).
 type single struct {
-	tx  []*sim.Resource
-	out []*sim.Resource
+	tx  []sim.Resource
+	out []sim.Resource
 }
 
 func newSingle(cfg *config.Config, n int) (*single, error) {
 	if n > cfg.SwitchPorts {
 		return nil, fmt.Errorf("topo: %d nodes on a %d-port switch (use a clos or torus topology to scale past the banyan)", n, cfg.SwitchPorts)
 	}
-	s := &single{}
-	for i := 0; i < n; i++ {
-		s.tx = append(s.tx, sim.NewResource(fmt.Sprintf("txlink%d", i)))
-		s.out = append(s.out, sim.NewResource(fmt.Sprintf("outport%d", i)))
-	}
-	return s, nil
+	return &single{tx: make([]sim.Resource, n), out: make([]sim.Resource, n)}, nil
 }
 
 func (s *single) Kind() string { return config.TopoSingle }
@@ -38,10 +33,10 @@ func (s *single) Nodes() int { return len(s.tx) }
 // n..2n-1.
 func (s *single) Edges() int { return 2 * len(s.tx) }
 
-func (s *single) TxLink(node int) *sim.Resource { return s.tx[node] }
+func (s *single) TxLink(node int) *sim.Resource { return &s.tx[node] }
 
 func (s *single) Route(src, dst int, buf []Hop) []Hop {
-	return append(buf, Hop{Port: s.out[dst], Edge: len(s.tx) + dst})
+	return append(buf, Hop{Port: &s.out[dst], Edge: len(s.tx) + dst})
 }
 
 func (s *single) Diameter() int { return 1 }

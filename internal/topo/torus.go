@@ -19,8 +19,8 @@ type torus struct {
 	nodes int
 	dims  [3]int
 
-	tx    []*sim.Resource
-	ports []*sim.Resource // routers * 7, dense by (router, port)
+	tx    []sim.Resource
+	ports []sim.Resource // routers * 7, dense by (router, port)
 }
 
 // Router port numbering: directions 2*d (positive) and 2*d+1
@@ -66,17 +66,12 @@ func newTorus(cfg *config.Config, n int) (*torus, error) {
 	if n > routers {
 		return nil, fmt.Errorf("topo: %d nodes exceed the %d routers of a %dx%dx%d torus", n, routers, dims[0], dims[1], dims[2])
 	}
-	t := &torus{nodes: n, dims: dims}
-	for i := 0; i < n; i++ {
-		t.tx = append(t.tx, sim.NewResource(fmt.Sprintf("txlink%d", i)))
-	}
-	t.ports = make([]*sim.Resource, routers*torusPorts)
-	for r := 0; r < routers; r++ {
-		for p := 0; p < torusPorts; p++ {
-			t.ports[r*torusPorts+p] = sim.NewResource(fmt.Sprintf("torus%d.%d", r, p))
-		}
-	}
-	return t, nil
+	return &torus{
+		nodes: n,
+		dims:  dims,
+		tx:    make([]sim.Resource, n),
+		ports: make([]sim.Resource, routers*torusPorts),
+	}, nil
 }
 
 func (t *torus) Kind() string { return config.TopoTorus }
@@ -87,7 +82,7 @@ func (t *torus) Edges() int {
 	return t.nodes + t.dims[0]*t.dims[1]*t.dims[2]*torusPorts
 }
 
-func (t *torus) TxLink(node int) *sim.Resource { return t.tx[node] }
+func (t *torus) TxLink(node int) *sim.Resource { return &t.tx[node] }
 
 // coords decomposes a router id into torus coordinates.
 func (t *torus) coords(id int) (c [3]int) {
@@ -104,7 +99,7 @@ func (t *torus) router(c [3]int) int {
 // hop builds the Hop for the given router's output port.
 func (t *torus) hop(router, port int) Hop {
 	i := router*torusPorts + port
-	return Hop{Port: t.ports[i], Edge: t.nodes + i}
+	return Hop{Port: &t.ports[i], Edge: t.nodes + i}
 }
 
 func (t *torus) Route(src, dst int, buf []Hop) []Hop {
