@@ -475,7 +475,8 @@ type Runtime struct {
 	pages []page // the page table: every per-page state, by page id
 	// view[p] is page p's words while the page is valid and nil
 	// otherwise, so ReadU64 and WriteU64 test validity and find the
-	// word with one load. setState is its only writer.
+	// word with one load. setState is its only writer, and the Worker
+	// holds the same slice.
 	view [][]uint64
 	// dirtied lists the pages written since the last release, in the
 	// order of their first write; release sorts them.
@@ -793,11 +794,6 @@ func (r *Runtime) PeekF64(idx int) float64 { return f64from(*r.word(idx)) }
 // vaddrOfPage returns the host virtual address of a shared page.
 func (r *Runtime) vaddrOfPage(page int32) uint64 {
 	return SharedBase + uint64(page)*uint64(r.cfg.PageBytes)
-}
-
-// vaddrOfWord returns the host virtual address of a shared word.
-func (r *Runtime) vaddrOfWord(idx int) uint64 {
-	return SharedBase + uint64(idx)*uint64(r.cfg.WordBytes)
 }
 
 // setState moves a page to access state s and keeps its view in step:

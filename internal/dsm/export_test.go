@@ -104,9 +104,12 @@ func CheckNotices(g *Globals) error {
 // CheckRegion verifies the page-granular memory of a finished run. On
 // every node and page: the view is non-nil exactly when the page is
 // valid, and then it is the page's words; every owned page is
-// materialized; and every materialized page is one page long. Across
-// the whole cluster no two pages' words overlap, whether on one node
-// or on two (a fetch that aliased the owner's words would share them).
+// materialized; and every materialized page is one page long. A node's
+// worker, if one is attached, accesses words through the runtime's own
+// view (same length, same backing array) and splits and scales word
+// indexes as the Globals and the config do. Across the whole cluster
+// no two pages' words overlap, whether on one node or on two (a fetch
+// that aliased the owner's words would share them).
 func CheckRegion(g *Globals) error {
 	type span struct {
 		start      uintptr
@@ -117,6 +120,15 @@ func CheckRegion(g *Globals) error {
 	for n, r := range g.nodes {
 		if len(r.view) != len(r.pages) {
 			return fmt.Errorf("node %d: view of %d pages over a table of %d", n, len(r.view), len(r.pages))
+		}
+		if w := r.worker; w != nil {
+			if len(w.view) != len(r.view) || len(r.view) > 0 && &w.view[0] != &r.view[0] {
+				return fmt.Errorf("node %d: the worker's view is not the runtime's", n)
+			}
+			if w.pageShift != g.pageShift || w.offMask != g.pageWords-1 || w.wordBytes != uint64(g.cfg.WordBytes) {
+				return fmt.Errorf("node %d: the worker splits words at shift %d, mask %#x and %d bytes, want %d, %#x and %d",
+					n, w.pageShift, w.offMask, w.wordBytes, g.pageShift, g.pageWords-1, g.cfg.WordBytes)
+			}
 		}
 		for p := range r.pages {
 			pg, v := &r.pages[p], r.view[p]

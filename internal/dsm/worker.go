@@ -47,6 +47,16 @@ type Worker struct {
 	proc *sim.Proc
 	mem  *memsys.Hierarchy
 
+	// The accessors' working set, copied at attach so that an L1 hit
+	// loads nothing through the Runtime or the Globals: the runtime's
+	// view (NewRuntime makes it once and nothing reassigns it), the
+	// shift and mask that split a word index into page and offset, and
+	// the word size that scales it to an address.
+	view      [][]uint64
+	pageShift uint
+	offMask   int
+	wordBytes uint64
+
 	waiting       waitKind
 	pendingCharge sim.Time // handler-computed CPU costs folded at resume
 	taskResult    int
@@ -55,7 +65,11 @@ type Worker struct {
 // NewWorker attaches the application thread p (with its cache
 // hierarchy) to the runtime.
 func (r *Runtime) NewWorker(p *sim.Proc, mem *memsys.Hierarchy) *Worker {
-	w := &Worker{r: r, proc: p, mem: mem}
+	w := &Worker{
+		r: r, proc: p, mem: mem,
+		view: r.view, pageShift: r.G.pageShift, offMask: r.G.pageWords - 1,
+		wordBytes: uint64(r.cfg.WordBytes),
+	}
 	r.worker = w
 	r.board.SetHostProc(p)
 	return w
@@ -120,36 +134,46 @@ func (w *Worker) WriteF64(idx int, v float64) {
 }
 
 // ReadU64 reads the shared word at idx, faulting the page in if needed
-// and charging the cache-hierarchy cost of the access.
+// and charging the cache-hierarchy cost of the access. An L1 hit is
+// Hit, inlined; only a miss calls into the hierarchy.
 func (w *Worker) ReadU64(idx int) uint64 {
-	r := w.r
-	page := r.G.pageOf(idx)
-	words := r.view[page]
+	page := int32(idx >> w.pageShift)
+	words := w.view[page]
 	for words == nil {
 		w.slowPath(page, false)
-		words = r.view[page]
+		words = w.view[page]
 	}
-	w.proc.Advance(w.mem.Read(r.vaddrOfWord(idx)))
-	return words[r.G.offsetOf(idx)]
+	addr := SharedBase + uint64(idx)*w.wordBytes
+	c, ok := w.mem.Hit(addr, false)
+	if !ok {
+		c = w.mem.Read(addr)
+	}
+	w.proc.Advance(c)
+	return words[idx&w.offMask]
 }
 
 // WriteU64 writes the shared word at idx. The first write to a page in
 // an interval twins it (multiple-writer support) and marks it dirty for
 // the next release.
 func (w *Worker) WriteU64(idx int, v uint64) {
-	r := w.r
-	page := r.G.pageOf(idx)
-	words := r.view[page]
+	page := int32(idx >> w.pageShift)
+	words := w.view[page]
 	for words == nil {
 		w.slowPath(page, true)
-		words = r.view[page]
+		words = w.view[page]
 	}
+	r := w.r
 	if !r.pages[page].dirty {
 		w.beginWrite(page)
 	}
-	w.proc.Advance(w.mem.Write(r.vaddrOfWord(idx)))
-	words[r.G.offsetOf(idx)] = v
-	r.board.NoteWrite(r.vaddrOfWord(idx))
+	addr := SharedBase + uint64(idx)*w.wordBytes
+	c, ok := w.mem.Hit(addr, true)
+	if !ok {
+		c = w.mem.Write(addr)
+	}
+	w.proc.Advance(c)
+	words[idx&w.offMask] = v
+	r.board.NoteWrite(addr)
 }
 
 // beginWrite marks page dirty and, for pages this node does not own,

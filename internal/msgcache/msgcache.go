@@ -192,14 +192,23 @@ func (c *Cache) V2P(vpage uint64) (uint64, error) {
 	return 0, fmt.Errorf("%w: vpage %#x", ErrNoMapping, vpage)
 }
 
-// P2V translates a physical page back to the virtual page (snoop path).
+// P2V translates a physical page back to the virtual page.
 func (c *Cache) P2V(ppage uint64) (uint64, error) {
-	for _, r := range c.runs {
-		if ppage >= r.p && ppage < r.p+r.n {
-			return r.v + ppage - r.p, nil
-		}
+	if vpage, ok := c.p2v(ppage); ok {
+		return vpage, nil
 	}
 	return 0, fmt.Errorf("%w: ppage %#x", ErrNoMapping, ppage)
+}
+
+// p2v is P2V without an error to build on a miss: the snoop path's
+// lookup.
+func (c *Cache) p2v(ppage uint64) (uint64, bool) {
+	for _, r := range c.runs {
+		if ppage >= r.p && ppage < r.p+r.n {
+			return r.v + ppage - r.p, true
+		}
+	}
+	return 0, false
 }
 
 // --- Buffer map operations ---
@@ -298,8 +307,8 @@ func (c *Cache) victim() int {
 // (ablation), the binding is invalidated so stale data is never
 // transmitted. It reports whether a bound buffer was affected.
 func (c *Cache) SnoopWrite(paddr uint64) bool {
-	vpage, err := c.P2V(paddr / uint64(c.pageBytes))
-	if err != nil {
+	vpage, ok := c.p2v(paddr / uint64(c.pageBytes))
+	if !ok {
 		c.Stats.SnoopAborts++
 		return false
 	}
